@@ -37,29 +37,14 @@ EXIT_UNKNOWN_CHECK = 4
 def _outdir(config_output: str | None, flag_output: str | None = None) -> Path:
     path = flag_output or config_output or os.environ.get("FRACSTAB_OUT") or "."
     out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise _IOFailure(f"cannot create output directory {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-class _IOFailure(Exception):
-    pass
 
 
 def cmd_simulate(config: RunConfig, out_flag: str | None = None) -> int:
     out = _outdir(config.output, out_flag)
-    try:
-        traj = solve(config.system, config.grid)
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    try:
-        write_trajectory_csv(out / "trajectory.csv", traj)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    traj = solve(config.system, config.grid)
+    write_trajectory_csv(out / "trajectory.csv", traj)
     print(f"wrote {out / 'trajectory.csv'} ({traj.grid.n_nodes} rows)")
     return EXIT_OK
 
@@ -75,50 +60,34 @@ def cmd_check(config: RunConfig, out_flag: str | None = None) -> int:
     out = _outdir(config.output, out_flag)
     summary_lines = []
     all_ok = True
-    try:
-        for name, count in config.checks:
-            result = run_suite(name, count, seed=config.seed)
-            suite_dir = out / name
-            suite_dir.mkdir(parents=True, exist_ok=True)
-            for i, rep in enumerate(result.reports):
-                if isinstance(rep, IdentityResidual):
-                    (suite_dir / f"instance_{i:04d}.csv").write_text(
-                        "max_residual,scale,relative\n"
-                        f"{fmt(rep.max_residual)},{fmt(rep.scale)},{fmt(rep.relative)}\n"
-                    )
-                else:
-                    write_report_csv(suite_dir / f"instance_{i:04d}.csv", rep)
-            line = f"{name},{result.instances},{result.passes},{fmt(result.max_violation)}"
-            summary_lines.append(line)
-            print(line)
-            all_ok &= result.all_passed
-        (out / "check_summary.csv").write_text(
-            "name,instances,passes,max_violation\n" + "\n".join(summary_lines) + "\n"
-        )
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    for name, count in config.checks:
+        result = run_suite(name, count, seed=config.seed)
+        suite_dir = out / name
+        suite_dir.mkdir(parents=True, exist_ok=True)
+        for i, rep in enumerate(result.reports):
+            if isinstance(rep, IdentityResidual):
+                (suite_dir / f"instance_{i:04d}.csv").write_text(
+                    "max_residual,scale,relative\n"
+                    f"{fmt(rep.max_residual)},{fmt(rep.scale)},{fmt(rep.relative)}\n"
+                )
+            else:
+                write_report_csv(suite_dir / f"instance_{i:04d}.csv", rep)
+        line = f"{name},{result.instances},{result.passes},{fmt(result.max_violation)}"
+        summary_lines.append(line)
+        print(line)
+        all_ok &= result.all_passed
+    (out / "check_summary.csv").write_text(
+        "name,instances,passes,max_violation\n" + "\n".join(summary_lines) + "\n"
+    )
     return EXIT_OK if all_ok else EXIT_USAGE
 
 
 def cmd_reproduce(example_id: str, out_flag: str | None, phi: str | None) -> int:
-    try:
-        preset = get_preset(f"example{example_id}", phi_text=phi)
-    except FracstabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    preset = get_preset(f"example{example_id}", phi_text=phi)
     out = _outdir(None, out_flag)
-    try:
-        traj, report = run_preset(preset)
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    try:
-        write_trajectory_csv(out / "trajectory.csv", traj)
-        write_stability_report(out, report)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    traj, report = run_preset(preset)
+    write_trajectory_csv(out / "trajectory.csv", traj)
+    write_stability_report(out, report)
     print((out / "stability_summary.txt").read_text(), end="")
     return EXIT_OK if report.all_passed else EXIT_USAGE
 
@@ -128,37 +97,23 @@ def cmd_convergence(config: RunConfig, out_flag: str | None = None) -> int:
         print("config needs h_list with at least 2 decreasing steps", file=sys.stderr)
         return EXIT_USAGE
     out = _outdir(config.output, out_flag)
-    try:
-        study = convergence_study(config.system, config.grid.t_end, config.h_list)
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    try:
-        lines = ["h,max_error"] + [f"{fmt(h)},{fmt(e)}" for h, e in study.entries]
-        lines.append(f"fitted_order,{fmt(study.fitted_order)}")
-        (out / "convergence.csv").write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    study = convergence_study(config.system, config.grid.t_end, config.h_list)
+    lines = ["h,max_error"] + [f"{fmt(h)},{fmt(e)}" for h, e in study.entries]
+    lines.append(f"fitted_order,{fmt(study.fitted_order)}")
+    (out / "convergence.csv").write_text("\n".join(lines) + "\n")
     print(f"fitted order: {study.fitted_order:.3f}")
     return EXIT_OK
 
 
 def cmd_plotscript(csv_path: str, out_flag: str | None = None) -> int:
     csv = Path(csv_path)
-    try:
-        header = csv.read_text().splitlines()[0]
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    dim = max(1, len(header.split(",")) - 1)
+    lines = csv.read_text().splitlines()
+    if not lines:
+        raise FracstabError(f"{csv} has no header line")
+    dim = max(1, len(lines[0].split(",")) - 1)
     script = gnuplot_script(csv.name, dim)
     target = Path(out_flag) if out_flag else csv.with_suffix(".gp")
-    try:
-        target.write_text(script)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    target.write_text(script)
     print(f"wrote {target}")
     return EXIT_OK
 
@@ -194,6 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place where exceptions become exit codes."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -212,9 +168,12 @@ def main(argv=None) -> int:
             return cmd_check(config, args.out)
         if args.command == "convergence":
             return cmd_convergence(config, args.out)
-    except _IOFailure as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # the latter: an input file that is not text
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except DivergenceError as exc:  # before FracstabError, its base class
+        print(f"divergence: {exc}", file=sys.stderr)
+        return EXIT_DIVERGENCE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

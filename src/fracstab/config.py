@@ -7,6 +7,7 @@ examples; explicit keys then override its fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,9 +68,11 @@ def _parse_value(raw: str, lineno: int):
         return raw[1:-1]
     try:
         f = float(raw)
-        return int(f) if f == int(f) and ("e" not in raw.lower() and "." not in raw) else f
     except ValueError:
         return raw  # bare word (preset names, check names)
+    if not math.isfinite(f):
+        raise ConfigError(f"number must be finite, got {raw!r}", lineno)
+    return int(f) if f == int(f) and ("e" not in raw.lower() and "." not in raw) else f
 
 
 def parse_config(text: str) -> RunConfig:
@@ -148,7 +151,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"h must be > 0, got {h}")
     if t_end <= t0:
         raise ConfigError(f"t_end must exceed t0, got t_end={t_end}, t0={t0}")
-    n_steps = round((t_end - t0) / h)
+    steps = (t_end - t0) / h
+    if not math.isfinite(steps):
+        raise ConfigError(f"(t_end - t0) / h is not finite: {t_end - t0} / {h}")
+    n_steps = round(steps)
     if n_steps < 1 or abs(t0 + n_steps * h - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ConfigError(f"(t_end - t0) must be a multiple of h, got {t_end - t0} / {h}")
 
@@ -192,6 +198,6 @@ def parse_config(text: str) -> RunConfig:
 def load_config(path: Path) -> RunConfig:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)

@@ -10,6 +10,7 @@ under grid halving are attributed to discretization.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -181,9 +182,27 @@ class IneqReport:
     details: dict = field(default_factory=dict, compare=False)
 
 
-def _tolerance(grid: TimeGrid, order: FracOrder, rhs: np.ndarray) -> float:
-    scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
-    return 10.0 * grid.h ** min(1.0, 2.0 - order.alpha) * scale
+def _judge(grid: TimeGrid, order: FracOrder, measure: Callable, refinable: bool):
+    """The tolerance-and-refinement policy of make_report and the nr6 check.
+
+    measure(grid) -> (violation, scale, data).  The violation passes if it
+    is within tol = 10 * h^min(1, 2 - alpha) * scale; above tol it passes
+    only if the grid is refinable and halving it shrinks the violation by
+    at least 1.5x and brings it under the halved grid's own tolerance.
+    Returns (violation, tol, ratio, verdict, data) for `grid`; ratio is NaN
+    unless the grid was halved.
+    """
+    p = min(1.0, 2.0 - order.alpha)
+    viol, scale, data = measure(grid)
+    tol = 10.0 * grid.h**p * scale
+    ratio = math.nan
+    verdict = viol <= tol
+    if not verdict and refinable:
+        half = grid.halved()
+        viol2, scale2, _ = measure(half)
+        ratio = math.inf if viol2 == 0.0 else viol / viol2
+        verdict = ratio >= 1.5 and viol2 <= 10.0 * half.h**p * scale2
+    return viol, tol, ratio, verdict, data
 
 
 def make_report(
@@ -201,22 +220,18 @@ def make_report(
     direction +1 checks LHS <= RHS, -1 checks LHS >= RHS.  skip_nodes
     excludes leading nodes from the verdict (the slack series still reports
     them); used where the operator's node-0 convention makes the comparison
-    vacuous.
+    vacuous.  The tolerance scale is the largest |RHS|.
     """
-    lhs, rhs = compute(grid)
-    slack = direction * (rhs - lhs)
-    viol = max(0.0, -float(np.min(slack[skip_nodes:]))) if slack[skip_nodes:].size else 0.0
-    tol = _tolerance(grid, order, rhs)
-    ratio = math.nan
-    verdict = viol <= tol
-    if not verdict and refinable:
-        half = grid.halved()
-        lhs2, rhs2 = compute(half)
-        slack2 = direction * (rhs2 - lhs2)
-        viol2 = max(0.0, -float(np.min(slack2[skip_nodes:])))
-        tol2 = _tolerance(half, order, rhs2)
-        ratio = math.inf if viol2 == 0.0 else viol / viol2
-        verdict = ratio >= 1.5 and viol2 <= tol2
+
+    def measure(g: TimeGrid):
+        lhs, rhs = compute(g)
+        slack = direction * (rhs - lhs)
+        judged = slack[skip_nodes:]
+        viol = max(0.0, -float(np.min(judged))) if judged.size else 0.0
+        scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
+        return viol, scale, (lhs, rhs, slack)
+
+    viol, tol, ratio, verdict, (lhs, rhs, slack) = _judge(grid, order, measure, refinable)
     return IneqReport(
         name=name,
         slack=SampleSeries(grid, slack),
@@ -239,11 +254,10 @@ def _series_at(x: SampleSeries, grid: TimeGrid) -> np.ndarray:
 # --- product inequalities ----------------------------------------------------
 
 
-def verify_product_decreasing(phi: EnvelopeSpec, x: SampleSeries, order: FracOrder) -> IneqReport:
-    """D(phi*x) <= phi * D(x) for decreasing phi and non-negative x."""
-    _require_nonneg(x.values, "x")
-    if phi.kind == "mono_increasing":
-        raise EnvelopeError("verify_product_decreasing needs a decreasing envelope")
+def _product_report(
+    name: str, phi: EnvelopeSpec, x: SampleSeries, order: FracOrder, direction: int
+) -> IneqReport:
+    """D(phi*x) against phi * D(x), for the two product verifiers."""
 
     def compute(grid: TimeGrid):
         pv = phi.sample(grid)
@@ -253,9 +267,16 @@ def verify_product_decreasing(phi: EnvelopeSpec, x: SampleSeries, order: FracOrd
         rhs = pv * caputo_l1(SampleSeries(grid, xv), order).values
         return lhs, rhs
 
-    return make_report(
-        "product_decreasing", x.grid, order, compute, refinable=x.source is not None
-    )
+    refinable = x.source is not None
+    return make_report(name, x.grid, order, compute, refinable=refinable, direction=direction)
+
+
+def verify_product_decreasing(phi: EnvelopeSpec, x: SampleSeries, order: FracOrder) -> IneqReport:
+    """D(phi*x) <= phi * D(x) for decreasing phi and non-negative x."""
+    _require_nonneg(x.values, "x")
+    if phi.kind == "mono_increasing":
+        raise EnvelopeError("verify_product_decreasing needs a decreasing envelope")
+    return _product_report("product_decreasing", phi, x, order, direction=1)
 
 
 def verify_product_increasing(phi: EnvelopeSpec, x: SampleSeries, order: FracOrder) -> IneqReport:
@@ -263,23 +284,7 @@ def verify_product_increasing(phi: EnvelopeSpec, x: SampleSeries, order: FracOrd
     _require_nonneg(x.values, "x")
     if phi.kind != "mono_increasing":
         raise EnvelopeError("verify_product_increasing needs an increasing envelope")
-
-    def compute(grid: TimeGrid):
-        pv = phi.sample(grid)
-        xv = _series_at(x, grid)
-        _require_nonneg(xv, "x (refined)")
-        lhs = caputo_l1(SampleSeries(grid, pv * xv), order).values
-        rhs = pv * caputo_l1(SampleSeries(grid, xv), order).values
-        return lhs, rhs
-
-    return make_report(
-        "product_increasing",
-        x.grid,
-        order,
-        compute,
-        refinable=x.source is not None,
-        direction=-1,
-    )
+    return _product_report("product_increasing", phi, x, order, direction=-1)
 
 
 def verify_odd_power_envelope(
@@ -451,7 +456,7 @@ def verify_decomposition_nr6(
     if phi.kind != "positive_decreasing":
         raise EnvelopeError("verify_decomposition_nr6 needs a positive decreasing envelope")
 
-    def sides(grid: TimeGrid):
+    def measure(grid: TimeGrid):
         pv = phi.sample(grid)
         xv = _series_at(x, grid)
         _require_positive(xv, "x (refined)")
@@ -465,24 +470,12 @@ def verify_decomposition_nr6(
         g = d_pow - psi * d_prod
         worst = np.maximum(f, -g)  # <= 0 wanted for both components
         scale = float(np.max(np.maximum(np.abs(psi * d_prod), psi * np.abs(pv * slope * d_x))))
-        return f, g, worst, scale
+        return max(0.0, float(np.max(worst))), scale, (f, g, worst)
 
-    grid = x.grid
-    f, g, worst, scale = sides(grid)
-    viol = max(0.0, float(np.max(worst)))
-    tol = 10.0 * grid.h ** min(1.0, 2.0 - order.alpha) * scale
-    ratio = math.nan
-    verdict = viol <= tol
-    if not verdict and x.source is not None:
-        half = grid.halved()
-        _, _, worst2, scale2 = sides(half)
-        viol2 = max(0.0, float(np.max(worst2)))
-        tol2 = 10.0 * half.h ** min(1.0, 2.0 - order.alpha) * scale2
-        ratio = math.inf if viol2 == 0.0 else viol / viol2
-        verdict = ratio >= 1.5 and viol2 <= tol2
+    viol, tol, ratio, verdict, (f, g, worst) = _judge(x.grid, order, measure, x.source is not None)
     return IneqReport(
         name="nr6_decomposition",
-        slack=SampleSeries(grid, -worst),
+        slack=SampleSeries(x.grid, -worst),
         lhs=f,
         rhs=-g,
         max_violation=viol,
@@ -666,11 +659,7 @@ def _run_one(name: str, seed: int, grid: TimeGrid):
     if name in _COMPOSITE_FLAVORS:
         groups, series, order = _composite_instance(seed, name, grid)
         return verify_composite(groups, series, order)
-    profile = PROFILES[name]
-    profile = InstanceProfile(
-        profile.envelope_kind, profile.x_kind, profile.beta_kind,
-        profile.beta_range, profile.alpha_range, grid,
-    )
+    profile = dataclasses.replace(PROFILES[name], grid=grid)
     envelope, x, beta, order = generate_instance(seed, profile)
     if name == "nr1":
         return verify_product_decreasing(envelope, x, order)

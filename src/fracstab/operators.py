@@ -23,6 +23,7 @@ __all__ = [
     "SampleSeries",
     "FracOrder",
     "rl_weights",
+    "rect_weights",
     "l1_weights",
     "rl_integral",
     "caputo_l1",
@@ -118,7 +119,8 @@ def rl_weights(mu: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(f"rl integral order must be > 0, got {mu!r}")
     a0 = np.zeros(n_steps + 1)
     k = np.arange(1, n_steps + 1, dtype=float)
-    a0[1:] = (k - 1.0) ** (mu + 1.0) - k**mu * (k - mu - 1.0)
+    km1 = k - 1.0
+    a0[1:] = km1 ** (mu + 1.0) - (km1 - mu) * k**mu
     body = np.zeros(max(n_steps, 1))
     m = np.arange(1, n_steps, dtype=float)
     body[1:] = (m + 1.0) ** (mu + 1.0) + (m - 1.0) ** (mu + 1.0) - 2.0 * m ** (mu + 1.0)
@@ -147,17 +149,26 @@ def rl_integral(f: SampleSeries, mu: float) -> SampleSeries:
     return SampleSeries(grid, out)
 
 
+def rect_weights(mu: float, n_steps: int) -> np.ndarray:
+    """Product-rectangle kernel W[m] = m^mu - (m-1)^mu for m = 1..n_steps.
+
+    Entry 0 is unused (set to 0).  Scaled by h^mu / Gamma(mu + 1), W[m]
+    weights f_{k-m} in the order-mu RL integral at node k.
+    """
+    m = np.arange(n_steps + 1, dtype=float)
+    w = m**mu
+    out = np.empty_like(w)
+    out[0] = 0.0
+    out[1:] = w[1:] - w[:-1]
+    return out
+
+
 def l1_weights(alpha: float, n_steps: int) -> np.ndarray:
     """L1 kernel W[m] = m^(1-alpha) - (m-1)^(1-alpha) for m = 1..n_steps.
 
     Entry 0 is unused (set to 0); scale sums by h^(-alpha) / Gamma(2 - alpha).
     """
-    m = np.arange(n_steps + 1, dtype=float)
-    w = m ** (1.0 - alpha)
-    out = np.empty_like(w)
-    out[0] = 0.0
-    out[1:] = w[1:] - w[:-1]
-    return out
+    return rect_weights(1.0 - alpha, n_steps)
 
 
 def caputo_l1(f: SampleSeries, order: FracOrder) -> SampleSeries:

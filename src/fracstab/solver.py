@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, EvalError, ShapeError
 from .expressions import Expr, evaluate, max_state_index, parse, to_text, variables
-from .operators import FracOrder, SampleSeries, TimeGrid
+from .operators import FracOrder, SampleSeries, TimeGrid, rect_weights, rl_weights
 from .special import gamma
 
 __all__ = ["SystemDef", "Trajectory", "solve", "ConvergenceStudy", "convergence_study"]
@@ -97,28 +97,19 @@ def _rhs_at(system: SystemDef, t: float, x: np.ndarray) -> np.ndarray:
 def solve(system: SystemDef, grid: TimeGrid) -> Trajectory:
     """Integrate the system over the grid with the PECE scheme.
 
-    Per step, component-wise: predict with weights
-    b_{j,k+1} = (h^a/a)((k+1-j)^a - (k-j)^a), then correct once with the
-    product-trapezoid weights a_{j,k+1}; the RHS history is evaluated at
-    corrected states.  Raises DivergenceError once any |x_i| leaves the
-    finite range, carrying the last valid step.
+    Per step, component-wise: predict with the product-rectangle RL weights
+    (`rect_weights`), then correct once with the product-trapezoid RL
+    weights (`rl_weights`, the newest term taken at the prediction); the
+    RHS history is evaluated at corrected states.  Raises DivergenceError
+    once any |x_i| leaves the finite range, carrying the last valid step.
     """
     alpha = system.order.alpha
     h = grid.h
     n = grid.n_steps
     ts = grid.nodes()
 
-    m = np.arange(n + 2, dtype=float)
-    pows_a = m**alpha
-    b_lag = pows_a[1:] - pows_a[:-1]  # b_lag[m-1] = m^a - (m-1)^a, m >= 1
-    pows_a1 = m ** (alpha + 1.0)
-    a_lag = np.zeros(n + 1)  # a_lag[m] = (m+1)^(a+1) + (m-1)^(a+1) - 2 m^(a+1)
-    if n >= 1:
-        mm = np.arange(1, n + 1)
-        a_lag[1:] = pows_a1[mm + 1] + pows_a1[mm - 1] - 2.0 * pows_a1[mm]
-    k_arr = np.arange(n, dtype=float)
-    a_first = k_arr ** (alpha + 1.0) - (k_arr - alpha) * (k_arr + 1.0) ** alpha
-
+    rect = rect_weights(alpha, n)  # rect[m] weights f_{k+1-m} in the prediction of x_{k+1}
+    a0, body = rl_weights(alpha, n)
     scale_p = h**alpha / gamma(alpha + 1.0)
     scale_c = h**alpha / gamma(alpha + 2.0)
 
@@ -130,14 +121,13 @@ def solve(system: SystemDef, grid: TimeGrid) -> Trajectory:
 
     for k in range(n):
         hist = fhist[k::-1]  # rows k, k-1, ..., 0: lag order
-        pred = x0 + scale_p * (b_lag[: k + 1] @ hist)
+        pred = x0 + scale_p * (rect[1 : k + 2] @ hist)
         if not np.all(np.isfinite(pred)):
             raise DivergenceError(
                 f"predictor left the finite range at step {k + 1}", last_step=k
             )
         f_pred = _rhs_at(system, ts[k + 1], pred)
-        tail = a_lag[1 : k + 1] @ hist[: k] if k >= 1 else 0.0
-        corr = x0 + scale_c * (f_pred + a_first[k] * fhist[0] + tail)
+        corr = x0 + scale_c * (f_pred + a0[k + 1] * fhist[0] + body[1 : k + 1] @ hist[:k])
         if not np.all(np.isfinite(corr)) or np.any(np.abs(corr) > OVERFLOW_LIMIT):
             raise DivergenceError(
                 f"state exceeded {OVERFLOW_LIMIT:g} at step {k + 1} "

@@ -266,8 +266,9 @@ def _ml_alpha_one(beta: float, z: float) -> float | None:
     m = int(beta)
     if m == 1:
         return math.exp(z)
-    # E_{1,m}(z) = (e^z - sum_{k<m-1} z^k/k!) / z^{m-1}; safe once |z| is
-    # away from 0 (small |z| is handled by the series branch first)
+    # E_{1,m}(z) = (e^z - sum_{k<m-1} z^k/k!) / z^{m-1} cancels where the
+    # head nearly equals e^z (moderate |z|, large m), so mittag_leffler
+    # tries the certified series first and uses this form only past it
     head = 0.0
     zk = 1.0
     for k in range(m - 1):
@@ -296,14 +297,14 @@ def mittag_leffler(params: MLParams, z: float) -> float:
             return _ml_bigfloat(alpha, beta, z)
         return out[0]
 
+    out = _ml_series(alpha, beta, z)
+    if out is not None and out[1] <= _BRANCH_TARGET:
+        return out[0]
+
     if alpha == 1.0:
         closed = _ml_alpha_one(beta, z)
         if closed is not None:
             return closed
-
-    out = _ml_series(alpha, beta, z)
-    if out is not None and out[1] <= _BRANCH_TARGET:
-        return out[0]
 
     if z < 0.0:
         out = _ml_asymptotic(alpha, beta, z)

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the package's own evaluation paths:
 erfc comes from its Maclaurin series / Legendre continued fraction, the
 Mittag-Leffler reference from the spectral integral representation via
-scipy quadrature, the classical integrator is a plain running-sum
+scipy quadrature (and, at alpha = 1, from mpmath's confluent
+hypergeometric function), the classical integrator is a plain running-sum
 trapezoidal PECE, and closed forms use math.gamma.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 
@@ -73,6 +75,12 @@ def ml_gll_oracle(alpha: float, beta: float, z: float) -> float:
         value = (value - 1.0 / math.gamma(b)) / z
         b += alpha
     return value
+
+
+def ml_alpha_one_oracle(m: int, z: float) -> float:
+    """E_{1,m}(z) = 1F1(1; m; z) / (m-1)! for integer m >= 1, at 60 digits."""
+    with mpmath.workdps(60):
+        return float(mpmath.hyp1f1(1, m, z) / mpmath.factorial(m - 1))
 
 
 def classical_pece_trapezoid(rhs, t0: float, x0, h: float, n_steps: int) -> np.ndarray:

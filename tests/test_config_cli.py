@@ -26,6 +26,8 @@ t_end = 1
 h = 0.01
 """
 
+DIVERGING = 'dim = 1\norder = 0.8\nx0 = [3]\nrhs1 = "x1^3"\nt_end = 20\nh = 0.05\n'
+
 
 # --- config parsing --------------------------------------------------------------
 
@@ -118,12 +120,13 @@ def test_simulate_roundtrip(tmp_path):
 
 
 def test_simulate_divergence_exit_code(tmp_path):
-    cfg = _write(
-        tmp_path,
-        "div.cfg",
-        'dim = 1\norder = 0.8\nx0 = [3]\nrhs1 = "x1^3"\nt_end = 20\nh = 0.05\n',
-    )
+    cfg = _write(tmp_path, "div.cfg", DIVERGING)
     assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_convergence_divergence_exit_code(tmp_path):
+    cfg = _write(tmp_path, "div.cfg", DIVERGING + "h_list = [0.05, 0.025]\n")
+    assert main(["convergence", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 def test_simulate_io_error_exit_code(tmp_path):
@@ -131,10 +134,40 @@ def test_simulate_io_error_exit_code(tmp_path):
     assert main(["simulate", cfg, "--out", "/dev/null/impossible"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{chk}", "--out", "/dev/null/x"],
+        ["convergence", "{conv}", "--out", "/dev/null/x"],
+        ["reproduce", "2", "--out", "/dev/null/x"],
+        ["plotscript", "{missing}"],
+    ],
+)
+def test_io_error_exit_code(tmp_path, argv):
+    paths = {
+        "chk": _write(tmp_path, "chk.cfg", SMALL_SYSTEM + "checks = [nr1:2]\n"),
+        "conv": _write(tmp_path, "conv.cfg", SMALL_SYSTEM + "h_list = [0.01, 0.005]\n"),
+        "missing": str(tmp_path / "missing.csv"),
+    }
+    assert main([a.format(**paths) for a in argv]) == 3
+
+
+@pytest.mark.parametrize(
+    "lines", ["t_end = inf\nh = 0.01\n", "t_end = 1e300\nh = 1e-300\n", "t_end = nan\nh = 0.01\n"]
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, lines):
+    text = 'dim = 1\norder = 0.5\nx0 = [1]\nrhs1 = "-x1"\n' + lines
+    with pytest.raises(ConfigError):
+        parse_config(text)
+    assert main(["simulate", _write(tmp_path, "bad.cfg", text), "--out", str(tmp_path / "o")]) == 1
+
+
 def test_config_error_exit_code(tmp_path):
     cfg = _write(tmp_path, "bad.cfg", "nonsense\n")
     assert main(["simulate", cfg]) == 1
     assert main(["simulate", str(tmp_path / "missing.cfg")]) == 1
+    (tmp_path / "binary.cfg").write_bytes(b"\xff\xfedim = 1\n")
+    assert main(["simulate", str(tmp_path / "binary.cfg")]) == 1
 
 
 def test_check_command(tmp_path):
@@ -201,6 +234,15 @@ def test_plotscript(tmp_path):
     assert main(["plotscript", str(out / "trajectory.csv")]) == 0
     script = (out / "trajectory.gp").read_text()
     assert "trajectory.csv" in script and "x1" in script
+
+
+def test_plotscript_bad_input_exit_codes(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["plotscript", str(empty)]) == 1  # no header line
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"\xff\xfet,x1\n")
+    assert main(["plotscript", str(binary)]) == 3  # not UTF-8 text
 
 
 def test_usage_error_exit_code():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from fracstab.inequalities import (
     EnvelopeSpec,
     PowerTerm,
     generate_instance,
+    make_report,
     run_suite,
     verify_composite,
     verify_decomposition_nr4,
@@ -292,6 +294,21 @@ def test_nr6_requires_positive_inputs():
         )
 
 
+def test_nr6_verdict_goes_through_refinement():
+    # beta < 1 breaks the hypothesis behind f <= 0: the violation exceeds the
+    # tolerance and does not shrink under halving, so refinement fails it
+    phi = env("positive_decreasing", "1/(1+t)")
+    x = series(lambda t: (1.0 - t / 6.0) ** 4 + 0.01)
+    r = verify_decomposition_nr6(phi, x, 0.3, FracOrder(0.5))
+    assert r.max_violation > r.tol > 0.0
+    assert 0.9 < r.refinement_ratio < 1.5
+    assert not r.verdict
+    # without a source function the grid cannot be halved
+    r2 = verify_decomposition_nr6(phi, SampleSeries(GRID, x.values), 0.3, FracOrder(0.5))
+    assert np.isnan(r2.refinement_ratio) and not r2.verdict
+    assert (r2.max_violation, r2.tol) == (r.max_violation, r.tol)
+
+
 # --- generator and suites ---------------------------------------------------------------------
 
 
@@ -362,3 +379,70 @@ def test_constant_envelope_equality_across_verifiers():
     for r in checks:
         scale = max(np.max(np.abs(r.rhs)), 1e-300)
         assert np.max(np.abs(r.slack.values)) <= 1e-12 * scale
+
+
+# --- the tolerance-and-refinement policy ---------------------------------------------
+
+
+def _synthetic(violation, scale=lambda h: 1.0):
+    """compute(grid) -> (lhs, rhs): rhs = scale(h) everywhere, lhs above it by
+    violation(h) at the last node; records the steps it was called with."""
+    calls = []
+
+    def compute(grid):
+        calls.append(grid.h)
+        rhs = np.full(grid.n_nodes, scale(grid.h))
+        lhs = rhs.copy()
+        lhs[-1] += violation(grid.h)
+        return lhs, rhs
+
+    return compute, calls
+
+
+# on GRID (h = 0.01) at alpha = 0.5 the tolerance is 10 * h * scale = 0.1 * scale
+@pytest.mark.parametrize(
+    "violation, scale, refinable, verdict, ratio, steps",
+    [
+        # within tolerance: no halving
+        (lambda h: 0.05, lambda h: 1.0, True, True, None, [0.01]),
+        # above tolerance and not refinable
+        (lambda h: 0.2, lambda h: 1.0, False, False, None, [0.01]),
+        # shrinks 8x to 0.025 <= tol2 = 0.05
+        (lambda h: 0.2 * (h / 0.01) ** 3, lambda h: 1.0, True, True, 8.0, [0.01, 0.005]),
+        # vanishes on the halved grid
+        (lambda h: 0.2 if h == 0.01 else 0.0, lambda h: 1.0, True, True, math.inf, [0.01, 0.005]),
+        # shrinks only 1.2x although 0.1 <= tol2 = 0.2 (scale 4 on the halved grid)
+        (lambda h: 0.12 if h == 0.01 else 0.1, lambda h: 1.0 if h == 0.01 else 4.0, True, False, 1.2,
+         [0.01, 0.005]),
+        # shrinks 2x but stays above tol2 = 0.05
+        (lambda h: 0.2 * h / 0.01, lambda h: 1.0, True, False, 2.0, [0.01, 0.005]),
+    ],
+)
+def test_make_report_policy(violation, scale, refinable, verdict, ratio, steps):
+    compute, calls = _synthetic(violation, scale)
+    r = make_report("synthetic", GRID, FracOrder(0.5), compute, refinable=refinable)
+    assert r.verdict is verdict
+    assert r.max_violation == pytest.approx(violation(0.01), rel=1e-12)
+    assert r.tol == pytest.approx(0.1 * scale(0.01), rel=1e-12)
+    if ratio is None:
+        assert math.isnan(r.refinement_ratio)
+    else:
+        assert r.refinement_ratio == pytest.approx(ratio, rel=1e-9)
+    assert calls == pytest.approx(steps, rel=1e-15)
+
+
+def test_make_report_skip_nodes_and_direction():
+    def compute(grid):
+        rhs = np.ones(grid.n_nodes)
+        lhs = rhs.copy()
+        lhs[0] = 5.0  # a violation at node 0 only
+        return lhs, rhs
+
+    order = FracOrder(0.5)
+    assert not make_report("s", GRID, order, compute, refinable=False).verdict
+    r = make_report("s", GRID, order, compute, refinable=False, skip_nodes=1)
+    assert r.verdict and r.max_violation == 0.0
+    assert r.slack.values[0] == -4.0  # skipped nodes are still reported
+    # direction -1 checks lhs >= rhs: node 0 holds, every other node has slack 0
+    r = make_report("s", GRID, order, compute, refinable=False, direction=-1)
+    assert r.verdict and r.slack.values[0] == 4.0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fracstab.errors import DivergenceError, DomainError, EvalError, ShapeError
-from fracstab.expressions import evaluate
-from fracstab.operators import TimeGrid
+from fracstab.expressions import evaluate, parse, sample_on
+from fracstab.operators import SampleSeries, TimeGrid, rl_integral
 from fracstab.solver import SystemDef, convergence_study, solve
 from fracstab.special import MLParams, mittag_leffler
 
@@ -58,6 +58,17 @@ def test_solver_matches_mittag_leffler():
     ts = traj.grid.nodes()
     ref = np.array([mittag_leffler(params, -float(t) ** 0.9) for t in ts])
     assert np.max(np.abs(traj.states[0].values - ref)) < 1e-5
+
+
+def test_time_only_field_is_rl_integral():
+    # with f = f(t) the corrector is the product-trapezoid RL integral of f
+    alpha = 0.6
+    text = "cos(3*t) + t^2/4"
+    grid = TimeGrid(0.0, 0.01, 400)
+    traj = solve(SystemDef.from_strings(1, alpha, [text], [0.5]), grid)
+    f = SampleSeries(grid, sample_on(parse(text), grid.nodes()))
+    expected = 0.5 + rl_integral(f, alpha).values
+    assert np.max(np.abs(traj.states[0].values - expected)) <= 1e-13
 
 
 def test_alpha_one_matches_classical_pece():

@@ -9,7 +9,7 @@ from fracstab.errors import DomainError, RangeError
 from fracstab.special import ML_Z_MAX, MLParams, gamma, mittag_leffler, reciprocal_gamma
 from fracstab.special import _ml_bigfloat
 
-from oracles import erfc_oracle, erfcx_oracle, ml_gll_oracle
+from oracles import erfc_oracle, erfcx_oracle, ml_alpha_one_oracle, ml_gll_oracle
 
 
 # --- gamma -------------------------------------------------------------------
@@ -218,3 +218,18 @@ def test_alpha_one_integer_beta_vs_highprec_series():
             got = mittag_leffler(MLParams(1.0, beta), z)
             ref = _ml_bigfloat(1.0, beta, z)
             assert got == pytest.approx(ref, rel=1e-12), (beta, z)
+
+
+def test_alpha_one_integer_beta_sweep():
+    # the closed form (e^z - sum_{k<m-1} z^k/k!) / z^(m-1) cancels
+    # catastrophically for large m and moderate |z|; the 1e-9 contract must
+    # still hold across [-50, -0.25] and [0.25, 5]
+    zs = np.concatenate([np.linspace(-50.0, -0.25, 100), np.linspace(0.25, 5.0, 40)])
+    bad = []
+    for m in range(2, 16):
+        for z in zs:
+            ref = ml_alpha_one_oracle(m, float(z))
+            got = mittag_leffler(MLParams(1.0, float(m)), float(z))
+            if abs(got - ref) > 1e-9 * abs(ref):
+                bad.append((m, float(z), abs(got - ref) / abs(ref)))
+    assert not bad, f"{len(bad)} of {14 * zs.size} points off by > 1e-9, first: {bad[:3]}"
