@@ -75,6 +75,14 @@ def _parse_value(raw: str, lineno: int):
     return int(f) if f == int(f) and ("e" not in raw.lower() and "." not in raw) else f
 
 
+def _number(value, key: str, kind=float):
+    """value converted by kind (float or int); ConfigError if it is no number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse config text into a resolved RunConfig; errors carry line numbers."""
     values: dict[str, object] = {}
@@ -110,27 +118,25 @@ def parse_config(text: str) -> RunConfig:
         if preset_name not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {preset_name!r}")
         preset = get_preset(str(preset_name), phi_text=str(phi) if phi else None)
-        dim = int(values.get("dim", preset.system.dim))
-        alpha = float(values.get("order", preset.system.order.alpha))
+        dim = _number(values.get("dim", preset.system.dim), "dim", int)
+        alpha = _number(values.get("order", preset.system.order.alpha), "order")
         x0 = values.get("x0", list(preset.system.x0))
-        default_rhs = [None] * dim
-        for i in range(min(dim, preset.system.dim)):
-            default_rhs[i] = to_text(preset.system.rhs[i])
-        t0 = float(values.get("t0", preset.grid.t0))
-        t_end = float(values.get("t_end", preset.grid.t_end))
-        h = float(values.get("h", preset.grid.h))
+        preset_rhs = preset.system.rhs
+        t0 = _number(values.get("t0", preset.grid.t0), "t0")
+        t_end = _number(values.get("t_end", preset.grid.t_end), "t_end")
+        h = _number(values.get("h", preset.grid.h), "h")
         label = str(values.get("label", preset.name))
     else:
         for key in ("dim", "order", "x0", "t_end", "h"):
             if key not in values:
                 raise ConfigError(f"missing key {key!r}")
-        dim = int(values["dim"])
-        alpha = float(values["order"])
+        dim = _number(values["dim"], "dim", int)
+        alpha = _number(values["order"], "order")
         x0 = values["x0"]
-        default_rhs = [None] * dim
-        t0 = float(values.get("t0", 0.0))
-        t_end = float(values["t_end"])
-        h = float(values["h"])
+        preset_rhs = ()
+        t0 = _number(values.get("t0", 0.0), "t0")
+        t_end = _number(values["t_end"], "t_end")
+        h = _number(values["h"], "h")
         label = str(values.get("label", "custom"))
 
     if not isinstance(x0, list):
@@ -142,7 +148,9 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"dimension mismatch: rhs{idx} present with dim = {dim}")
     rhs_texts = []
     for i in range(1, dim + 1):
-        text_i = rhs_lines.get(i, default_rhs[i - 1])
+        text_i = rhs_lines.get(i)
+        if text_i is None and i <= len(preset_rhs):
+            text_i = to_text(preset_rhs[i - 1])
         if text_i is None:
             raise ConfigError(f"missing key 'rhs{i}'")
         rhs_texts.append(text_i)
@@ -158,7 +166,8 @@ def parse_config(text: str) -> RunConfig:
     if n_steps < 1 or abs(t0 + n_steps * h - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ConfigError(f"(t_end - t0) must be a multiple of h, got {t_end - t0} / {h}")
 
-    system = SystemDef.from_strings(dim, alpha, rhs_texts, [float(v) for v in x0], label)
+    x0 = [_number(v, "x0") for v in x0]
+    system = SystemDef.from_strings(dim, alpha, rhs_texts, x0, label)
     grid = TimeGrid(t0, h, n_steps)
 
     checks_raw = values.get("checks", [])
@@ -173,6 +182,8 @@ def parse_config(text: str) -> RunConfig:
             n = int(count) if count else _DEFAULT_CHECK_COUNT
         except ValueError:
             raise ConfigError(f"bad instance count in check entry {item!r}") from None
+        if n < 1:
+            raise ConfigError(f"instance count must be >= 1 in check entry {item!r}")
         checks.append((name.strip(), n))
 
     seed = values.get("seed", 0)
@@ -191,7 +202,7 @@ def parse_config(text: str) -> RunConfig:
         seed=seed,
         preset=str(preset_name) if preset_name else None,
         phi=str(phi) if phi else None,
-        h_list=tuple(float(v) for v in h_list),
+        h_list=tuple(_number(v, "h_list") for v in h_list),
     )
 
 

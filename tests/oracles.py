@@ -77,10 +77,10 @@ def ml_gll_oracle(alpha: float, beta: float, z: float) -> float:
     return value
 
 
-def ml_alpha_one_oracle(m: int, z: float) -> float:
-    """E_{1,m}(z) = 1F1(1; m; z) / (m-1)! for integer m >= 1, at 60 digits."""
+def ml_alpha_one_oracle(beta: float, z: float) -> float:
+    """E_{1,beta}(z) = 1F1(1; beta; z) / Gamma(beta) for beta > 0, at 60 digits."""
     with mpmath.workdps(60):
-        return float(mpmath.hyp1f1(1, m, z) / mpmath.factorial(m - 1))
+        return float(mpmath.hyp1f1(1, beta, z) / mpmath.gamma(beta))
 
 
 def classical_pece_trapezoid(rhs, t0: float, x0, h: float, n_steps: int) -> np.ndarray:

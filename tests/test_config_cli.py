@@ -162,6 +162,25 @@ def test_non_finite_numbers_are_config_errors(tmp_path, lines):
     assert main(["simulate", _write(tmp_path, "bad.cfg", text), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        SMALL_SYSTEM.replace("t_end = 1", 't_end = "abc"'),
+        SMALL_SYSTEM.replace("dim = 1", "dim = two"),
+        SMALL_SYSTEM.replace("x0 = [1]", "x0 = [one]"),
+        SMALL_SYSTEM + "checks = [nr1:-3]\n",
+        SMALL_SYSTEM + "checks = [nr1:0]\n",
+        # rejected by the x0 length check before anything is sized by dim
+        SMALL_SYSTEM.replace("dim = 1", "dim = 1000000000000"),
+    ],
+    ids=["quoted_t_end", "bare_word_dim", "bare_word_x0", "negative_count", "zero_count", "huge_dim"],
+)
+def test_bad_values_are_config_errors(tmp_path, text):
+    with pytest.raises(ConfigError):
+        parse_config(text)
+    assert main(["check", _write(tmp_path, "bad.cfg", text), "--out", str(tmp_path / "o")]) == 1
+
+
 def test_config_error_exit_code(tmp_path):
     cfg = _write(tmp_path, "bad.cfg", "nonsense\n")
     assert main(["simulate", cfg]) == 1

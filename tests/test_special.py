@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracstab.errors import DomainError, RangeError
 from fracstab.special import ML_Z_MAX, MLParams, gamma, mittag_leffler, reciprocal_gamma
-from fracstab.special import _ml_bigfloat
+from fracstab.special import _BRANCH_TARGET, _ml_bigfloat, _ml_contour
 
 from oracles import erfc_oracle, erfcx_oracle, ml_alpha_one_oracle, ml_gll_oracle
 
@@ -211,7 +211,7 @@ def test_ml_one_param_positive_bounded(alpha, z):
 def test_alpha_one_integer_beta_vs_highprec_series():
     # the closed forms at alpha = 1 cross-checked against the independent
     # high-precision series, so the branch wiring cannot hide an error
-    from fracstab.special import _ml_bigfloat
+    from fracstab.special import _BRANCH_TARGET, _ml_bigfloat, _ml_contour
 
     for beta in (1.0, 2.0, 3.0):
         for z in (-12.0, -3.0, -0.7, 0.9, 1.8):
@@ -233,3 +233,96 @@ def test_alpha_one_integer_beta_sweep():
             if abs(got - ref) > 1e-9 * abs(ref):
                 bad.append((m, float(z), abs(got - ref) / abs(ref)))
     assert not bad, f"{len(bad)} of {14 * zs.size} points off by > 1e-9, first: {bad[:3]}"
+
+
+# --- negative axis: the contour branch and its fallback -------------------------
+
+
+def _gll_shifts(alpha, beta):
+    # how many times ml_gll_oracle applies its beta-lowering recurrence, each
+    # of which multiplies the oracle's own error by 1/|z|
+    shifts = 0
+    while beta >= 1.0 + alpha - 1e-12:
+        beta -= alpha
+        shifts += 1
+    return shifts
+
+
+def test_ml_small_alpha_noninteger_beta_sweep():
+    # the band where neither the series nor (before the contour) any double
+    # branch certified: the 1e-9 contract across alpha < 1 and beta off the
+    # integers, wherever the oracle's recurrence keeps its own accuracy
+    bad = []
+    count = 0
+    for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+        for beta in (0.3, 0.5, 0.9, 1.2, 1.5, 2.5, 3.0):
+            for z in np.linspace(-50.0, -0.25, 10):
+                z = float(z)
+                if _gll_shifts(alpha, beta) > 3 and abs(z) < 1.0:
+                    continue
+                count += 1
+                ref = ml_gll_oracle(alpha, beta, z)
+                got = mittag_leffler(MLParams(alpha, beta), z)
+                if abs(got - ref) > 1e-9 * abs(ref):
+                    bad.append((alpha, beta, z, abs(got - ref) / abs(ref)))
+    assert not bad, f"{len(bad)} of {count} points off by > 1e-9, first: {bad[:3]}"
+
+
+def test_ml_alpha_one_noninteger_beta_sweep():
+    zs = np.linspace(-50.0, -0.25, 60)
+    for beta in (0.5, 1.5, 2.3, 3.7):
+        for z in zs:
+            ref = ml_alpha_one_oracle(beta, float(z))
+            got = mittag_leffler(MLParams(1.0, beta), float(z))
+            assert abs(got - ref) <= 1e-9 * abs(ref), (beta, float(z))
+
+
+def test_contour_certificate_bounds_its_error():
+    # the certificate is an error bound, not an estimate: check it against
+    # the high-precision series wherever that is cheap, certified or not
+    for alpha in (0.2, 0.45, 0.7, 0.95, 1.0):
+        for beta in (0.3, 1.0, 1.0 + alpha + 0.05, 2.5):
+            for z in (-0.25, -0.6, -1.5, -4.0, -9.0):
+                value, cert = _ml_contour(alpha, beta, z)
+                ref = _ml_bigfloat(alpha, beta, z)
+                assert abs(value - ref) <= cert * abs(ref), (alpha, beta, z)
+
+
+def test_contour_keeps_accuracy_at_high_beta_small_z():
+    # lowering beta by E_{a,b+a} = (E_{a,b} - 1/Gamma(b)) / z would amplify
+    # the error 1/|z| per shift (20 shifts here); the contour must not
+    value, cert = _ml_contour(0.1, 3.0, -0.25)
+    ref = _ml_bigfloat(0.1, 3.0, -0.25)
+    assert cert <= _BRANCH_TARGET
+    assert abs(value - ref) <= 1e-12 * abs(ref)
+    assert mittag_leffler(MLParams(0.1, 3.0), -0.25) == pytest.approx(ref, rel=1e-12)
+
+
+def test_contour_rejects_exponentially_small_values():
+    # E_{1,1}(-50) = e^-50 ~ 2e-22 sits far below the quadrature's absolute
+    # accuracy; the certificate must say so, and the closed form serves it
+    value, cert = _ml_contour(1.0, 1.0, -50.0)
+    assert cert > _BRANCH_TARGET
+    assert mittag_leffler(MLParams(1.0), -50.0) == pytest.approx(math.exp(-50.0), rel=1e-14)
+
+
+def test_ml_near_a_zero_beyond_series_reach():
+    # E_{0.31,0.3}(-x) changes sign near x = 23, where no double-precision
+    # value carries relative accuracy and the high-precision series would
+    # need thousands of digits; the fallback evaluates the contour in mpmath
+    for z in (-22.5, -23.0, -23.6):
+        ref = ml_gll_oracle(0.31, 0.3, z)
+        got = mittag_leffler(MLParams(0.31, 0.3), z)
+        assert abs(got - ref) <= 1e-9 * abs(ref), z
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alpha=st.floats(0.1, 1.0),
+    beta=st.floats(0.3, 3.0),
+    z=st.floats(-50.0, 0.0),
+)
+@example(alpha=0.1, beta=0.3, z=-10.0)
+@example(alpha=0.1, beta=1.0, z=-1.94)
+def test_ml_negative_axis_never_raises(alpha, beta, z):
+    assert math.isfinite(mittag_leffler(MLParams(alpha, beta), z))
