@@ -2,7 +2,8 @@
 
 Lists are bracketed and comma-separated, expressions are quoted strings,
 `#` starts a comment.  A `preset` line pulls in one of the built-in
-examples; explicit keys then override its fields.
+examples; explicit keys then override its fields.  Sizes are bounded before
+anything is allocated by them: see MAX_NODES and MAX_INSTANCES.
 """
 
 from __future__ import annotations
@@ -17,11 +18,19 @@ from .operators import TimeGrid
 from .presets import PRESET_NAMES, get_preset
 from .solver import SystemDef
 
-__all__ = ["RunConfig", "parse_config", "load_config"]
+__all__ = ["RunConfig", "parse_config", "load_config", "MAX_NODES", "MAX_INSTANCES"]
 
 _SCALAR_KEYS = {"preset", "order", "dim", "t0", "t_end", "h", "output", "seed", "label", "phi"}
 _LIST_KEYS = {"x0", "checks", "h_list"}
 _DEFAULT_CHECK_COUNT = 100
+# Largest time grid a config may ask for, counted in nodes: the run grid and
+# the convergence study's reference grid (a quarter of the smallest h_list
+# step).  The solver's history sum is O(n^2), so this is a bound on both
+# memory (a few arrays of n floats per state component) and work.
+MAX_NODES = 1_000_000
+# Largest instance count per check suite; every instance keeps its report
+# (about 16 KiB) until the suite's files are written.
+MAX_INSTANCES = 10_000
 
 
 @dataclass(frozen=True)
@@ -163,6 +172,8 @@ def parse_config(text: str) -> RunConfig:
     if not math.isfinite(steps):
         raise ConfigError(f"(t_end - t0) / h is not finite: {t_end - t0} / {h}")
     n_steps = round(steps)
+    if n_steps + 1 > MAX_NODES:
+        raise ConfigError(f"grid has {n_steps + 1} nodes; the limit is {MAX_NODES}")
     if n_steps < 1 or abs(t0 + n_steps * h - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ConfigError(f"(t_end - t0) must be a multiple of h, got {t_end - t0} / {h}")
 
@@ -182,8 +193,10 @@ def parse_config(text: str) -> RunConfig:
             n = int(count) if count else _DEFAULT_CHECK_COUNT
         except ValueError:
             raise ConfigError(f"bad instance count in check entry {item!r}") from None
-        if n < 1:
-            raise ConfigError(f"instance count must be >= 1 in check entry {item!r}")
+        if not 1 <= n <= MAX_INSTANCES:
+            raise ConfigError(
+                f"instance count must be in 1..{MAX_INSTANCES} in check entry {item!r}"
+            )
         checks.append((name.strip(), n))
 
     seed = values.get("seed", 0)
@@ -193,6 +206,17 @@ def parse_config(text: str) -> RunConfig:
     h_list = values.get("h_list", [])
     if not isinstance(h_list, list):
         raise ConfigError("h_list must be a bracketed list")
+    h_list = tuple(_number(v, "h_list") for v in h_list)
+    if h_list:
+        if not all(h > 0 for h in h_list):  # also rejects a quoted "nan"
+            raise ConfigError(f"h_list steps must be > 0, got {list(h_list)}")
+        # the reference grid of solver.convergence_study
+        ref_steps = grid.t_end / (min(h_list) / 4.0)
+        ref_nodes = round(ref_steps) + 1 if math.isfinite(ref_steps) else math.inf
+        if ref_nodes > MAX_NODES:
+            raise ConfigError(
+                f"convergence reference grid has {ref_nodes} nodes; the limit is {MAX_NODES}"
+            )
 
     return RunConfig(
         system=system,
@@ -202,7 +226,7 @@ def parse_config(text: str) -> RunConfig:
         seed=seed,
         preset=str(preset_name) if preset_name else None,
         phi=str(phi) if phi else None,
-        h_list=tuple(_number(v, "h_list") for v in h_list),
+        h_list=h_list,
     )
 
 

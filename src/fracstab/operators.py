@@ -5,6 +5,10 @@ piecewise-linear integrands); the Caputo derivative of order alpha < 1 uses
 the L1 scheme, with an exact switch to second-order finite differences at
 alpha = 1.  Node 0 is the empty integral and is returned as 0 for the
 fractional branches.
+
+Both fractional operators reduce to one history sum, `_lag_sum`: a direct
+O(n^2) convolution below `_FFT_MIN_TERMS` output terms and an O(n log n)
+zero-padded real FFT product from there on.
 """
 
 from __future__ import annotations
@@ -108,6 +112,34 @@ class FracOrder:
             raise DomainError(f"FracOrder.alpha must be in (0, 1], got {self.alpha!r}")
 
 
+# Output length from which `_lag_sum` convolves by FFT.  Timing sweep of
+# np.convolve against one zero-padded rfft product (numpy 2.4, one core,
+# best of 5): 256 terms 21 vs 24 us, 512 39 vs 36 us, 1000 171 vs 87 us,
+# 1024 136 vs 53 us, 2000 597 vs 153 us, 5000 4.3 ms vs 0.35 ms, 5e4 586 ms
+# vs 8.8 ms.  The two break even near 500; the crossover sits just above
+# 1000 so that grids of up to 1001 nodes (the CLI's suites on 501 nodes and
+# their one refinement) keep the direct sum's exact rounding, at a cost of
+# at most about 80 us per call between 500 and 1024 terms.
+_FFT_MIN_TERMS = 1024
+
+
+def _lag_sum(w: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """First n terms of the causal convolution: out[k] = sum_{j<=k} w[j] v[k-j].
+
+    w and v need at least n entries; entries past n do not reach the result.
+    Below `_FFT_MIN_TERMS` this is np.convolve.  From there on it is one real
+    FFT product on a power-of-two length >= 2n - 1, so no term wraps around.
+    Its error is normwise: a few ulps of sum(|w|) * max(|v|) at every k, so
+    a term whose own history is far smaller than that (t^p near t = 0) keeps
+    its absolute accuracy but not its relative one.
+    """
+    if n < _FFT_MIN_TERMS:
+        return np.convolve(w, v)[:n]
+    size = 1 << (2 * n - 2).bit_length()
+    spectrum = np.fft.rfft(w[:n], size) * np.fft.rfft(v[:n], size)
+    return np.fft.irfft(spectrum, size)[:n]
+
+
 def rl_weights(mu: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Product-trapezoidal weights for the order-mu RL integral.
 
@@ -132,7 +164,8 @@ def rl_integral(f: SampleSeries, mu: float) -> SampleSeries:
 
     Discretizes (1/Gamma(mu)) * integral of (t - tau)^(mu-1) f(tau) by the
     product-trapezoidal rule; node 0 is exactly 0 and the error is O(h^2)
-    for twice-differentiable f.
+    for twice-differentiable f.  The history sum costs O(n^2) below
+    `_FFT_MIN_TERMS` steps and O(n log n) from there on (see `_lag_sum`).
     """
     grid = f.grid
     n = grid.n_steps
@@ -143,8 +176,7 @@ def rl_integral(f: SampleSeries, mu: float) -> SampleSeries:
     # node k >= 1: scale * (a0[k] f_0 + sum_{j=1}^{k-1} body[k-j] f_j + f_k)
     out[1:] = a0[1:] * vals[0] + vals[1:]
     if n >= 2:
-        conv = np.convolve(body[1:], vals[1:n])
-        out[2:] += conv[: n - 1]
+        out[2:] += _lag_sum(body[1:], vals[1:n], n - 1)
     out *= scale
     return SampleSeries(grid, out)
 
@@ -176,7 +208,9 @@ def caputo_l1(f: SampleSeries, order: FracOrder) -> SampleSeries:
 
     For alpha < 1 this is the L1 discretization (node 0 defined as 0); at
     alpha = 1 exactly it returns centered differences at interior nodes and
-    one-sided second-order differences at the two ends.
+    one-sided second-order differences at the two ends.  The L1 history sum
+    costs O(n^2) below `_FFT_MIN_TERMS` steps and O(n log n) from there on
+    (see `_lag_sum`).
     """
     grid = f.grid
     n = grid.n_steps
@@ -199,8 +233,7 @@ def caputo_l1(f: SampleSeries, order: FracOrder) -> SampleSeries:
     d = np.diff(vals)
     scale = grid.h ** (-alpha) / gamma(2.0 - alpha)
     out = np.zeros(n + 1)
-    conv = np.convolve(w[1:], d)
-    out[1:] = scale * conv[:n]
+    out[1:] = scale * _lag_sum(w[1:], d, n)
     return SampleSeries(grid, out)
 
 

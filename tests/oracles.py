@@ -3,18 +3,24 @@
 Everything here deliberately avoids the package's own evaluation paths:
 erfc comes from its Maclaurin series / Legendre continued fraction, the
 Mittag-Leffler reference from the spectral integral representation via
-scipy quadrature (and, at alpha = 1, from mpmath's confluent
-hypergeometric function), the classical integrator is a plain running-sum
+scipy quadrature, from its power series in mpmath at a precision sized for
+the series' cancellation, and (at alpha = 1) from mpmath's confluent
+hypergeometric function; the classical integrator is a plain running-sum
 trapezoidal PECE, and closed forms use math.gamma.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
+
+
+class OracleError(RuntimeError):
+    """An oracle cannot vouch for its own value at the requested accuracy."""
 
 
 def erfc_oracle(x: float) -> float:
@@ -43,11 +49,14 @@ def erfcx_oracle(x: float) -> float:
     return 1.0 / (math.sqrt(math.pi) * (x + cf))
 
 
-def ml_gll_oracle(alpha: float, beta: float, z: float) -> float:
+def ml_gll_oracle(alpha: float, beta: float, z: float, rtol: float = 1e-10) -> float:
     """E_{alpha,beta}(z) for z < 0 from the spectral integral representation.
 
     Valid for 0 < alpha < 1; beta is reduced below 1 + alpha first through
-    E_{a,b+a}(z) = (E_{a,b}(z) - 1/Gamma(b)) / z.
+    E_{a,b+a}(z) = (E_{a,b}(z) - 1/Gamma(b)) / z.  Raises OracleError when
+    quad warns or when its error estimate, carried through the recurrence,
+    exceeds rtol relative to the value (rtol defaults to the tightest
+    tolerance a caller asserts).
     """
     assert z < 0.0 and 0.0 < alpha < 1.0
     shifts = 0
@@ -68,13 +77,52 @@ def ml_gll_oracle(alpha: float, beta: float, z: float) -> float:
         ) * num / den
 
     upper = max(2.0 * abs(z) + 20.0, 60.0)
-    v1, _ = quad(kernel, 0.0, upper, points=[abs(z)], limit=500, epsabs=1e-15, epsrel=1e-13)
-    v2, _ = quad(kernel, upper, np.inf, limit=200, epsabs=1e-16, epsrel=1e-13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            v1, e1 = quad(kernel, 0.0, upper, points=[abs(z)], limit=500, epsabs=1e-15, epsrel=1e-13)
+            v2, e2 = quad(kernel, upper, np.inf, limit=200, epsabs=1e-16, epsrel=1e-13)
+        except IntegrationWarning as exc:
+            raise OracleError(f"quad at {(alpha, beta, z)}: {exc}") from None
     value = v1 + v2
+    err = e1 + e2
     for _ in range(shifts):
         value = (value - 1.0 / math.gamma(b)) / z
+        err /= abs(z)
         b += alpha
+    if not err <= rtol * abs(value):
+        raise OracleError(f"quad error estimate {err:.2e} exceeds {rtol:g} * |{value!r}| at {(alpha, beta, z)}")
     return value
+
+
+def ml_series_oracle(alpha: float, beta: float, z: float, digits: int = 50) -> float:
+    """E_{alpha,beta}(z), beta > 0, by its power series in mpmath at `digits` correct digits.
+
+    The working precision covers the cancellation on the negative axis: the
+    decimal size of the largest term, plus 2 log10|z| since the sum can be as
+    small as 1/z^2 (when 1/Gamma(beta - alpha) = 0), plus 20 guard digits.
+    Terms decrease once alpha k + beta > |z|^(1/alpha); the sum stops past
+    that point at the first term below 10^-(digits + 10) of the total.  Both
+    the term count and the precision grow like |z|^(1/alpha), so this is the
+    reference for small |z|^(1/alpha), where the integral oracle can be unsafe.
+    """
+    r = abs(z) ** (1.0 / alpha)
+    past_peak = int((r + 2.0) / alpha) + 2
+    log_peak = max(
+        [k * math.log(abs(z)) - math.lgamma(alpha * k + beta) for k in range(past_peak)] if z else [0.0]
+    )
+    extra = max(0.0, log_peak / math.log(10)) + 2.0 * max(0.0, math.log10(abs(z) or 1.0))
+    with mpmath.workdps(digits + int(extra) + 20):
+        a, b, zz = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
+        floor = mpmath.mpf(10) ** (-(digits + 10))
+        total, power, k = mpmath.mpf(0), mpmath.mpf(1), 0
+        while True:
+            term = power * mpmath.rgamma(a * k + b)
+            total += term
+            if k >= past_peak and abs(term) <= floor * abs(total):
+                return float(total)
+            k += 1
+            power *= zz
 
 
 def ml_alpha_one_oracle(beta: float, z: float) -> float:

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fracstab.cli import main
-from fracstab.config import parse_config
+from fracstab.config import MAX_INSTANCES, MAX_NODES, parse_config
 from fracstab.errors import ConfigError
 from fracstab.reporting import read_trajectory_csv
 
@@ -172,13 +177,64 @@ def test_non_finite_numbers_are_config_errors(tmp_path, lines):
         SMALL_SYSTEM + "checks = [nr1:0]\n",
         # rejected by the x0 length check before anything is sized by dim
         SMALL_SYSTEM.replace("dim = 1", "dim = 1000000000000"),
+        SMALL_SYSTEM + "h_list = [0.01, 0]\n",
+        SMALL_SYSTEM + 'h_list = [0.01, "nan"]\n',
     ],
-    ids=["quoted_t_end", "bare_word_dim", "bare_word_x0", "negative_count", "zero_count", "huge_dim"],
+    ids=["quoted_t_end", "bare_word_dim", "bare_word_x0", "negative_count", "zero_count", "huge_dim",
+         "zero_h_list_step", "nan_h_list_step"],
 )
 def test_bad_values_are_config_errors(tmp_path, text):
     with pytest.raises(ConfigError):
         parse_config(text)
     assert main(["check", _write(tmp_path, "bad.cfg", text), "--out", str(tmp_path / "o")]) == 1
+
+
+# one past each documented limit: the run grid, the instance count of a check
+# suite and the convergence study's reference grid (a quarter of min(h_list))
+OVER_LIMIT = {
+    "grid": ("simulate", SMALL_SYSTEM.replace("t_end = 1", f"t_end = {MAX_NODES // 100}")),
+    "instances": ("check", SMALL_SYSTEM + f"checks = [nr1:{MAX_INSTANCES + 1}]\n"),
+    "reference_grid": ("convergence", SMALL_SYSTEM + f"h_list = [0.01, {4.0 / MAX_NODES!r}]\n"),
+    "tiny_h": ("simulate", SMALL_SYSTEM.replace("t_end = 1", "t_end = 100").replace("h = 0.01", "h = 1e-9")),
+    "huge_count": ("check", SMALL_SYSTEM + "checks = [nr1:100000000000]\n"),
+}
+
+
+def test_resource_limits_admit_the_limit_itself():
+    at_grid = parse_config(SMALL_SYSTEM.replace("t_end = 1", f"t_end = {(MAX_NODES - 1) / 100!r}"))
+    assert at_grid.grid.n_nodes == MAX_NODES
+    assert parse_config(SMALL_SYSTEM + f"checks = [nr1:{MAX_INSTANCES}]\n").checks[0][1] == MAX_INSTANCES
+    parse_config(SMALL_SYSTEM + f"h_list = [0.01, {4.0 / (MAX_NODES - 1)!r}]\n")
+    for _, text in OVER_LIMIT.values():
+        with pytest.raises(ConfigError, match="limit|instance count"):
+            parse_config(text)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+@pytest.mark.parametrize("case", sorted(OVER_LIMIT))
+def test_over_limit_configs_fail_before_allocating(tmp_path, case):
+    # The CLI runs with its address space capped at what its imports took
+    # plus 8 MiB, less than one array of MAX_NODES floats: a config that got
+    # past the limits would end in a MemoryError traceback, not a config error.
+    capped_main = (
+        "import resource, sys\n"
+        "import fracstab.cli as cli\n"
+        "with open('/proc/self/statm') as fh:\n"
+        "    used = int(fh.read().split()[0]) * resource.getpagesize()\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (used + (8 << 20), hard))\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    command, text = OVER_LIMIT[case]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", capped_main, command, _write(tmp_path, "big.cfg", text),
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("config error:") and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_config_error_exit_code(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fracstab.errors import DomainError, ShapeError
 from fracstab.operators import (
+    _FFT_MIN_TERMS,
     FracOrder,
     SampleSeries,
     TimeGrid,
@@ -283,3 +284,107 @@ def test_operators_respect_nonzero_t0():
     exact = caputo_power_exact(2.0, 0.5, t - 2.0)
     m = t - 2.0 >= 0.1
     assert np.max(np.abs(out[m] - exact[m]) / exact[m]) < 1e-2
+
+
+# --- history-sum kernel: direct below the crossover, FFT from it on -----------------
+
+LARGE_STEPS = 50_000
+
+
+def _sample_nodes(n_steps, rng):
+    return sorted({*range(1, 11), *rng.integers(1, n_steps + 1, 50).tolist(), n_steps})
+
+
+def _caputo_terms(vals, alpha, k):
+    # L1 sum at node k: sum_{m=1}^{k} W[m] (f_{k-m+1} - f_{k-m}), scale outside
+    w = l1_weights(alpha, k)
+    d = np.diff(vals[: k + 1])
+    return w[1:] * d[::-1]
+
+
+def _rl_terms(vals, mu, k):
+    # product-trapezoidal sum at node k: a0[k] f_0 + sum_{j=1}^{k-1} body[k-j] f_j + f_k
+    a0, body = rl_weights(mu, k)
+    return np.concatenate([[a0[k] * vals[0]], body[1:k][::-1] * vals[1:k], [vals[k]]])
+
+
+def test_history_sum_direct_below_crossover_is_bit_identical():
+    # the largest sizes that stay direct: n_steps terms for caputo_l1,
+    # n_steps - 1 for rl_integral; the reference is the np.convolve formula
+    rng = np.random.default_rng(3)
+    alpha = 0.35
+    for n in (2, 3, 500, _FFT_MIN_TERMS - 1):
+        g = TimeGrid(0.0, 1.0 / n, n)
+        vals = rng.uniform(-1.0, 1.0, n + 1)
+        f = SampleSeries(g, vals)
+        w = l1_weights(alpha, n)
+        expect = np.zeros(n + 1)
+        expect[1:] = g.h ** (-alpha) / gamma(2.0 - alpha) * np.convolve(w[1:], np.diff(vals))[:n]
+        assert np.array_equal(caputo_l1(f, FracOrder(alpha)).values, expect)
+    for n in (2, 3, 500, _FFT_MIN_TERMS):
+        g = TimeGrid(0.0, 1.0 / n, n)
+        vals = rng.uniform(-1.0, 1.0, n + 1)
+        a0, body = rl_weights(alpha, n)
+        expect = np.zeros(n + 1)
+        expect[1:] = a0[1:] * vals[0] + vals[1:]
+        expect[2:] += np.convolve(body[1:], vals[1:n])[: n - 1]
+        expect *= g.h**alpha / gamma(alpha + 2.0)
+        assert np.array_equal(rl_integral(SampleSeries(g, vals), alpha).values, expect)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("op", ["caputo_l1", "rl_integral"])
+@pytest.mark.parametrize("size", ["above_crossover", "large"])
+def test_history_sum_fft_matches_fsum(alpha, op, size):
+    # Random signs: each node's error against an exactly rounded sum stays
+    # within 1e-13 of that node's sum of |terms|.  t^p: the FFT error is
+    # normwise, so near t = 0, where the history is tiny, only the largest
+    # sum of |terms| (at the last node) bounds it.
+    rng = np.random.default_rng(int(alpha * 10) + 7 * len(op) + len(size))
+    if size == "large":
+        n = LARGE_STEPS
+    else:
+        n = _FFT_MIN_TERMS if op == "caputo_l1" else _FFT_MIN_TERMS + 1
+    g = TimeGrid(0.0, 1.0 / n, n)
+    nodes = _sample_nodes(n, rng)
+    for vals, normwise in ((rng.uniform(-1.0, 1.0, n + 1), False), (g.nodes() ** 2.3, True)):
+        f = SampleSeries(g, vals)
+        if op == "caputo_l1":
+            out = caputo_l1(f, FracOrder(alpha)).values
+            scale = g.h ** (-alpha) / gamma(2.0 - alpha)
+            terms = [_caputo_terms(vals, alpha, k) for k in nodes]
+        else:
+            out = rl_integral(f, alpha).values
+            scale = g.h**alpha / gamma(alpha + 2.0)
+            terms = [_rl_terms(vals, alpha, k) for k in nodes]
+        errs = np.array([abs(out[k] / scale - math.fsum(t)) for k, t in zip(nodes, terms)])
+        sizes = np.array([math.fsum(np.abs(t)) for t in terms])
+        bound = 1e-13 * (np.max(sizes) if normwise else sizes)
+        assert np.all(errs <= bound), (normwise, float(np.max(errs / bound)))
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_operators_power_rule_at_large_size(alpha):
+    # criterion 2 at 5e4 steps: relative 1e-2 and the absolute C h^order that
+    # one lost digit would break (C = 10 for caputo_l1, 2 for rl_integral)
+    g = TimeGrid(0.0, 1.0 / LARGE_STEPS, LARGE_STEPS)
+    t = g.nodes()
+    m = t >= 0.1
+    for p in (1.0, 1.7, 2.99):
+        f = SampleSeries(g, t**p)
+        for got, exact, bound in (
+            (caputo_l1(f, FracOrder(alpha)).values, caputo_power_exact(p, alpha, t), 10.0 * g.h ** (2.0 - alpha)),
+            (rl_integral(f, alpha).values, rl_power_exact(p, alpha, t), 2.0 * g.h**2),
+        ):
+            err = np.abs(got[m] - exact[m])
+            assert np.max(err / exact[m]) < 1e-2, (p, alpha)
+            assert np.max(err) <= bound, (p, alpha, float(np.max(err)), bound)
+
+
+def test_exact_zeros_at_large_size():
+    g = TimeGrid(0.0, 1.0 / LARGE_STEPS, LARGE_STEPS)
+    const = SampleSeries(g, np.full(g.n_nodes, 3.7))
+    zero = SampleSeries(g, np.zeros(g.n_nodes))
+    for alpha in (0.1, 0.5, 0.9):
+        assert np.all(caputo_l1(const, FracOrder(alpha)).values == 0.0)
+        assert np.all(rl_integral(zero, alpha).values == 0.0)

@@ -9,7 +9,14 @@ from fracstab.errors import DomainError, RangeError
 from fracstab.special import ML_Z_MAX, MLParams, gamma, mittag_leffler, reciprocal_gamma
 from fracstab.special import _BRANCH_TARGET, _ml_bigfloat, _ml_contour
 
-from oracles import erfc_oracle, erfcx_oracle, ml_alpha_one_oracle, ml_gll_oracle
+from oracles import (
+    OracleError,
+    erfc_oracle,
+    erfcx_oracle,
+    ml_alpha_one_oracle,
+    ml_gll_oracle,
+    ml_series_oracle,
+)
 
 
 # --- gamma -------------------------------------------------------------------
@@ -169,6 +176,23 @@ def test_integral_oracle_self_check():
     assert ml_gll_oracle(0.8, 1.5, -0.5) == pytest.approx(
         mittag_leffler(params, -0.5), rel=1e-10
     )
+
+
+def test_series_oracle_self_check():
+    # the mpmath series oracle against closed forms: erfcx at alpha = 1/2 and
+    # the confluent hypergeometric form at alpha = 1
+    assert ml_series_oracle(0.5, 1.0, -9.0) == pytest.approx(erfcx_oracle(9.0), rel=1e-14)
+    assert ml_series_oracle(1.0, 2.3, -30.0) == pytest.approx(ml_alpha_one_oracle(2.3, -30.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha, beta, z", [(0.1308, 1.1177, -0.7548), (0.9292, 1.7187, -0.2860)])
+def test_integral_oracle_refuses_where_quad_fails(alpha, beta, z):
+    # quad warns here and its value is off by 2.8e-5 and 3.9e-7 relative; the
+    # oracle must refuse rather than hand a wrong reference to a sweep
+    with pytest.raises(OracleError):
+        ml_gll_oracle(alpha, beta, z)
+    ref = ml_series_oracle(alpha, beta, z)
+    assert abs(mittag_leffler(MLParams(alpha, beta), z) - ref) <= 1e-14 * abs(ref)
 
 
 def test_branch_overlap_consistency():
