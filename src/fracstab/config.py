@@ -16,7 +16,7 @@ from .errors import ConfigError
 from .expressions import to_text
 from .operators import TimeGrid
 from .presets import PRESET_NAMES, get_preset
-from .solver import SystemDef
+from .solver import SystemDef, reference_grid
 
 __all__ = ["RunConfig", "parse_config", "load_config", "MAX_NODES", "MAX_INSTANCES"]
 
@@ -24,9 +24,9 @@ _SCALAR_KEYS = {"preset", "order", "dim", "t0", "t_end", "h", "output", "seed", 
 _LIST_KEYS = {"x0", "checks", "h_list"}
 _DEFAULT_CHECK_COUNT = 100
 # Largest time grid a config may ask for, counted in nodes: the run grid and
-# the convergence study's reference grid (a quarter of the smallest h_list
-# step).  The solver's history sum is O(n^2), so this is a bound on both
-# memory (a few arrays of n floats per state component) and work.
+# the convergence study's reference grid (`solver.reference_grid`).  It bounds
+# allocation (a few arrays of n floats per state component), not work: the
+# solver's history sum is O(n^2), so a solve stays slow well below it.
 MAX_NODES = 1_000_000
 # Largest instance count per check suite; every instance keeps its report
 # (about 16 KiB) until the suite's files are written.
@@ -210,9 +210,7 @@ def parse_config(text: str) -> RunConfig:
     if h_list:
         if not all(h > 0 for h in h_list):  # also rejects a quoted "nan"
             raise ConfigError(f"h_list steps must be > 0, got {list(h_list)}")
-        # the reference grid of solver.convergence_study
-        ref_steps = grid.t_end / (min(h_list) / 4.0)
-        ref_nodes = round(ref_steps) + 1 if math.isfinite(ref_steps) else math.inf
+        ref_nodes = reference_grid(grid.t_end, h_list)[1] + 1
         if ref_nodes > MAX_NODES:
             raise ConfigError(
                 f"convergence reference grid has {ref_nodes} nodes; the limit is {MAX_NODES}"

@@ -164,8 +164,9 @@ def rl_integral(f: SampleSeries, mu: float) -> SampleSeries:
 
     Discretizes (1/Gamma(mu)) * integral of (t - tau)^(mu-1) f(tau) by the
     product-trapezoidal rule; node 0 is exactly 0 and the error is O(h^2)
-    for twice-differentiable f.  The history sum costs O(n^2) below
-    `_FFT_MIN_TERMS` steps and O(n log n) from there on (see `_lag_sum`).
+    for twice-differentiable f.  The history sum has n - 1 terms for n
+    steps; `_lag_sum` takes it by FFT in O(n log n) from `_FFT_MIN_TERMS`
+    terms on (1025 steps) and directly in O(n^2) below.
     """
     grid = f.grid
     n = grid.n_steps
@@ -209,8 +210,8 @@ def caputo_l1(f: SampleSeries, order: FracOrder) -> SampleSeries:
     For alpha < 1 this is the L1 discretization (node 0 defined as 0); at
     alpha = 1 exactly it returns centered differences at interior nodes and
     one-sided second-order differences at the two ends.  The L1 history sum
-    costs O(n^2) below `_FFT_MIN_TERMS` steps and O(n log n) from there on
-    (see `_lag_sum`).
+    has n terms for n steps; `_lag_sum` takes it by FFT in O(n log n) from
+    `_FFT_MIN_TERMS` terms on (1024 steps) and directly in O(n^2) below.
     """
     grid = f.grid
     n = grid.n_steps

@@ -149,6 +149,17 @@ class ConvergenceStudy:
     fitted_order: float
 
 
+def reference_grid(t_end: float, h_list) -> tuple[float, int | float]:
+    """(h_ref, n_steps) of `convergence_study`'s reference grid on [0, t_end].
+
+    h_ref = min(h_list) / 4.  n_steps is inf when t_end / h_ref overflows,
+    so a caller can bound the grid before anything is sized by it.
+    """
+    h_ref = min(h_list) / 4.0
+    steps = t_end / h_ref if h_ref > 0.0 else math.inf
+    return h_ref, (round(steps) if math.isfinite(steps) else math.inf)
+
+
 def convergence_study(system: SystemDef, t_end: float, h_list) -> ConvergenceStudy:
     """Measure the observed order on [0, t_end] over decreasing steps.
 
@@ -161,9 +172,9 @@ def convergence_study(system: SystemDef, t_end: float, h_list) -> ConvergenceStu
     h_list = [float(h) for h in h_list]
     if len(h_list) < 2 or any(h2 >= h1 for h1, h2 in zip(h_list, h_list[1:])):
         raise DomainError("h_list must be decreasing with at least 2 entries")
-    h_ref = min(h_list) / 4.0
+    h_ref, n_ref = reference_grid(t_end, h_list)
     try:
-        ref = solve(system, TimeGrid(0.0, h_ref, round(t_end / h_ref)))
+        ref = solve(system, TimeGrid(0.0, h_ref, n_ref))
     except DivergenceError as exc:
         raise DivergenceError(f"divergence at h={h_ref:g} (reference): {exc}", exc.last_step) from exc
     ref_m = ref.matrix()

@@ -49,14 +49,20 @@ def erfcx_oracle(x: float) -> float:
     return 1.0 / (math.sqrt(math.pi) * (x + cf))
 
 
-def ml_gll_oracle(alpha: float, beta: float, z: float, rtol: float = 1e-10) -> float:
+# Relative error the integral oracle vouches for: the tightest tolerance a
+# caller asserts against it.
+GLL_RTOL = 1e-10
+# Correct decimal digits of the series oracle.
+SERIES_DIGITS = 50
+
+
+def ml_gll_oracle(alpha: float, beta: float, z: float) -> float:
     """E_{alpha,beta}(z) for z < 0 from the spectral integral representation.
 
     Valid for 0 < alpha < 1; beta is reduced below 1 + alpha first through
     E_{a,b+a}(z) = (E_{a,b}(z) - 1/Gamma(b)) / z.  Raises OracleError when
     quad warns or when its error estimate, carried through the recurrence,
-    exceeds rtol relative to the value (rtol defaults to the tightest
-    tolerance a caller asserts).
+    exceeds GLL_RTOL relative to the value.
     """
     assert z < 0.0 and 0.0 < alpha < 1.0
     shifts = 0
@@ -90,19 +96,19 @@ def ml_gll_oracle(alpha: float, beta: float, z: float, rtol: float = 1e-10) -> f
         value = (value - 1.0 / math.gamma(b)) / z
         err /= abs(z)
         b += alpha
-    if not err <= rtol * abs(value):
-        raise OracleError(f"quad error estimate {err:.2e} exceeds {rtol:g} * |{value!r}| at {(alpha, beta, z)}")
+    if not err <= GLL_RTOL * abs(value):
+        raise OracleError(f"quad error estimate {err:.2e} exceeds {GLL_RTOL:g} * |{value!r}| at {(alpha, beta, z)}")
     return value
 
 
-def ml_series_oracle(alpha: float, beta: float, z: float, digits: int = 50) -> float:
-    """E_{alpha,beta}(z), beta > 0, by its power series in mpmath at `digits` correct digits.
+def ml_series_oracle(alpha: float, beta: float, z: float) -> float:
+    """E_{alpha,beta}(z), beta > 0, by its power series in mpmath at SERIES_DIGITS correct digits.
 
     The working precision covers the cancellation on the negative axis: the
     decimal size of the largest term, plus 2 log10|z| since the sum can be as
     small as 1/z^2 (when 1/Gamma(beta - alpha) = 0), plus 20 guard digits.
     Terms decrease once alpha k + beta > |z|^(1/alpha); the sum stops past
-    that point at the first term below 10^-(digits + 10) of the total.  Both
+    that point at the first term below 10^-(SERIES_DIGITS + 10) of the total.  Both
     the term count and the precision grow like |z|^(1/alpha), so this is the
     reference for small |z|^(1/alpha), where the integral oracle can be unsafe.
     """
@@ -112,9 +118,9 @@ def ml_series_oracle(alpha: float, beta: float, z: float, digits: int = 50) -> f
         [k * math.log(abs(z)) - math.lgamma(alpha * k + beta) for k in range(past_peak)] if z else [0.0]
     )
     extra = max(0.0, log_peak / math.log(10)) + 2.0 * max(0.0, math.log10(abs(z) or 1.0))
-    with mpmath.workdps(digits + int(extra) + 20):
+    with mpmath.workdps(SERIES_DIGITS + int(extra) + 20):
         a, b, zz = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
-        floor = mpmath.mpf(10) ** (-(digits + 10))
+        floor = mpmath.mpf(10) ** (-(SERIES_DIGITS + 10))
         total, power, k = mpmath.mpf(0), mpmath.mpf(1), 0
         while True:
             term = power * mpmath.rgamma(a * k + b)
