@@ -97,7 +97,7 @@ def cmd_convergence(config: RunConfig, out_flag: str | None = None) -> int:
         print("config needs h_list with at least 2 decreasing steps", file=sys.stderr)
         return EXIT_USAGE
     out = _outdir(config.output, out_flag)
-    study = convergence_study(config.system, config.grid.t_end, config.h_list)
+    study = convergence_study(config.system, config.grid.t_end, config.h_list, t0=config.grid.t0)
     lines = ["h,max_error"] + [f"{fmt(h)},{fmt(e)}" for h, e in study.entries]
     lines.append(f"fitted_order,{fmt(study.fitted_order)}")
     (out / "convergence.csv").write_text("\n".join(lines) + "\n")

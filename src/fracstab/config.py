@@ -25,8 +25,8 @@ _LIST_KEYS = {"x0", "checks", "h_list"}
 _DEFAULT_CHECK_COUNT = 100
 # Largest time grid a config may ask for, counted in nodes: the run grid and
 # the convergence study's reference grid (`solver.reference_grid`).  It bounds
-# allocation (a few arrays of n floats per state component), not work: the
-# solver's history sum is O(n^2), so a solve stays slow well below it.
+# allocation (a few arrays of n floats per state component), not work: a
+# two-component solve at the limit takes about half a minute.
 MAX_NODES = 1_000_000
 # Largest instance count per check suite; every instance keeps its report
 # (about 16 KiB) until the suite's files are written.
@@ -210,7 +210,7 @@ def parse_config(text: str) -> RunConfig:
     if h_list:
         if not all(h > 0 for h in h_list):  # also rejects a quoted "nan"
             raise ConfigError(f"h_list steps must be > 0, got {list(h_list)}")
-        ref_nodes = reference_grid(grid.t_end, h_list)[1] + 1
+        ref_nodes = reference_grid(grid.t_end - grid.t0, h_list)[1] + 1
         if ref_nodes > MAX_NODES:
             raise ConfigError(
                 f"convergence reference grid has {ref_nodes} nodes; the limit is {MAX_NODES}"

@@ -18,6 +18,8 @@ results) raise EvalError naming the offending subexpression.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,76 +225,173 @@ def parse(text: str) -> Expr:
 
 
 # --- evaluation ------------------------------------------------------------
+#
+# `_compile` turns a tree into nested closures f(t, x, r), built once per
+# expression and called once per point (or once per array of points).  With
+# scalar=True every value is a plain Python float and finiteness is checked
+# with math.isfinite; with scalar=False the values are numpy arrays or
+# scalars and the numpy operations below are used.  Both modes raise the same
+# exception class at the same node, named by to_text of that node (built only
+# when it is raised).  exp, sin and cos stay numpy ufuncs in both modes, so a
+# scalar call gives the value the same ufunc gives on an array.
+
+# np.exp cannot overflow at or below this argument; above it the call runs
+# with overflow warnings off and the result's finiteness is checked.
+_EXP_NO_OVERFLOW = 709.0
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _non_finite(node: Expr) -> EvalError:
+    return EvalError("non-finite result", to_text(node))
 
 
 def _check_finite(value, node: Expr):
     if not np.all(np.isfinite(value)):
-        raise EvalError("non-finite result", to_text(node))
+        raise _non_finite(node)
     return value
 
 
-def _eval(node: Expr, t, x, r):
+def _compile(node: Expr, scalar: bool):
+    """Closure f(t, x, r) evaluating the tree; see the comment above."""
     if isinstance(node, Num):
-        return node.value
+        value = float(node.value) if scalar else node.value
+        return lambda t, x, r: value
     if isinstance(node, Var):
-        if node.name == "t":
-            return t
-        if node.name == "r":
+        return _compile_var(node)
+    if isinstance(node, Neg):
+        operand = _compile(node.operand, scalar)
+        return lambda t, x, r: -operand(t, x, r)
+    if isinstance(node, BinOp):
+        left, right = _compile(node.left, scalar), _compile(node.right, scalar)
+        if node.op in "+-*/":
+            return _compile_arith(node, left, right, scalar)
+        return _compile_power(node, left, right, scalar)
+    if isinstance(node, Call):
+        if node.name == "pow":
+            return _compile(BinOp("^", node.args[0], node.args[1]), scalar)
+        return _compile_call(node, _compile(node.args[0], scalar), scalar)
+    raise TypeError(f"not an Expr node: {node!r}")
+
+
+def _compile_var(node: Var):
+    if node.name == "t":
+        return lambda t, x, r: t
+    if node.name == "r":
+
+        def var_r(t, x, r):
             if r is None:
                 raise BindError("variable 'r' is not bound in this context")
             return r
-        if node.index > len(x):
-            raise BindError(
-                f"variable x{node.index} exceeds the bound dimension {len(x)}"
-            )
-        return x[node.index - 1]
-    if isinstance(node, Neg):
-        return -_eval(node.operand, t, x, r)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, t, x, r)
-        b = _eval(node.right, t, x, r)
-        if node.op in "+-*/":
-            if node.op == "/" and np.any(b == 0):
-                raise EvalError("division by zero", to_text(node))
-            with np.errstate(over="ignore", invalid="ignore"):
-                if node.op == "+":
-                    out = a + b
-                elif node.op == "-":
-                    out = a - b
-                elif node.op == "*":
-                    out = a * b
-                else:
-                    out = a / b
-            return _check_finite(out, node)
-        # power: negative base requires an integer exponent
-        if np.any(np.asarray(a) < 0):
-            bb = np.asarray(b)
-            if not np.all(bb == np.floor(bb)):
-                raise EvalError("negative base with non-integer exponent", to_text(node))
+
+        return var_r
+    i = node.index - 1
+
+    def var_x(t, x, r):
         try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                out = (
-                    np.asarray(a, dtype=float) ** b
-                    if np.ndim(a) or np.ndim(b)
-                    else float(a) ** float(b)
-                )
+            return x[i]
+        except IndexError:
+            raise BindError(f"variable x{i + 1} exceeds the bound dimension {len(x)}") from None
+
+    return var_x
+
+
+def _compile_arith(node: BinOp, left, right, scalar: bool):
+    op = _ARITH[node.op]
+    divide = node.op == "/"
+    if scalar:
+        isfinite = math.isfinite
+
+        def arith(t, x, r):
+            a = left(t, x, r)
+            b = right(t, x, r)
+            if divide and b == 0.0:
+                raise EvalError("division by zero", to_text(node))
+            out = op(a, b)
+            if isfinite(out):
+                return out
+            raise _non_finite(node)
+
+        return arith
+
+    def arith(t, x, r):
+        a = left(t, x, r)
+        b = right(t, x, r)
+        if divide and np.any(b == 0):
+            raise EvalError("division by zero", to_text(node))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = op(a, b)
+        return _check_finite(out, node)
+
+    return arith
+
+
+def _compile_power(node: BinOp, left, right, scalar: bool):
+    def power(t, x, r):
+        a = left(t, x, r)
+        b = right(t, x, r)
+        # a negative base requires an integer exponent (b == floor(b): inf
+        # counts, nan does not)
+        if scalar:
+            negative_base = a < 0.0 and not (b.is_integer() or math.isinf(b))
+        else:
+            negative_base = np.any(np.asarray(a) < 0) and not np.all(np.asarray(b) == np.floor(b))
+        if negative_base:
+            raise EvalError("negative base with non-integer exponent", to_text(node))
+        try:
+            if scalar:
+                out = a**b
+            else:
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    out = (
+                        np.asarray(a, dtype=float) ** b
+                        if np.ndim(a) or np.ndim(b)
+                        else float(a) ** float(b)
+                    )
         except (OverflowError, ZeroDivisionError) as exc:
             raise EvalError(str(exc), to_text(node)) from None
+        if scalar and math.isfinite(out):
+            return out
         return _check_finite(out, node)
-    if isinstance(node, Call):
-        args = [_eval(arg, t, x, r) for arg in node.args]
-        if node.name == "sqrt":
-            if np.any(np.asarray(args[0]) < 0):
+
+    return power
+
+
+def _compile_call(node: Call, arg, scalar: bool):
+    if node.name == "sqrt":
+
+        def sqrt(t, x, r):
+            a = arg(t, x, r)
+            if (a < 0.0) if scalar else np.any(np.asarray(a) < 0):
                 raise EvalError("sqrt of negative value", to_text(node))
-            return np.sqrt(args[0])
-        if node.name == "abs":
-            return np.abs(args[0])
-        if node.name == "pow":
-            return _eval(BinOp("^", node.args[0], node.args[1]), t, x, r)
+            return math.sqrt(a) if scalar else np.sqrt(a)
+
+        return sqrt
+    if node.name == "abs":
+        return (lambda t, x, r: abs(arg(t, x, r))) if scalar else (lambda t, x, r: np.abs(arg(t, x, r)))
+    ufunc = getattr(np, node.name)
+    if scalar:
+        isfinite = math.isfinite
+
+        def call(t, x, r):
+            a = arg(t, x, r)
+            if a > _EXP_NO_OVERFLOW:
+                with np.errstate(over="ignore"):
+                    out = float(ufunc(a))
+            else:
+                out = float(ufunc(a))
+            if isfinite(out):
+                return out
+            raise _non_finite(node)
+
+        return call
+
+    def call(t, x, r):
         with np.errstate(over="ignore"):
-            out = getattr(np, node.name)(args[0])
+            out = ufunc(arg(t, x, r))
         return _check_finite(out, node)
-    raise TypeError(f"not an Expr node: {node!r}")
+
+    return call
 
 
 def evaluate(node: Expr, t=0.0, x=(), r=None) -> float:
@@ -301,7 +400,11 @@ def evaluate(node: Expr, t=0.0, x=(), r=None) -> float:
     Scalar inputs return float; array inputs return an ndarray over the
     broadcast shape.  Faults raise EvalError/BindError, never silent NaN.
     """
-    out = _eval(node, t, x, r)
+    if np.ndim(t) == 0 and np.ndim(r) == 0 and all(np.ndim(v) == 0 for v in x):
+        return _compile(node, scalar=True)(
+            float(t), [float(v) for v in x], None if r is None else float(r)
+        )
+    out = _compile(node, scalar=False)(t, x, r)
     if np.ndim(out) == 0 and not isinstance(out, float):
         return float(out)
     return out
@@ -309,7 +412,7 @@ def evaluate(node: Expr, t=0.0, x=(), r=None) -> float:
 
 def sample_on(node: Expr, ts: np.ndarray, x=(), r=None) -> np.ndarray:
     """Evaluate over an array of times, broadcasting constants to ts.shape."""
-    out = np.asarray(_eval(node, ts, x, r), dtype=float)
+    out = np.asarray(_compile(node, scalar=False)(ts, x, r), dtype=float)
     return np.broadcast_to(out, np.shape(ts)).copy()
 
 

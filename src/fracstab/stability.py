@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EvalError, PreconditionError
-from .expressions import Expr, evaluate, parse, sample_on, to_text, variables
+from .expressions import Expr, _compile, evaluate, parse, sample_on, to_text, variables
 from .inequalities import IneqReport, make_report
 from .operators import FracOrder, SampleSeries, TimeGrid, caputo_l1
 from .solver import Trajectory, solve
@@ -120,9 +120,10 @@ def _candidate_values(V: LyapunovCandidate, traj: Trajectory) -> np.ndarray:
         out = evaluate(V.expression, t=ts, x=cols)
     except EvalError:
         # locate the offending node for the error message
+        at_point = _compile(V.expression, scalar=True)
         for j, t in enumerate(ts):
             try:
-                evaluate(V.expression, t=float(t), x=tuple(float(c[j]) for c in cols))
+                at_point(float(t), [float(c[j]) for c in cols], None)
             except EvalError as exc:
                 raise EvalError(f"candidate failed at node {j} (t={t:.17g}): {exc}") from exc
         raise

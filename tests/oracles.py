@@ -6,7 +6,9 @@ Mittag-Leffler reference from the spectral integral representation via
 scipy quadrature, from its power series in mpmath at a precision sized for
 the series' cancellation, and (at alpha = 1) from mpmath's confluent
 hypergeometric function; the classical integrator is a plain running-sum
-trapezoidal PECE, and closed forms use math.gamma.
+trapezoidal PECE, and closed forms use math.gamma.  Expressions are
+evaluated by a math-module transcription of their documented semantics, and
+the fractional PECE reference is the solver's direct O(n^2) history loop.
 """
 
 from __future__ import annotations
@@ -172,3 +174,134 @@ def fit_order(hs, errs) -> float:
     hs = np.asarray(hs, dtype=float)
     errs = np.asarray(errs, dtype=float)
     return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+
+
+class ExpressionFault(ArithmeticError):
+    """The expression oracle found a fault: division by zero, a domain error or a non-finite value."""
+
+
+def expression_oracle(node, t: float, x) -> tuple[float, float]:
+    """(value, spread) of an expression tree at one point, by the math module.
+
+    The tree is walked by node class name, so no package evaluation code is
+    used.  Faults raise ExpressionFault.  spread bounds, to first order, how
+    far the value may move when each library function (exp, sin, cos, pow:
+    implementations may round them differently) moves by one ulp; the
+    IEEE operations (+ - * / sqrt abs) add an ulp only where an input may
+    already have moved.  It is 0 for a tree without library functions.
+    """
+    kind = type(node).__name__
+    if kind == "Num":
+        return float(node.value), 0.0
+    if kind == "Var":
+        return (t if node.name == "t" else x[node.index - 1]), 0.0
+    if kind == "Neg":
+        v, d = expression_oracle(node.operand, t, x)
+        return -v, d
+    if kind == "BinOp":
+        a, da = expression_oracle(node.left, t, x)
+        b, db = expression_oracle(node.right, t, x)
+        if node.op == "^":
+            return _oracle_power(a, da, b, db)
+        if node.op == "+":
+            v, d = a + b, da + db
+        elif node.op == "-":
+            v, d = a - b, da + db
+        elif node.op == "*":
+            v, d = a * b, abs(b) * da + abs(a) * db
+        else:
+            if b == 0.0:
+                raise ExpressionFault("division by zero")
+            v = a / b
+            d = (da + abs(v) * db) / abs(b)
+        return _finite(v), _moved(d, v)
+    if kind == "Call":
+        args = [expression_oracle(arg, t, x) for arg in node.args]
+        if node.name == "pow":
+            return _oracle_power(*args[0], *args[1])
+        a, da = args[0]
+        if node.name == "abs":
+            return abs(a), da
+        if node.name == "sqrt":
+            if a < 0.0:
+                raise ExpressionFault("sqrt of negative value")
+            v = math.sqrt(a)
+            return v, (_moved(da / (2.0 * v), v) if da else 0.0)
+        if node.name == "exp":
+            try:
+                v = math.exp(a)
+            except OverflowError:
+                raise ExpressionFault("exp overflow") from None
+            return _finite(v), v * da + math.ulp(v)
+        v = getattr(math, node.name)(a)  # sin, cos
+        slope = abs(math.cos(a) if node.name == "sin" else math.sin(a))
+        return v, slope * da + math.ulp(v)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _finite(v: float) -> float:
+    if not math.isfinite(v):
+        raise ExpressionFault("non-finite value")
+    return v
+
+
+def _moved(d: float, v: float) -> float:
+    """An IEEE result moves by its inputs' spread plus one rounding, or not at all."""
+    return d + math.ulp(v) if d else 0.0
+
+
+def _oracle_power(a: float, da: float, b: float, db: float) -> tuple[float, float]:
+    if a < 0.0 and not b.is_integer():
+        raise ExpressionFault("negative base with non-integer exponent")
+    try:
+        v = _finite(math.pow(a, b))
+        d_base = abs(b * math.pow(a, b - 1.0)) * da if da else 0.0
+    except (ValueError, OverflowError, ZeroDivisionError):
+        raise ExpressionFault("pow out of range") from None
+    d_exp = abs(v * math.log(abs(a))) * db if db and a != 0.0 else 0.0
+    return v, d_base + d_exp + math.ulp(v)
+
+
+def pece_direct(system, grid) -> np.ndarray:
+    """States (n + 1, dim) of the fractional PECE scheme with direct history sums.
+
+    A plain transcription of the solver's O(n^2) loop: every step sums its
+    whole history with one dot product per sum.  The weights, the Gamma
+    scale, the RHS evaluation and the divergence rule are the package's, so
+    only the history sums differ from `solve`.
+    """
+    from fracstab.errors import DivergenceError
+    from fracstab.expressions import evaluate
+    from fracstab.operators import rect_weights, rl_weights
+    from fracstab.solver import OVERFLOW_LIMIT
+    from fracstab.special import gamma
+
+    def rhs(t, x):
+        return np.array([evaluate(e, t=t, x=tuple(x)) for e in system.rhs])
+
+    alpha = system.order.alpha
+    h = grid.h
+    n = grid.n_steps
+    ts = grid.nodes()
+    rect = rect_weights(alpha, n)
+    a0, body = rl_weights(alpha, n)
+    scale_p = h**alpha / gamma(alpha + 1.0)
+    scale_c = h**alpha / gamma(alpha + 2.0)
+
+    x0 = system.x0.copy()
+    states = np.empty((n + 1, system.dim))
+    fhist = np.empty((n + 1, system.dim))
+    states[0] = x0
+    fhist[0] = rhs(ts[0], states[0])
+    for k in range(n):
+        hist = fhist[k::-1]
+        pred = x0 + scale_p * (rect[1 : k + 2] @ hist)
+        if not np.all(np.isfinite(pred)):
+            raise DivergenceError(f"predictor left the finite range at step {k + 1}", last_step=k)
+        f_pred = rhs(ts[k + 1], pred)
+        corr = x0 + scale_c * (f_pred + a0[k + 1] * fhist[0] + body[1 : k + 1] @ hist[:k])
+        if not np.all(np.isfinite(corr)) or np.any(np.abs(corr) > OVERFLOW_LIMIT):
+            raise DivergenceError(f"state exceeded {OVERFLOW_LIMIT:g} at step {k + 1}", last_step=k)
+        states[k + 1] = corr
+        fhist[k + 1] = rhs(ts[k + 1], corr)
+    return states

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from fracstab.errors import BindError, EvalError, ParseError
+from fracstab.errors import BindError, EvalError, ExpressionError, ParseError
 from fracstab.expressions import (
     BinOp,
     Call,
@@ -15,6 +17,8 @@ from fracstab.expressions import (
     to_text,
     variables,
 )
+
+from oracles import ExpressionFault, expression_oracle
 
 
 # --- parsing and precedence -----------------------------------------------------
@@ -172,3 +176,64 @@ def test_round_trip_500_random_expressions():
         e = _random_expr(rng, depth=4)
         text = to_text(e)
         assert parse(text) == e, text
+
+
+# --- evaluation properties ------------------------------------------------------------
+
+
+def _has_power(node) -> bool:
+    if isinstance(node, BinOp):
+        return node.op == "^" or _has_power(node.left) or _has_power(node.right)
+    if isinstance(node, Call):
+        return node.name == "pow" or any(_has_power(a) for a in node.args)
+    if isinstance(node, Neg):
+        return _has_power(node.operand)
+    return False
+
+
+def test_evaluation_matches_oracle_on_500_random_expressions():
+    # Scalar evaluate agrees with the math-module transcription to 4 ulps,
+    # counting the library functions' ulps carried to the result (the
+    # oracle's spread), or both fault.  Array evaluation at the same points
+    # equals scalar evaluation exactly; with a power node within 4 ulps the
+    # same way, since numpy's pow and the C library's may round apart.  A
+    # point's fault makes the whole array evaluation fault; the array checks
+    # (any element) may also fault where no single point does.  Only
+    # ExpressionError subclasses escape.
+    rng = np.random.default_rng(77)
+    faults = compared = 0
+    for _ in range(500):
+        e = _random_expr(rng, depth=4)
+        ts = rng.uniform(0.0, 5.0, 8)
+        xs = rng.uniform(-3.0, 3.0, (3, 8))
+        scalar = []
+        for j in range(8):
+            t, x = float(ts[j]), tuple(float(v) for v in xs[:, j])
+            try:
+                want, spread = expression_oracle(e, t, x)
+            except ExpressionFault:
+                want = None
+            try:
+                got = evaluate(e, t=t, x=x)
+            except ExpressionError:
+                got = None
+            assert (got is None) == (want is None), (to_text(e), t, x, got, want)
+            if got is not None:
+                assert type(got) is float
+                assert abs(got - want) <= 4.0 * max(spread, math.ulp(want)), (to_text(e), t, x, got, want)
+                compared += 1
+            else:
+                faults += 1
+            scalar.append((got, spread if want is not None else 0.0))
+        try:
+            arr = evaluate(e, t=ts, x=tuple(xs))
+        except ExpressionError:
+            continue
+        assert all(got is not None for got, _ in scalar), to_text(e)
+        arr = np.broadcast_to(arr, ts.shape)
+        for j, (got, spread) in enumerate(scalar):
+            if _has_power(e):
+                assert abs(arr[j] - got) <= 4.0 * max(spread, math.ulp(got)), (to_text(e), j)
+            else:
+                assert arr[j] == got, (to_text(e), j, arr[j], got)
+    assert faults > 0 and compared > 1000

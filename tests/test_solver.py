@@ -5,11 +5,12 @@ import pytest
 
 from fracstab.errors import DivergenceError, DomainError, EvalError, ShapeError
 from fracstab.expressions import evaluate, parse, sample_on
-from fracstab.operators import SampleSeries, TimeGrid, rl_integral
+import fracstab.solver
+from fracstab.operators import _FFT_MIN_TERMS, SampleSeries, TimeGrid, rl_integral
 from fracstab.solver import SystemDef, convergence_study, solve
 from fracstab.special import MLParams, mittag_leffler
 
-from oracles import classical_pece_trapezoid
+from oracles import classical_pece_trapezoid, pece_direct
 
 
 def linear_decay(alpha):
@@ -148,6 +149,19 @@ def test_convergence_study_validates_h_list():
         convergence_study(linear_decay(0.5), 1.0, (5e-3, 1e-2))
 
 
+def test_convergence_study_runs_on_t0_to_t_end(monkeypatch):
+    grids = []
+
+    def recording_solve(system, grid):
+        grids.append(grid)
+        return solve(system, grid)
+
+    monkeypatch.setattr(fracstab.solver, "solve", recording_solve)
+    study = convergence_study(example1_system(0.9), 6.0, (0.01, 0.005), t0=5.0)
+    assert [(g.t0, g.n_steps) for g in grids] == [(5.0, 800), (5.0, 100), (5.0, 200)]
+    assert all(err > 0.0 for _, err in study.entries)
+
+
 def test_convergence_study_reports_diverging_h():
     system = SystemDef.from_strings(1, 0.8, ["x1^3"], [3.0])
     with pytest.raises(DivergenceError) as exc:
@@ -161,3 +175,59 @@ def test_autonomous_solve_is_shift_invariant():
     a = solve(system, TimeGrid(0.0, 0.01, 400)).matrix()
     b = solve(system, TimeGrid(5.0, 0.01, 400)).matrix()
     assert np.array_equal(a, b)
+
+
+# --- history sums against the direct O(n^2) loop -------------------------------------
+
+DIRECT_FIELDS = {
+    "example1": (2, ["-x1 - x2/(1+t)", "x1 - x2"], [-10.0, 10.0]),
+    "example2": (1, ["-x1^3 - exp(t/2)*x1^3"], [1.5]),
+    "sin_cos": (2, ["-x1 - x2 + sin(t)*(x1^2 + x2^2)", "x1 - x2 + cos(t)*(x1^2 + x2^2)"], [0.3, -0.2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_FIELDS))
+@pytest.mark.parametrize("n_steps", [300, _FFT_MIN_TERMS - 1])
+def test_below_crossover_matches_direct_loop_bit_for_bit(name, n_steps):
+    dim, rhs, x0 = DIRECT_FIELDS[name]
+    system = SystemDef.from_strings(dim, 0.8, rhs, x0)
+    grid = TimeGrid(0.0, 5.0 / n_steps, n_steps)
+    assert np.array_equal(solve(system, grid).matrix(), pece_direct(system, grid))
+
+
+FAST_FIELDS = {
+    1: (["cos(3*t) - x1^3"], [1.0]),
+    2: (["-x1 - x2/(1+t)", "x1 - x2"], [-10.0, 10.0]),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.9])
+def test_folded_history_matches_direct_loop(alpha, dim):
+    # One direct run at 2e4 steps is the reference for both sizes: its rows
+    # do not depend on the number of steps that follow.
+    rhs, x0 = FAST_FIELDS[dim]
+    system = SystemDef.from_strings(dim, alpha, rhs, x0)
+    ref = pece_direct(system, TimeGrid(0.0, 1e-3, 20_000))
+    for n_steps in (_FFT_MIN_TERMS + 76, 20_000):
+        got = solve(system, TimeGrid(0.0, 1e-3, n_steps)).matrix()
+        want = ref[: n_steps + 1]
+        assert np.array_equal(got[:_FFT_MIN_TERMS], want[:_FFT_MIN_TERMS])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_divergence_after_crossover_keeps_last_step():
+    system = SystemDef.from_strings(1, 0.9, ["x1^2"], [0.5])
+    grid = TimeGrid(0.0, 1e-3, 3000)
+    with pytest.raises(DivergenceError) as want:
+        pece_direct(system, grid)
+    with pytest.raises(DivergenceError) as got:
+        solve(system, grid)
+    assert _FFT_MIN_TERMS < got.value.last_step == want.value.last_step
+
+
+def test_rhs_eval_error_after_crossover_carries_time():
+    system = SystemDef.from_strings(1, 0.7, ["x1/(t - 1.5)"], [1.0])
+    with pytest.raises(EvalError) as exc:
+        solve(system, TimeGrid(0.0, 2.0**-10, 2000))  # t = 1.5 at step 1536
+    assert "t=1.5:" in str(exc.value)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracstab.errors import DomainError, PreconditionError
+from fracstab.errors import DomainError, EvalError, PreconditionError
 from fracstab.expressions import parse
 from fracstab.operators import FracOrder, SampleSeries, TimeGrid, caputo_l1
 from fracstab.presets import get_preset, run_preset
@@ -56,6 +56,15 @@ def test_candidate_time_only():
     traj = zero_trajectory(n=50)
     v = evaluate_candidate(LyapunovCandidate("t"), traj)
     assert np.allclose(v.values, traj.grid.nodes())
+
+
+def test_candidate_fault_names_its_node():
+    traj = zero_trajectory(n=100)  # t = 0, 0.01, ..., 1
+    V = LyapunovCandidate("x1^2 + 1/(t - 0.5)")
+    with pytest.raises(EvalError) as exc:
+        evaluate_candidate(V, traj)
+    assert "candidate failed at node 50 (t=0.5" in str(exc.value)
+    assert "division by zero" in str(exc.value)
 
 
 # --- sandwich ----------------------------------------------------------------------------
