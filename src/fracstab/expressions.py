@@ -235,8 +235,9 @@ def parse(text: str) -> Expr:
 # when it is raised).  exp, sin and cos stay numpy ufuncs in both modes, so a
 # scalar call gives the value the same ufunc gives on an array.
 
-# np.exp cannot overflow at or below this argument; above it the call runs
-# with overflow warnings off and the result's finiteness is checked.
+# np.exp cannot overflow at or below this argument, so a scalar call skips
+# np.errstate there (about 1.4 us per use, ten times the call itself); above
+# it the call runs with overflow warnings off and finiteness is checked.
 _EXP_NO_OVERFLOW = 709.0
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
