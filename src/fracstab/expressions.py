@@ -328,31 +328,36 @@ def _compile_arith(node: BinOp, left, right, scalar: bool):
 
 
 def _compile_power(node: BinOp, left, right, scalar: bool):
+    # A negative base requires an integer exponent (b == floor(b): inf
+    # counts, nan does not), judged point by point.
+    if scalar:
+        isfinite, isinf = math.isfinite, math.isinf
+
+        def power(t, x, r):
+            a = left(t, x, r)
+            b = right(t, x, r)
+            if a < 0.0 and not (b.is_integer() or isinf(b)):
+                raise EvalError("negative base with non-integer exponent", to_text(node))
+            try:
+                out = a**b
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise EvalError(str(exc), to_text(node)) from None
+            if isfinite(out):
+                return out
+            raise _non_finite(node)
+
+        return power
+
     def power(t, x, r):
         a = left(t, x, r)
         b = right(t, x, r)
-        # a negative base requires an integer exponent (b == floor(b): inf
-        # counts, nan does not)
-        if scalar:
-            negative_base = a < 0.0 and not (b.is_integer() or math.isinf(b))
-        else:
-            negative_base = np.any(np.asarray(a) < 0) and not np.all(np.asarray(b) == np.floor(b))
-        if negative_base:
+        if np.any((np.asarray(a) < 0) & (np.asarray(b) != np.floor(b))):
             raise EvalError("negative base with non-integer exponent", to_text(node))
         try:
-            if scalar:
-                out = a**b
-            else:
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    out = (
-                        np.asarray(a, dtype=float) ** b
-                        if np.ndim(a) or np.ndim(b)
-                        else float(a) ** float(b)
-                    )
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                out = np.asarray(a, dtype=float) ** b if np.ndim(a) or np.ndim(b) else float(a) ** float(b)
         except (OverflowError, ZeroDivisionError) as exc:
             raise EvalError(str(exc), to_text(node)) from None
-        if scalar and math.isfinite(out):
-            return out
         return _check_finite(out, node)
 
     return power

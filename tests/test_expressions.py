@@ -103,6 +103,17 @@ def test_negative_base_fractional_exponent():
     assert evaluate(parse("x1^2"), x=(-2.0,)) == 4.0
 
 
+def test_negative_base_is_judged_per_point_over_arrays():
+    # the negative base meets an integer exponent; the fractional exponent
+    # meets a positive base
+    e = parse("x1^(t + 0.5*x1)")
+    ts, x1 = np.array([0.0, 1.0]), np.array([-2.0, 3.0])
+    arr = evaluate(e, t=ts, x=(x1,))
+    assert list(arr) == [evaluate(e, t=float(t), x=(float(v),)) for t, v in zip(ts, x1)]
+    with pytest.raises(EvalError, match="negative base"):
+        evaluate(e, t=ts + 0.25, x=(x1,))
+
+
 def test_sqrt_negative():
     with pytest.raises(EvalError):
         evaluate(parse("sqrt(t-2)"), t=0.0)
@@ -191,14 +202,22 @@ def _has_power(node) -> bool:
     return False
 
 
+def _unbound_variants(node):
+    """(tree, state components to bind) pairs that leave one variable unbound."""
+    yield BinOp("+", node, Var("r")), 3
+    if max_state_index(node):
+        yield node, max_state_index(node) - 1
+
+
 def test_evaluation_matches_oracle_on_500_random_expressions():
     # Scalar evaluate agrees with the math-module transcription to 4 ulps,
     # counting the library functions' ulps carried to the result (the
     # oracle's spread), or both fault.  Array evaluation at the same points
     # equals scalar evaluation exactly; with a power node within 4 ulps the
-    # same way, since numpy's pow and the C library's may round apart.  A
-    # point's fault makes the whole array evaluation fault; the array checks
-    # (any element) may also fault where no single point does.  Only
+    # same way, since numpy's pow and the C library's may round apart.  The
+    # array evaluation faults exactly when some point does.  With a variable
+    # unbound (one state component too few, or r) a point that evaluates
+    # raises BindError, at a scalar point and over the array.  Only
     # ExpressionError subclasses escape.
     rng = np.random.default_rng(77)
     faults = compared = 0
@@ -225,11 +244,20 @@ def test_evaluation_matches_oracle_on_500_random_expressions():
             else:
                 faults += 1
             scalar.append((got, spread if want is not None else 0.0))
+        bound = [j for j, (got, _) in enumerate(scalar) if got is not None]
+        for unbound, x_dim in _unbound_variants(e):
+            for j in bound:
+                with pytest.raises(BindError):
+                    evaluate(unbound, t=float(ts[j]), x=tuple(float(v) for v in xs[:x_dim, j]))
+            if len(bound) == len(scalar):
+                with pytest.raises(BindError):
+                    evaluate(unbound, t=ts, x=tuple(xs[:x_dim]))
         try:
             arr = evaluate(e, t=ts, x=tuple(xs))
         except ExpressionError:
+            assert len(bound) < len(scalar), to_text(e)
             continue
-        assert all(got is not None for got, _ in scalar), to_text(e)
+        assert len(bound) == len(scalar), to_text(e)
         arr = np.broadcast_to(arr, ts.shape)
         for j, (got, spread) in enumerate(scalar):
             if _has_power(e):
