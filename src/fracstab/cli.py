@@ -19,9 +19,12 @@ from .errors import ConfigError, DivergenceError, FracstabError
 from .inequalities import SUITE_NAMES, IdentityResidual, run_suite
 from .presets import get_preset, run_preset
 from .reporting import (
-    fmt,
+    check_summary_row,
     gnuplot_script,
+    write_check_summary_csv,
+    write_convergence_csv,
     write_report_csv,
+    write_residual_csv,
     write_stability_report,
     write_trajectory_csv,
 )
@@ -65,20 +68,13 @@ def cmd_check(config: RunConfig, out_flag: str | None = None) -> int:
         suite_dir = out / name
         suite_dir.mkdir(parents=True, exist_ok=True)
         for i, rep in enumerate(result.reports):
-            if isinstance(rep, IdentityResidual):
-                (suite_dir / f"instance_{i:04d}.csv").write_text(
-                    "max_residual,scale,relative\n"
-                    f"{fmt(rep.max_residual)},{fmt(rep.scale)},{fmt(rep.relative)}\n"
-                )
-            else:
-                write_report_csv(suite_dir / f"instance_{i:04d}.csv", rep)
-        line = f"{name},{result.instances},{result.passes},{fmt(result.max_violation)}"
+            write = write_residual_csv if isinstance(rep, IdentityResidual) else write_report_csv
+            write(suite_dir / f"instance_{i:04d}.csv", rep)
+        line = check_summary_row(result)
         summary_lines.append(line)
         print(line)
         all_ok &= result.all_passed
-    (out / "check_summary.csv").write_text(
-        "name,instances,passes,max_violation\n" + "\n".join(summary_lines) + "\n"
-    )
+    write_check_summary_csv(out / "check_summary.csv", summary_lines)
     return EXIT_OK if all_ok else EXIT_USAGE
 
 
@@ -98,9 +94,7 @@ def cmd_convergence(config: RunConfig, out_flag: str | None = None) -> int:
         return EXIT_USAGE
     out = _outdir(config.output, out_flag)
     study = convergence_study(config.system, config.grid.t_end, config.h_list, t0=config.grid.t0)
-    lines = ["h,max_error"] + [f"{fmt(h)},{fmt(e)}" for h, e in study.entries]
-    lines.append(f"fitted_order,{fmt(study.fitted_order)}")
-    (out / "convergence.csv").write_text("\n".join(lines) + "\n")
+    write_convergence_csv(out / "convergence.csv", study)
     print(f"fitted order: {study.fitted_order:.3f}")
     return EXIT_OK
 

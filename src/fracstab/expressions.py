@@ -230,7 +230,9 @@ def parse(text: str) -> Expr:
 # expression and called once per point (or once per array of points).  With
 # scalar=True every value is a plain Python float and finiteness is checked
 # with math.isfinite; with scalar=False the values are numpy arrays or
-# scalars and the numpy operations below are used.  Both modes raise the same
+# scalars and the numpy operations below are used, and the caller (evaluate,
+# sample_on) turns numpy's floating-point warnings off once around the whole
+# call, since every node checks its own result.  Both modes raise the same
 # exception class at the same node, named by to_text of that node (built only
 # when it is raised).  exp, sin and cos stay numpy ufuncs in both modes, so a
 # scalar call gives the value the same ufunc gives on an array.
@@ -248,7 +250,7 @@ def _non_finite(node: Expr) -> EvalError:
 
 
 def _check_finite(value, node: Expr):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise _non_finite(node)
     return value
 
@@ -320,9 +322,7 @@ def _compile_arith(node: BinOp, left, right, scalar: bool):
         b = right(t, x, r)
         if divide and np.any(b == 0):
             raise EvalError("division by zero", to_text(node))
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = op(a, b)
-        return _check_finite(out, node)
+        return _check_finite(op(a, b), node)
 
     return arith
 
@@ -354,8 +354,7 @@ def _compile_power(node: BinOp, left, right, scalar: bool):
         if np.any((np.asarray(a) < 0) & (np.asarray(b) != np.floor(b))):
             raise EvalError("negative base with non-integer exponent", to_text(node))
         try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                out = np.asarray(a, dtype=float) ** b if np.ndim(a) or np.ndim(b) else float(a) ** float(b)
+            out = np.asarray(a, dtype=float) ** b if np.ndim(a) or np.ndim(b) else float(a) ** float(b)
         except (OverflowError, ZeroDivisionError) as exc:
             raise EvalError(str(exc), to_text(node)) from None
         return _check_finite(out, node)
@@ -393,9 +392,7 @@ def _compile_call(node: Call, arg, scalar: bool):
         return call
 
     def call(t, x, r):
-        with np.errstate(over="ignore"):
-            out = ufunc(arg(t, x, r))
-        return _check_finite(out, node)
+        return _check_finite(ufunc(arg(t, x, r)), node)
 
     return call
 
@@ -410,7 +407,9 @@ def evaluate(node: Expr, t=0.0, x=(), r=None) -> float:
         return _compile(node, scalar=True)(
             float(t), [float(v) for v in x], None if r is None else float(r)
         )
-    out = _compile(node, scalar=False)(t, x, r)
+    f = _compile(node, scalar=False)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = f(t, x, r)
     if np.ndim(out) == 0 and not isinstance(out, float):
         return float(out)
     return out
@@ -418,7 +417,9 @@ def evaluate(node: Expr, t=0.0, x=(), r=None) -> float:
 
 def sample_on(node: Expr, ts: np.ndarray, x=(), r=None) -> np.ndarray:
     """Evaluate over an array of times, broadcasting constants to ts.shape."""
-    out = np.asarray(_compile(node, scalar=False)(ts, x, r), dtype=float)
+    f = _compile(node, scalar=False)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = np.asarray(f(ts, x, r), dtype=float)
     return np.broadcast_to(out, np.shape(ts)).copy()
 
 

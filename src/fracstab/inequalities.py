@@ -74,18 +74,21 @@ class EnvelopeSpec:
         ts = grid.nodes()
         vals = sample_on(self.expression, ts)
         d = np.diff(vals)
-        text = to_text(self.expression)
         if self.kind == "mono_increasing":
             if np.any(d < 0.0):
-                raise EnvelopeError(f"envelope '{text}' is not increasing on the grid")
+                raise self._error("is not increasing on the grid")
         else:
             if np.any(d > 0.0):
-                raise EnvelopeError(f"envelope '{text}' is not decreasing on the grid")
+                raise self._error("is not decreasing on the grid")
         if self.kind == "nonneg_decreasing" and np.any(vals < 0.0):
-            raise EnvelopeError(f"envelope '{text}' goes negative on the grid")
+            raise self._error("goes negative on the grid")
         if self.kind == "positive_decreasing" and np.any(vals <= 0.0):
-            raise EnvelopeError(f"envelope '{text}' is not positive on the grid")
+            raise self._error("is not positive on the grid")
         return vals
+
+    def _error(self, what: str) -> EnvelopeError:
+        # The text is rendered only when raised: sample runs once per verifier call.
+        return EnvelopeError(f"envelope '{to_text(self.expression)}' {what}")
 
 
 @dataclass(frozen=True)

@@ -1,34 +1,42 @@
-"""CSV and text serialization of trajectories and reports.
+"""CSV and text serialization of trajectories, reports and studies.
 
-Floats are printed with 17 significant digits so files round-trip
-bit-exactly; nothing volatile (timestamps, hostnames) is written, keeping
-repeated runs byte-identical.
+Every float in every file is printed with FLOAT_FORMAT, 17 significant
+digits, so files round-trip bit-exactly; nothing volatile (timestamps,
+hostnames) is written, keeping repeated runs byte-identical.
 """
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
 
-from .inequalities import IneqReport
-from .solver import Trajectory
+from .inequalities import IdentityResidual, IneqReport, SuiteResult
+from .solver import ConvergenceStudy, Trajectory
 from .stability import StabilityReport
+
+FLOAT_FORMAT = "%.17g"
 
 
 def fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+    return FLOAT_FORMAT % float(v)
+
+
+def _rows_text(columns) -> str:
+    """CSV lines of equal-length float columns, each line ended by a newline.
+
+    One `%` over a row template repeated n times formats the whole table:
+    the same bytes as fmt per value, at the cost of the formatting alone.
+    """
+    table = np.column_stack(columns)
+    n, k = table.shape
+    return ((",".join([FLOAT_FORMAT] * k) + "\n") * n) % tuple(table.ravel().tolist())
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
     header = "t," + ",".join(f"x{i + 1}" for i in range(traj.dim))
-    ts = traj.grid.nodes()
-    m = traj.matrix()
-    lines = [header]
-    for j in range(traj.grid.n_nodes):
-        lines.append(",".join([fmt(ts[j])] + [fmt(v) for v in m[j]]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = _rows_text([traj.grid.nodes()] + [s.values for s in traj.states])
+    Path(path).write_text(header + "\n" + rows)
 
 
 def read_trajectory_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
@@ -40,23 +48,36 @@ def read_trajectory_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_report_csv(path: Path, report: IneqReport) -> None:
-    ts = report.slack.grid.nodes()
-    lines = ["t,lhs,rhs,slack"]
-    for j in range(ts.size):
-        lines.append(
-            ",".join(fmt(v) for v in (ts[j], report.lhs[j], report.rhs[j], report.slack.values[j]))
-        )
-    lines.append("verdict,max_violation,tol,refinement_ratio")
-    lines.append(
-        ",".join(
-            [
-                "pass" if report.verdict else "fail",
-                fmt(report.max_violation),
-                fmt(report.tol),
-                "nan" if math.isnan(report.refinement_ratio) else fmt(report.refinement_ratio),
-            ]
-        )
+    rows = _rows_text([report.slack.grid.nodes(), report.lhs, report.rhs, report.slack.values])
+    verdict = "pass" if report.verdict else "fail"
+    Path(path).write_text(
+        "t,lhs,rhs,slack\n"
+        + rows
+        + "verdict,max_violation,tol,refinement_ratio\n"
+        + f"{verdict},{fmt(report.max_violation)},{fmt(report.tol)},{fmt(report.refinement_ratio)}\n"
     )
+
+
+def write_residual_csv(path: Path, residual: IdentityResidual) -> None:
+    Path(path).write_text(
+        "max_residual,scale,relative\n"
+        f"{fmt(residual.max_residual)},{fmt(residual.scale)},{fmt(residual.relative)}\n"
+    )
+
+
+def check_summary_row(result: SuiteResult) -> str:
+    """One line of check_summary.csv (also what `check` prints per suite)."""
+    return f"{result.name},{result.instances},{result.passes},{fmt(result.max_violation)}"
+
+
+def write_check_summary_csv(path: Path, rows: list[str]) -> None:
+    """check_summary.csv from the rows of check_summary_row, one per suite."""
+    Path(path).write_text("name,instances,passes,max_violation\n" + "\n".join(rows) + "\n")
+
+
+def write_convergence_csv(path: Path, study: ConvergenceStudy) -> None:
+    lines = ["h,max_error"] + [f"{fmt(h)},{fmt(e)}" for h, e in study.entries]
+    lines.append(f"fitted_order,{fmt(study.fitted_order)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -9,6 +9,8 @@ hypergeometric function; the classical integrator is a plain running-sum
 trapezoidal PECE, and closed forms use math.gamma.  Expressions are
 evaluated by a math-module transcription of their documented semantics, and
 the fractional PECE reference is the solver's direct O(n^2) history loop.
+CSV files are rebuilt from their documented layouts, one built-in
+format(v, ".17g") per value.
 """
 
 from __future__ import annotations
@@ -305,3 +307,27 @@ def pece_direct(system, grid) -> np.ndarray:
         states[k + 1] = corr
         fhist[k + 1] = rhs(ts[k + 1], corr)
     return states
+
+
+def _csv_line(values) -> str:
+    fields = []
+    for v in values:
+        fields.append(format(float(v), ".17g"))
+    return ",".join(fields) + "\n"
+
+
+def report_csv_oracle(ts, lhs, rhs, slack, verdict, max_violation, tol, refinement_ratio) -> str:
+    """The bytes of an inequality report CSV: node rows, then the verdict row."""
+    out = "t,lhs,rhs,slack\n"
+    for j in range(len(ts)):
+        out += _csv_line((ts[j], lhs[j], rhs[j], slack[j]))
+    out += "verdict,max_violation,tol,refinement_ratio\n"
+    return out + ("pass," if verdict else "fail,") + _csv_line((max_violation, tol, refinement_ratio))
+
+
+def trajectory_csv_oracle(ts, states) -> str:
+    """The bytes of a trajectory CSV; states is (n_nodes, dim)."""
+    out = "t," + ",".join("x" + str(i + 1) for i in range(len(states[0]))) + "\n"
+    for j in range(len(ts)):
+        out += _csv_line([ts[j]] + list(states[j]))
+    return out
