@@ -45,7 +45,14 @@ from .operators import (
 )
 from .presets import ExamplePreset, get_preset, run_preset
 from .solver import ConvergenceStudy, SystemDef, Trajectory, convergence_study, solve
-from .special import ML_Z_MAX, MLParams, gamma, mittag_leffler, reciprocal_gamma
+from .special import (
+    ML_Z_MAX,
+    MLParams,
+    gamma,
+    mittag_leffler,
+    mittag_leffler_many,
+    reciprocal_gamma,
+)
 from .stability import (
     BallResult,
     LyapunovCandidate,

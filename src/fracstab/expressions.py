@@ -400,19 +400,30 @@ def _compile_call(node: Call, arg, scalar: bool):
 def evaluate(node: Expr, t=0.0, x=(), r=None) -> float:
     """Evaluate at scalar or numpy-array arguments.
 
-    Scalar inputs return float; array inputs return an ndarray over the
-    broadcast shape.  Faults raise EvalError/BindError, never silent NaN.
+    Scalar inputs return float; array inputs (numpy arrays or nested
+    sequences of numbers) return an ndarray over the broadcast shape.
+    Faults raise EvalError/BindError, never silent NaN; so does input that
+    is not numeric.
     """
-    if np.ndim(t) == 0 and np.ndim(r) == 0 and all(np.ndim(v) == 0 for v in x):
-        return _compile(node, scalar=True)(
-            float(t), [float(v) for v in x], None if r is None else float(r)
-        )
+    try:
+        scalar = np.ndim(t) == 0 and np.ndim(r) == 0 and all(np.ndim(v) == 0 for v in x)
+        as_float = float if scalar else _float_array
+        t, x = as_float(t), [as_float(v) for v in x]
+        r = None if r is None else as_float(r)
+    except (TypeError, ValueError) as exc:
+        raise BindError(f"evaluate needs numeric t, x and r: {exc}") from None
+    if scalar:
+        return _compile(node, scalar=True)(t, x, r)
     f = _compile(node, scalar=False)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = f(t, x, r)
     if np.ndim(out) == 0 and not isinstance(out, float):
         return float(out)
     return out
+
+
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
 
 
 def sample_on(node: Expr, ts: np.ndarray, x=(), r=None) -> np.ndarray:

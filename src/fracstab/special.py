@@ -5,8 +5,11 @@ at runtime: the power series tracks its own cancellation budget, alpha = 1
 with integer beta has closed forms, the negative axis has an inverse-Laplace
 quadrature on Garrappa's optimal parabolic contour that certifies its own
 error bound, and arguments none of these certifies fall through to a slow
-high-precision evaluation (mpmath).  Nothing is cached, so a cold process
-pays the same per call as a warm one.
+high-precision evaluation (mpmath).  On the negative axis a bound on the
+function rejects the series before it is summed where its cancellation test
+is sure to fail.  mittag_leffler_many shares the work that depends on
+(alpha, beta) only among the points of one call; nothing is cached across
+calls, so a cold process pays the same per call as a warm one.
 """
 
 from __future__ import annotations
@@ -15,9 +18,18 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, RangeError
 
-__all__ = ["gamma", "reciprocal_gamma", "MLParams", "mittag_leffler", "ML_Z_MAX"]
+__all__ = [
+    "gamma",
+    "reciprocal_gamma",
+    "MLParams",
+    "mittag_leffler",
+    "mittag_leffler_many",
+    "ML_Z_MAX",
+]
 
 # Largest positive argument accepted by mittag_leffler.  Negative arguments
 # are supported without limit; positive ones beyond this are rejected because
@@ -31,6 +43,13 @@ _BRANCH_TARGET = 1e-10
 _EPS = 2.220446049250313e-16
 _LOG_EPS = math.log(_EPS)
 _LOG_BRANCH_TARGET = math.log(_BRANCH_TARGET)
+
+# _series_doomed rejects the series when its cancellation estimate is sure
+# to exceed 4 * _BRANCH_TARGET, and when the Gamma argument at the series'
+# peak passes 171 (the series gives up past 170; the margin of 1 keeps
+# rounding in the peak's location from mattering).
+_LOG_DOOMED = math.log(4.0 * _BRANCH_TARGET)
+_LOG_SERIES_ARG_MAX = math.log(171.0)
 
 # Accuracy the double-precision contour quadrature is first balanced for
 # (Garrappa's default), and the node count past which the target is relaxed
@@ -150,44 +169,43 @@ class MLParams:
 
 
 def _ml_series(alpha: float, beta: float, z: float):
-    """Compensated Taylor sum of z^k / Gamma(alpha k + beta).
+    """One-point form of _MLTable.series: (value, estimated_relative_error) or None."""
+    return _MLTable(alpha, beta).series(z)
 
-    Returns (value, estimated_relative_error) or None when the series
-    cannot be summed reliably in double precision (cancellation, overflow,
-    or Gamma range exhausted before convergence).
+
+def _series_doomed(alpha: float, beta: float, z: float) -> bool:
+    """True when the power series at z is sure to fail its cancellation test.
+
+    Applies to z <= -0.25, 0 < alpha <= 1 and beta >= alpha, where
+    E_{alpha,beta}(-x) is completely monotone in x (Schneider, Expo. Math.
+    1996), so 0 < E <= B = 1/Gamma(beta); for beta = 1 the sharper
+    B = 1/(1 + x/Gamma(1 + alpha)) holds (Simon, Electron. J. Probab. 2014).
+    By Wendel's inequality the terms x^k / Gamma(alpha k + beta) do not
+    decrease up to k = ceil(k*), k* = (x^(1/alpha) - beta)/alpha, so the
+    series cannot stop before it; either it leaves the Gamma window first
+    (returns None) or it sums a term T at floor or ceil of k*, and then its
+    estimate (0.5 k + 10) eps sum|terms| / |sum| is at least
+    (0.5 k* + 10) eps T / B up to the rounding in the sum, which the
+    factor 4 on the target covers.  Everything is in logs, so no |z| can
+    overflow.
     """
-    total = 0.0
-    comp = 0.0
-    abs_sum = 0.0
-    zk = 1.0
-    tiny_streak = 0
-    k = 0
-    while True:
-        arg = alpha * k + beta
-        if arg > 170.0 or abs(zk) > 1e250:
-            return None  # series not converged within the double-safe window
-        term = zk * reciprocal_gamma(arg)
-        abs_sum += abs(term)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if math.isinf(total) or math.isinf(abs_sum):
-            raise RangeError(
-                f"mittag_leffler(alpha={alpha}, beta={beta}, z={z}) exceeds the double range"
-            )
-        if abs(term) <= 1e-16 * (abs(total) + 1e-300):
-            tiny_streak += 1
-            if tiny_streak >= 2 and k >= 4:
-                break
-        else:
-            tiny_streak = 0
-        k += 1
-        zk *= z
-    if total == 0.0:
-        return (0.0, 0.0) if abs_sum == 0.0 else None
-    est_rel = (0.5 * k + 10.0) * _EPS * abs_sum / abs(total)
-    return total, est_rel
+    if not (z <= -0.25 and 0.0 < alpha <= 1.0 and beta >= alpha):
+        return False
+    x = -z
+    log_x = math.log(x)
+    log_peak = log_x / alpha  # log(alpha k* + beta)
+    if log_peak > _LOG_SERIES_ARG_MAX:
+        return True  # the series leaves the Gamma window before its peak
+    if beta == 1.0:
+        log_bound = -math.log1p(x * math.exp(-math.lgamma(1.0 + alpha)))
+    else:
+        log_bound = -math.lgamma(beta)
+    k_star = max(0.0, (math.exp(log_peak) - beta) / alpha)
+    log_term = max(
+        k * log_x - math.lgamma(alpha * k + beta)
+        for k in (math.floor(k_star), math.ceil(k_star))
+    )
+    return math.log(0.5 * k_star + 10.0) + _LOG_EPS + log_term - log_bound > _LOG_DOOMED
 
 
 def _contour_params(alpha: float, beta: float, log_target: float, log_eps: float):
@@ -243,49 +261,52 @@ def _contour_params(alpha: float, beta: float, log_target: float, log_eps: float
     return None
 
 
-def _contour_sums(alpha, beta, z, mu, h, n, exp, log):
-    """Trapezoidal sums of the inverse-Laplace integrand on s(u) = mu (1+iu)^2.
+def _contour_nodes(alpha, beta, mu, h, n, exp, log):
+    """The z-independent factors of the inverse-Laplace integrand at the
+    nodes u_k = k h, k = 0..n, of s(u) = mu (1+iu)^2.
 
     Works in whatever arithmetic mu, h, exp and log carry (floats with
-    cmath, or mpmath).  The nodes u_k = k h come in conjugate pairs, so
-    (1/2 pi i) sum_{k=-n}^{n} term_k = (1/2 pi) sum_{k=0}^{n} w_k Im(term_k)
-    with w_0 = 1 and w_k = 2; returns that sum and sum w_k |term_k|, both
-    still to be multiplied by h / (2 pi).
+    cmath, or mpmath).  Returns per node (num, den, dw, weight) with
+    num = exp(s + (alpha - beta) log s), den = exp(alpha log s),
+    dw = s'(u) = 2 mu (i - u) and weight 1 at u = 0, else 2: the nodes come
+    in conjugate pairs, so (1/2 pi i) sum_{k=-n}^{n} term_k =
+    (1/2 pi) sum_{k=0}^{n} weight_k Im(term_k).
     """
-    total = 0.0
-    abs_total = 0.0
+    nodes = []
     for k in range(n + 1):
         u = h * k
         s = mu * (1.0 + 1j * u) ** 2
         log_s = log(s)
-        term = exp(s + (alpha - beta) * log_s) / (exp(alpha * log_s) - z) * (2.0 * mu * (1j - u))
-        weight = 1.0 if k == 0 else 2.0
+        nodes.append(
+            (
+                exp(s + (alpha - beta) * log_s),
+                exp(alpha * log_s),
+                2.0 * mu * (1j - u),
+                1.0 if k == 0 else 2.0,
+            )
+        )
+    return nodes
+
+
+def _contour_sums(nodes, z):
+    """Trapezoidal sums over _contour_nodes of term = num / (den - z) * dw.
+
+    Returns sum weight * Im(term) and sum weight * |term|, both still to be
+    multiplied by h / (2 pi).
+    """
+    total = 0.0
+    abs_total = 0.0
+    for num, den, dw, weight in nodes:
+        term = num / (den - z) * dw
         total += weight * term.imag
         abs_total += weight * abs(term)
     return total, abs_total
 
 
 def _ml_contour(alpha: float, beta: float, z: float):
-    """E_{alpha,beta}(z) for z < 0 in double precision, with a certificate.
-
-    Returns (value, certified_relative_error) or None if no contour was
-    found.  With size = h/(2 pi) * sum |terms|, the absolute error is
-    bounded by _CONTOUR_DISC_FACTOR * target * size (discretisation and
-    truncation) plus the round-off eps * size; values that are
-    exponentially small next to the integrand therefore come back with a
-    large relative error.
-    """
-    contour = _contour_params(alpha, beta, _LOG_CONTOUR_TARGET, _LOG_EPS)
-    if contour is None:
-        return None
-    mu, h, n, log_target = contour
-    total, abs_total = _contour_sums(alpha, beta, z, mu, h, n, cmath.exp, cmath.log)
-    scale = h / (2.0 * math.pi)
-    value = scale * total
-    if value == 0.0 or not math.isfinite(value):
-        return None
-    abs_err = (_CONTOUR_DISC_FACTOR * math.exp(log_target) + _EPS) * scale * abs_total
-    return value, abs_err / abs(value)
+    """One-point form of _MLTable.contour: (value, certified_relative_error)
+    or None."""
+    return _MLTable(alpha, beta).contour(z)
 
 
 def _ml_bigfloat(alpha: float, beta: float, z: float) -> float:
@@ -311,7 +332,8 @@ def _ml_bigfloat(alpha: float, beta: float, z: float) -> float:
         mu, h, n, _ = contour
         with mpmath.workdps(40):
             h = mpmath.mpf(h)
-            total, _ = _contour_sums(alpha, beta, z, mpmath.mpf(mu), h, n, mpmath.exp, mpmath.log)
+            nodes = _contour_nodes(alpha, beta, mpmath.mpf(mu), h, n, mpmath.exp, mpmath.log)
+            total, _ = _contour_sums(nodes, z)
             return float(h / (2 * mpmath.pi) * total)
     with mpmath.workdps(dps):
         mz = mpmath.mpf(z)
@@ -350,6 +372,129 @@ def _ml_alpha_one(beta: float, z: float) -> float | None:
     return (math.exp(z) - head) / z ** (m - 1)
 
 
+class _MLTable:
+    """The z-independent work of E_{alpha,beta} for one call.
+
+    Holds 1/Gamma(alpha k + beta) for the series, extended on demand, and
+    the double-precision contour's node factors, built on first use.  A
+    table lives for one mittag_leffler / mittag_leffler_many call and is
+    dropped when it returns: nothing is cached across calls.  Every value
+    is computed by the same operations in the same order as for a single
+    point, so a batch is bit-identical to point-by-point calls.
+    """
+
+    def __init__(self, alpha: float, beta: float):
+        self.alpha = alpha
+        self.beta = beta
+        self.coeffs: list[float] = []
+        self.nodes = None  # _contour_nodes, [] when no contour exists
+        self.scale = 0.0  # h / (2 pi)
+        self.err_scale = 0.0  # certificate's absolute error per sum|terms|
+
+    def series(self, z: float):
+        """Compensated Taylor sum of z^k / Gamma(alpha k + beta).
+
+        Returns (value, estimated_relative_error) or None when the series
+        cannot be summed reliably in double precision (cancellation,
+        overflow, or Gamma range exhausted before convergence).
+        """
+        alpha, beta, coeffs = self.alpha, self.beta, self.coeffs
+        total = 0.0
+        comp = 0.0
+        abs_sum = 0.0
+        zk = 1.0
+        tiny_streak = 0
+        k = 0
+        while True:
+            if k == len(coeffs):
+                arg = alpha * k + beta
+                if arg > 170.0:
+                    return None  # series not converged within the double-safe window
+                coeffs.append(reciprocal_gamma(arg))
+            if abs(zk) > 1e250:
+                return None
+            term = zk * coeffs[k]
+            abs_sum += abs(term)
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            if math.isinf(total) or math.isinf(abs_sum):
+                raise RangeError(
+                    f"mittag_leffler(alpha={alpha}, beta={beta}, z={z}) exceeds the double range"
+                )
+            if abs(term) <= 1e-16 * (abs(total) + 1e-300):
+                tiny_streak += 1
+                if tiny_streak >= 2 and k >= 4:
+                    break
+            else:
+                tiny_streak = 0
+            k += 1
+            zk *= z
+        if total == 0.0:
+            return (0.0, 0.0) if abs_sum == 0.0 else None
+        est_rel = (0.5 * k + 10.0) * _EPS * abs_sum / abs(total)
+        return total, est_rel
+
+    def contour(self, z: float):
+        """E_{alpha,beta}(z) for z < 0 in double precision, with a certificate.
+
+        Returns (value, certified_relative_error) or None if no contour was
+        found.  With size = h/(2 pi) * sum |terms|, the absolute error is
+        bounded by _CONTOUR_DISC_FACTOR * target * size (discretisation and
+        truncation) plus the round-off eps * size; values that are
+        exponentially small next to the integrand therefore come back with
+        a large relative error.
+        """
+        if self.nodes is None:
+            self.nodes = []
+            contour = _contour_params(self.alpha, self.beta, _LOG_CONTOUR_TARGET, _LOG_EPS)
+            if contour is not None:
+                mu, h, n, log_target = contour
+                self.nodes = _contour_nodes(self.alpha, self.beta, mu, h, n, cmath.exp, cmath.log)
+                self.scale = h / (2.0 * math.pi)
+                self.err_scale = (_CONTOUR_DISC_FACTOR * math.exp(log_target) + _EPS) * self.scale
+        if not self.nodes:
+            return None
+        total, abs_total = _contour_sums(self.nodes, z)
+        value = self.scale * total
+        if value == 0.0 or not math.isfinite(value):
+            return None
+        return value, self.err_scale * abs_total / abs(value)
+
+    def value(self, z: float) -> float:
+        """E_{alpha,beta}(z): the first branch that certifies serves it."""
+        if not math.isfinite(z):
+            raise DomainError(f"mittag_leffler requires finite z, got {z!r}")
+        if z > ML_Z_MAX:
+            raise RangeError(f"mittag_leffler supports z <= {ML_Z_MAX}, got {z}")
+        alpha, beta = self.alpha, self.beta
+
+        if abs(z) < 0.25:
+            # series converges immediately with negligible cancellation
+            out = self.series(z)
+            if out is None:  # only reachable for extreme beta
+                return _ml_bigfloat(alpha, beta, z)
+            return out[0]
+
+        if not _series_doomed(alpha, beta, z):
+            out = self.series(z)
+            if out is not None and out[1] <= _BRANCH_TARGET:
+                return out[0]
+
+        if alpha == 1.0:
+            closed = _ml_alpha_one(beta, z)
+            if closed is not None:
+                return closed
+
+        if z < 0.0:
+            out = self.contour(z)
+            if out is not None and out[1] <= _BRANCH_TARGET:
+                return out[0]
+
+        return _ml_bigfloat(alpha, beta, z)
+
+
 def mittag_leffler(params: MLParams, z: float) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) for real z.
 
@@ -358,35 +503,28 @@ def mittag_leffler(params: MLParams, z: float) -> float:
     exceeds the double range (possible for positive z at small alpha).
 
     Branches, first certified wins: the power series (always for
-    |z| < 0.25), the closed forms at alpha = 1 with integer beta, for z < 0
-    the parabolic-contour quadrature (Garrappa, SIAM J. Numer. Anal. 2015)
-    when its error bound is at most 1e-10 relative, and the mpmath fallback.
+    |z| < 0.25; skipped on the negative axis where a bound on the function
+    proves its cancellation test would fail), the closed forms at alpha = 1
+    with integer beta, for z < 0 the parabolic-contour quadrature (Garrappa,
+    SIAM J. Numer. Anal. 2015) when its error bound is at most 1e-10
+    relative, and the mpmath fallback.
     """
-    if not math.isfinite(z):
-        raise DomainError(f"mittag_leffler requires finite z, got {z!r}")
-    if z > ML_Z_MAX:
-        raise RangeError(f"mittag_leffler supports z <= {ML_Z_MAX}, got {z}")
-    alpha, beta = params.alpha, params.beta
+    return _MLTable(params.alpha, params.beta).value(z)
 
-    if abs(z) < 0.25:
-        # series converges immediately with negligible cancellation
-        out = _ml_series(alpha, beta, z)
-        if out is None:  # only reachable for extreme beta
-            return _ml_bigfloat(alpha, beta, z)
-        return out[0]
 
-    out = _ml_series(alpha, beta, z)
-    if out is not None and out[1] <= _BRANCH_TARGET:
-        return out[0]
+def mittag_leffler_many(params: MLParams, zs) -> np.ndarray:
+    """mittag_leffler(params, z) for every z in zs, as a float array of zs' shape.
 
-    if alpha == 1.0:
-        closed = _ml_alpha_one(beta, z)
-        if closed is not None:
-            return closed
-
-    if z < 0.0:
-        out = _ml_contour(alpha, beta, z)
-        if out is not None and out[1] <= _BRANCH_TARGET:
-            return out[0]
-
-    return _ml_bigfloat(alpha, beta, z)
+    The Gamma reciprocals and contour nodes, which depend on (alpha, beta)
+    only, are computed once per call and shared by all points; each value
+    is bit-identical to the scalar call.  Raises DomainError if zs does not
+    convert to a float array, else what the scalar call raises at the first
+    element (in C order) that fails.
+    """
+    try:
+        z_arr = np.asarray(zs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"mittag_leffler_many requires real numbers: {exc}") from None
+    table = _MLTable(params.alpha, params.beta)
+    values = [table.value(z) for z in z_arr.ravel().tolist()]
+    return np.array(values, dtype=float).reshape(z_arr.shape)

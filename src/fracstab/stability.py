@@ -20,7 +20,7 @@ from .expressions import Expr, _compile, evaluate, parse, sample_on, to_text, va
 from .inequalities import IneqReport, make_report
 from .operators import FracOrder, SampleSeries, TimeGrid, caputo_l1
 from .solver import Trajectory, solve
-from .special import MLParams, mittag_leffler
+from .special import MLParams, mittag_leffler_many
 
 __all__ = [
     "LyapunovCandidate",
@@ -199,7 +199,7 @@ def check_ml_envelope(
     ts = traj.grid.nodes()
     t0 = ts[0]
     norms_sq = traj.norms() ** 2
-    decay = np.array([mittag_leffler(params, -rate * (t - t0) ** alpha) for t in ts])
+    decay = mittag_leffler_many(params, [-rate * (t - t0) ** alpha for t in ts])
     rhs = amplification * decay * norms_sq[0] * (1.0 + ENVELOPE_SLACK_ALLOWANCE)
     slack = rhs - norms_sq
     viol = max(0.0, -float(np.min(slack)))

@@ -132,6 +132,36 @@ def test_bind_errors():
     assert evaluate(parse("r^2"), r=3.0) == 9.0
 
 
+@pytest.mark.parametrize(
+    "text, want", [("2*{v}", [0.0, 2.0, 6.0]), ("{v} + 1", [1.0, 2.0, 4.0]), ("{v}^2", [0.0, 1.0, 9.0])]
+)
+@pytest.mark.parametrize(
+    "v, kwargs",
+    [
+        ("t", {"t": [0, 1, 3]}),
+        ("x1", {"x": [[0, 1, 3]]}),
+        ("x2", {"x": [0.5, [0, 1, 3]]}),
+        ("r", {"r": [0, 1, 3]}),
+    ],
+)
+def test_list_arguments_evaluate_like_arrays(text, want, v, kwargs):
+    # A list for t, for an x entry or for r is the float array it holds
+    # (2*t and t + 1 raised TypeError from inside the closures, t^2 did not).
+    got = evaluate(parse(text.format(v=v)), **kwargs)
+    assert isinstance(got, np.ndarray) and got.dtype == float
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"t": ["a", 1.0]}, {"t": [0.0, 1.0], "x": [["x", 1.0]]}, {"t": [[0.0], [1.0, 2.0]]},
+     {"t": "abc"}, {"t": [0.0, 1.0], "r": [1j, 2.0]}],
+)
+def test_non_numeric_arguments_are_bind_errors(kwargs):
+    with pytest.raises(BindError):
+        evaluate(parse("t + x1 + r"), **{"x": [1.0], "r": 0.0, **kwargs})
+
+
 def test_variables_and_bounds():
     e = parse("x2 + sin(t)*x1 - r")
     assert variables(e) == {"t", "x1", "x2", "r"}

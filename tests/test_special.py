@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracstab.errors import DomainError, RangeError
-from fracstab.special import ML_Z_MAX, MLParams, gamma, mittag_leffler, reciprocal_gamma
-from fracstab.special import _BRANCH_TARGET, _ml_bigfloat, _ml_contour
+from fracstab.special import ML_Z_MAX, MLParams, gamma, mittag_leffler, mittag_leffler_many, reciprocal_gamma
+from fracstab.special import _BRANCH_TARGET, _ml_bigfloat, _ml_contour, _ml_series, _series_doomed
+from fracstab.special import _CONTOUR_DISC_FACTOR, _EPS, _LOG_CONTOUR_TARGET, _LOG_EPS, _contour_params
 
 from oracles import (
     OracleError,
@@ -350,3 +352,169 @@ def test_ml_near_a_zero_beyond_series_reach():
 @example(alpha=0.1, beta=1.0, z=-1.94)
 def test_ml_negative_axis_never_raises(alpha, beta, z):
     assert math.isfinite(mittag_leffler(MLParams(alpha, beta), z))
+
+
+# --- early rejection of the series -----------------------------------------------
+
+
+@st.composite
+def _doom_cases(draw):
+    alpha = draw(st.floats(0.05, 1.0, exclude_min=True))
+    # beta = 1 has the sharper bound, so the least slack
+    beta = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0).map(lambda f: alpha + f * (6.0 - alpha))))
+    # half of the z where the series' peak x^(1/alpha) lies in [2, 40],
+    # around the edge of what the series can serve
+    z = draw(st.one_of(
+        st.floats(-80.0, -0.25),
+        st.floats(2.0, 40.0).map(lambda peak: -min(80.0, max(0.25, peak**alpha))),
+    ))
+    return alpha, beta, z
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_doom_cases())
+@example(case=(0.9, 0.9, -0.25))
+@example(case=(1.0, 1.0, -5.0))
+@example(case=(0.05, 0.05, -1.3))
+def test_series_doomed_only_rejects_what_the_series_rejects(case):
+    # Sound: whenever the early test fires, the series would not have served
+    # the point either, so no served value can change.
+    alpha, beta, z = case
+    if _series_doomed(alpha, beta, z):
+        out = _ml_series(alpha, beta, z)
+        assert out is None or out[1] > _BRANCH_TARGET, (alpha, beta, z, out)
+
+
+def test_series_doomed_catches_most_series_rejections():
+    # Effective: on Example 1's order it spares at least 80% of the series
+    # attempts that fail (z in [-40, -0.25], step 0.01).
+    rejected = caught = 0
+    for i in range(3976):
+        z = -0.25 - 0.01 * i
+        out = _ml_series(0.9, 1.0, z)
+        if out is None or out[1] > _BRANCH_TARGET:
+            rejected += 1
+            caught += _series_doomed(0.9, 1.0, z)
+        else:
+            assert not _series_doomed(0.9, 1.0, z), z
+    assert rejected > 3000 and caught >= 0.8 * rejected, (caught, rejected)
+
+
+# --- batched evaluation -------------------------------------------------------------
+
+
+_BATCH_Z = st.one_of(
+    st.floats(-0.2499, 0.2499),
+    st.floats(-20.0, -5.0),
+    st.floats(-60.0, 0.0),
+    st.floats(0.0, ML_Z_MAX),
+)
+_BATCH_PARAMS = st.one_of(
+    st.tuples(st.floats(0.1, 1.0), st.floats(0.3, 3.0)),
+    st.tuples(st.just(1.0), st.integers(1, 6).map(float)),
+)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 -- the outcome compared is the error itself
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ab=_BATCH_PARAMS,
+    zs=st.lists(_BATCH_Z, min_size=1, max_size=8),
+    bad=st.lists(st.sampled_from([math.nan, math.inf, -math.inf, 5.5, 1e6]), max_size=2),
+    at=st.integers(0, 8),
+)
+def test_ml_many_equals_scalar_bit_for_bit(ab, zs, bad, at):
+    # Each value is the scalar call's to the bit; where some scalar call
+    # raises (bad z, or a value past the double range at small alpha and
+    # z > 0), the batch raises the first such error, type and message.
+    params = MLParams(*ab)
+    zs = zs[:at] + bad + zs[at:]
+    scalar = [_outcome(lambda z=z: mittag_leffler(params, z)) for z in zs]
+    got = _outcome(lambda: mittag_leffler_many(params, zs))
+    errors = [o for o in scalar if isinstance(o, tuple)]
+    if errors:
+        assert got == errors[0]
+        return
+    assert got.shape == (len(zs),) and got.tobytes() == np.array(scalar).tobytes()
+    assert mittag_leffler_many(params, zs).tobytes() == got.tobytes()  # no state kept between calls
+
+
+def test_ml_many_against_series_oracle():
+    for (alpha, beta), zs in (
+        ((0.9, 1.0), (-0.1, -3.0, -7.5, -12.0, -19.0, 2.0)),
+        ((0.5, 1.5), (-0.2, -6.0, -15.0, 4.0)),
+        ((1.0, 3.0), (-9.0, -25.0)),
+    ):
+        got = mittag_leffler_many(MLParams(alpha, beta), np.array(zs))
+        for v, z in zip(got, zs):
+            ref = ml_series_oracle(alpha, beta, z)
+            assert abs(v - ref) <= 1e-9 * abs(ref), (alpha, beta, z)
+
+
+def test_ml_many_input_shape_and_non_numeric_input():
+    zs = np.array([[-1.0, -8.0], [0.1, -30.0]])
+    got = mittag_leffler_many(MLParams(0.7, 1.2), zs)
+    assert got.shape == (2, 2)
+    assert got.tolist() == [[mittag_leffler(MLParams(0.7, 1.2), float(z)) for z in row] for row in zs]
+    assert mittag_leffler_many(MLParams(0.7), []).shape == (0,)
+    for bad in (["a", -1.0], [[-1.0], [-1.0, -2.0]], [1j]):
+        with pytest.raises(DomainError):
+            mittag_leffler_many(MLParams(0.7), bad)
+
+
+def _series_per_point(alpha, beta, z):
+    """The series with 1/Gamma computed at every term, no table."""
+    total = comp = abs_sum = 0.0
+    zk, tiny_streak, k = 1.0, 0, 0
+    while True:
+        arg = alpha * k + beta
+        if arg > 170.0 or abs(zk) > 1e250:
+            return None
+        term = zk * reciprocal_gamma(arg)
+        abs_sum += abs(term)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if abs(term) <= 1e-16 * (abs(total) + 1e-300):
+            tiny_streak += 1
+            if tiny_streak >= 2 and k >= 4:
+                break
+        else:
+            tiny_streak = 0
+        k += 1
+        zk *= z
+    return total, (0.5 * k + 10.0) * _EPS * abs_sum / abs(total)
+
+
+def _contour_per_point(alpha, beta, z):
+    """The contour with every node factor computed for this z alone."""
+    mu, h, n, log_target = _contour_params(alpha, beta, _LOG_CONTOUR_TARGET, _LOG_EPS)
+    total = abs_total = 0.0
+    for k in range(n + 1):
+        u = h * k
+        s = mu * (1.0 + 1j * u) ** 2
+        log_s = cmath.log(s)
+        term = cmath.exp(s + (alpha - beta) * log_s) / (cmath.exp(alpha * log_s) - z) * (2.0 * mu * (1j - u))
+        weight = 1.0 if k == 0 else 2.0
+        total += weight * term.imag
+        abs_total += weight * abs(term)
+    scale = h / (2.0 * math.pi)
+    value = scale * total
+    return value, (_CONTOUR_DISC_FACTOR * math.exp(log_target) + _EPS) * scale * abs_total / abs(value)
+
+
+def test_tables_reproduce_the_per_point_arithmetic():
+    # The shared 1/Gamma list and contour node factors change no bit of the
+    # series or the contour, nor of the certificates that pick the branch.
+    for alpha, beta in ((0.9, 1.0), (0.5, 1.5), (0.2, 0.7), (1.0, 2.0), (0.7, 3.0)):
+        for z in (-0.3, -1.7, -4.0, -9.5, -17.0, -33.0, 0.2, 2.5):
+            assert _ml_series(alpha, beta, z) == _series_per_point(alpha, beta, z), (alpha, beta, z)
+            if z < 0.0:
+                assert _ml_contour(alpha, beta, z) == _contour_per_point(alpha, beta, z), (alpha, beta, z)
