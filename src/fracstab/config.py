@@ -9,12 +9,13 @@ anything is allocated by them: see MAX_NODES and MAX_INSTANCES.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
-from .expressions import to_text
-from .operators import TimeGrid
+from .errors import ConfigError, FracstabError
+from .expressions import parse, to_text
+from .operators import FracOrder, TimeGrid
 from .presets import PRESET_NAMES, get_preset
 from .solver import SystemDef, reference_grid
 
@@ -92,10 +93,25 @@ def _number(value, key: str, kind=float):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
 
 
+@contextmanager
+def _at_line(line: int | None):
+    """Re-raise a package error from the block as a ConfigError at line."""
+    try:
+        yield
+    except FracstabError as exc:
+        raise ConfigError(str(exc), line) from exc
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse config text into a resolved RunConfig; errors carry line numbers."""
+    """Parse config text into a resolved RunConfig; raises only ConfigError.
+
+    An error that one key causes carries that key's line number, also when
+    it comes from the value's own parsing or validation (an expression that
+    does not parse, an order outside (0, 1], a bad example-3 envelope).
+    """
     values: dict[str, object] = {}
     rhs_lines: dict[int, str] = {}
+    lines: dict[str, int] = {}  # key -> line number; rhs keys as rhs<i>
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = _strip_comment(line).strip()
         if not line:
@@ -114,19 +130,22 @@ def parse_config(text: str) -> RunConfig:
             if idx in rhs_lines:
                 raise ConfigError(f"duplicate key {key!r}", lineno)
             rhs_lines[idx] = value
+            lines[f"rhs{idx}"] = lineno
             continue
         if key not in _SCALAR_KEYS and key not in _LIST_KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
         if key in values:
             raise ConfigError(f"duplicate key {key!r}", lineno)
         values[key] = value
+        lines[key] = lineno
 
     preset_name = values.get("preset")
     phi = values.get("phi")
     if preset_name is not None:
         if preset_name not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {preset_name!r}")
-        preset = get_preset(str(preset_name), phi_text=str(phi) if phi else None)
+        with _at_line(lines.get("phi")):
+            preset = get_preset(str(preset_name), phi_text=str(phi) if phi else None)
         dim = _number(values.get("dim", preset.system.dim), "dim", int)
         alpha = _number(values.get("order", preset.system.order.alpha), "order")
         x0 = values.get("x0", list(preset.system.x0))
@@ -155,14 +174,17 @@ def parse_config(text: str) -> RunConfig:
     for idx in rhs_lines:
         if idx > dim:
             raise ConfigError(f"dimension mismatch: rhs{idx} present with dim = {dim}")
-    rhs_texts = []
+    with _at_line(lines.get("order")):
+        order = FracOrder(alpha)
+    rhs = []
     for i in range(1, dim + 1):
         text_i = rhs_lines.get(i)
         if text_i is None and i <= len(preset_rhs):
             text_i = to_text(preset_rhs[i - 1])
         if text_i is None:
             raise ConfigError(f"missing key 'rhs{i}'")
-        rhs_texts.append(text_i)
+        with _at_line(lines.get(f"rhs{i}")):
+            rhs.append(parse(text_i))
 
     if h <= 0:
         raise ConfigError(f"h must be > 0, got {h}")
@@ -178,7 +200,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"(t_end - t0) must be a multiple of h, got {t_end - t0} / {h}")
 
     x0 = [_number(v, "x0") for v in x0]
-    system = SystemDef.from_strings(dim, alpha, rhs_texts, x0, label)
+    with _at_line(None):  # the message names the key: dim, x0 or an rhs
+        system = SystemDef(dim, order, tuple(rhs), x0, label)
     grid = TimeGrid(t0, h, n_steps)
 
     checks_raw = values.get("checks", [])

@@ -107,18 +107,19 @@ def _rhs_at(system: SystemDef, rhs, t: float, x: list[float]) -> list[float]:
     return out
 
 
-def _fold(far: np.ndarray, w: np.ndarray, block: np.ndarray, m: int, count: int) -> None:
-    """far[n] += sum_j w[n - j] block[j - (m - L)] for n = m .. m + count - 1.
+def _fold(far: np.ndarray, weights: np.ndarray, block: np.ndarray, m: int, count: int) -> None:
+    """far[:, n] += sum_j weights[:, 0, n - j] block[:, j - (m - L)] for n = m .. m + count - 1.
 
-    block holds the L history rows j = m - L .. m - 1; the lags n - j run
-    from 1 to L - 1 + count, so this is one causal convolution per column.
+    block holds both copies of the L history rows j = m - L .. m - 1; the
+    lags n - j run from 1 to L - 1 + count, so this is one causal
+    convolution per copy and column.
     """
-    size = len(block)
+    size = block.shape[1]
     n_out = size - 1 + count
     v = np.zeros(n_out)
-    for d in range(block.shape[1]):
-        v[:size] = block[:, d]
-        far[m : m + count, d] += _lag_sum(w[1 : n_out + 1], v, n_out)[size - 1 :]
+    for c, d in np.ndindex(block.shape[0], block.shape[2]):
+        v[:size] = block[c, :, d]
+        far[c, m : m + count, d] += _lag_sum(weights[c, 0, 1 : n_out + 1], v, n_out)[size - 1 :]
 
 
 def solve(system: SystemDef, grid: TimeGrid) -> Trajectory:
@@ -130,74 +131,73 @@ def solve(system: SystemDef, grid: TimeGrid) -> Trajectory:
     RHS history is evaluated at corrected states.  Raises DivergenceError
     once any |x_i| leaves the finite range, carrying the last valid step.
 
+    The RHS history is kept twice, the second copy with row 0 zeroed (the
+    corrector weights that row by a0, apart from its sum), and the two weight
+    rows are stacked, so one batched product per step returns the predictor
+    and corrector sums together: numpy sums a negative-stride view in lag
+    order, the same sequential sum as a dot product, and the zeroed row
+    only adds +0.  The rest of a step is arithmetic on Python floats.
+
     History sums (Hairer, Lubich and Schlichte's nested blocks, B =
     `_FFT_MIN_TERMS` = 1024): the rows of the current length-B block are
     summed directly; every older row was folded into per-step accumulators
     when its block completed.  Once rows 0 .. m - 1 are known (m a multiple
     of B), the last L of them (L = B times the largest power of two dividing
     m / B) are convolved with the weights by `_lag_sum` into the sums of
-    steps m .. m + L - 1, so a solve costs O(n log^2 n).  Solves of fewer than B steps fold nothing and sum the
-    whole history directly in O(n^2); the first B steps of any solve are
-    the same arithmetic.
+    steps m .. m + L - 1, so a solve costs O(n log^2 n).  Solves of fewer
+    than B steps fold nothing and sum the whole history directly in O(n^2);
+    the first B steps of any solve are the same arithmetic.
     """
     alpha = system.order.alpha
     h = grid.h
     n = grid.n_steps
-    ts = grid.nodes().tolist()
+    ts = grid.nodes()
     rhs = tuple(_compile(e, scalar=True) for e in system.rhs)
 
-    rect = rect_weights(alpha, n)  # rect[m] weights f_{k+1-m} in the prediction of x_{k+1}
     a0, body = rl_weights(alpha, n)
+    weights = np.zeros((2, 1, n + 1))  # [rect; body] by lag; corrector lag n weighs 0
+    weights[0, 0] = rect_weights(alpha, n)
+    weights[1, 0, :n] = body
     scale_p = h**alpha / gamma(alpha + 1.0)
     scale_c = h**alpha / gamma(alpha + 2.0)
 
-    x0 = system.x0.copy()
+    x0 = system.x0.tolist()
     states = np.empty((n + 1, system.dim))
-    fhist = np.empty((n + 1, system.dim))
+    hist = np.zeros((2, n + 1, system.dim))  # f at each row; row 0 only in copy 0
+    far = np.zeros((2, n + 1, system.dim))  # each step's two sums over the folded rows
     states[0] = x0
-    fhist[0] = _rhs_at(system, rhs, ts[0], x0.tolist())
-    far_p = np.zeros((n + 1, system.dim))  # each step's sum over the folded rows
-    far_c = np.zeros((n + 1, system.dim))
-    body_c = np.append(body, 0.0)  # corrector lags up to n; row 0 is weighted by a0
+    f0 = _rhs_at(system, rhs, ts.item(0), x0)
+    hist[0, 0] = f0
+    lagged = hist[:, ::-1]  # row j at n - j
 
     for k in range(n):
+        t = ts.item(k + 1)
         s = (k + 1) // _FFT_MIN_TERMS * _FFT_MIN_TERMS  # first row summed directly
-        c = k + 1 - s if s else k  # corrector rows summed directly: s .. k, or 1 .. k
-        hist = fhist[s : k + 1][::-1]  # rows k, k-1, ..., s: lag order
-        sum_p = rect[1 : k + 2 - s] @ hist
-        sum_c = body[1 : c + 1] @ hist[:c]
+        (sum_p,), (sum_c,) = (weights[:, :, 1 : k + 2 - s] @ lagged[:, n - k : n + 1 - s]).tolist()
         if s:
-            sum_p += far_p[k + 1]
-            sum_c += far_c[k + 1]
-        pred = x0 + scale_p * sum_p
-        xs = pred.tolist()
+            far_p, far_c = far[:, k + 1].tolist()
+            sum_p = [a + b for a, b in zip(sum_p, far_p)]
+            sum_c = [a + b for a, b in zip(sum_c, far_c)]
+        xs = [x + scale_p * v for x, v in zip(x0, sum_p)]
         if not all(map(math.isfinite, xs)):
-            raise DivergenceError(
-                f"predictor left the finite range at step {k + 1}", last_step=k
-            )
-        f_pred = _rhs_at(system, rhs, ts[k + 1], xs)
-        corr = x0 + scale_c * (f_pred + a0[k + 1] * fhist[0] + sum_c)
-        xs = corr.tolist()
+            raise DivergenceError(f"predictor left the finite range at step {k + 1}", last_step=k)
+        f_pred = _rhs_at(system, rhs, t, xs)
+        a0k = a0.item(k + 1)
+        xs = [x + scale_c * (fp + a0k * f + v) for x, fp, f, v in zip(x0, f_pred, f0, sum_c)]
         if not all(abs(v) <= OVERFLOW_LIMIT for v in xs):
             raise DivergenceError(
                 f"state exceeded {OVERFLOW_LIMIT:g} at step {k + 1} "
-                f"(t = {ts[k + 1]:.6g})",
+                f"(t = {t:.6g})",
                 last_step=k,
             )
-        states[k + 1] = corr
-        fhist[k + 1] = _rhs_at(system, rhs, ts[k + 1], xs)
+        states[k + 1] = xs
+        hist[:, k + 1] = _rhs_at(system, rhs, t, xs)
 
         m = k + 2  # rows 0 .. m - 1 are known
         if m % _FFT_MIN_TERMS == 0 and m <= n:
             q = m // _FFT_MIN_TERMS
             size = _FFT_MIN_TERMS * (q & -q)
-            count = min(size, n + 1 - m)
-            block = fhist[m - size : m]
-            _fold(far_p, rect, block, m, count)
-            if m == size:
-                block = block.copy()
-                block[0] = 0.0
-            _fold(far_c, body_c, block, m, count)
+            _fold(far, weights, hist[:, m - size : m], m, min(size, n + 1 - m))
 
     series = tuple(SampleSeries(grid, states[:, i]) for i in range(system.dim))
     return Trajectory(grid, series, system)

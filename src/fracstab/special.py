@@ -464,7 +464,11 @@ class _MLTable:
 
     def value(self, z: float) -> float:
         """E_{alpha,beta}(z): the first branch that certifies serves it."""
-        if not math.isfinite(z):
+        try:
+            finite = math.isfinite(z)
+        except TypeError as exc:
+            raise DomainError(f"mittag_leffler requires a real number: {exc}") from None
+        if not finite:
             raise DomainError(f"mittag_leffler requires finite z, got {z!r}")
         if z > ML_Z_MAX:
             raise RangeError(f"mittag_leffler supports z <= {ML_Z_MAX}, got {z}")
@@ -499,8 +503,9 @@ def mittag_leffler(params: MLParams, z: float) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) for real z.
 
     Supports all z <= ML_Z_MAX (= 5); relative error below 1e-9 on
-    [-50, 5].  Raises RangeError for z > ML_Z_MAX or when the value
-    exceeds the double range (possible for positive z at small alpha).
+    [-50, 5].  Raises DomainError for z that is not a finite real number,
+    RangeError for z > ML_Z_MAX or when the value exceeds the double range
+    (possible for positive z at small alpha).
 
     Branches, first certified wins: the power series (always for
     |z| < 0.25; skipped on the negative axis where a bound on the function

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracstab.cli import main
-from fracstab.config import MAX_INSTANCES, MAX_NODES, parse_config
+from fracstab.config import MAX_INSTANCES, MAX_NODES, RunConfig, parse_config
 from fracstab.errors import ConfigError
 from fracstab.reporting import read_trajectory_csv
 
@@ -96,6 +98,67 @@ def test_grid_must_divide():
 def test_seed_must_be_integer():
     with pytest.raises(ConfigError):
         parse_config(SMALL_SYSTEM + "seed = 1.5\n")
+
+
+# values whose own parsing or validation fails, each with the line of its key
+BAD_VALUE_LINES = {
+    "order": ("preset = example1\norder = 2\n", 2),
+    "rhs_syntax": ('preset = example1\n# comment\nrhs1 = "sin("\n', 3),
+    "rhs_identifier": ('preset = example1\nrhs1 = "x1 + y"\n', 2),
+    "phi_syntax": ('preset = example3\nh = 0.01\nphi = "exp(-t"\n', 3),
+    "phi_envelope": ('phi = "t"\npreset = example3\n', 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUE_LINES))
+def test_value_errors_are_config_errors_at_the_key_line(tmp_path, capsys, case):
+    text, line = BAD_VALUE_LINES[case]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.line == line
+    assert main(["simulate", _write(tmp_path, "bad.cfg", text), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: line {line}: ")
+
+
+_VALID_LINES = {"dim": "1", "order": "0.5", "x0": "[1]", "rhs1": '"-x1"', "t_end": "1", "h": "0.01"}
+_KEYS = ("preset", "order", "dim", "t0", "t_end", "h", "output", "seed", "label", "phi",
+         "x0", "checks", "h_list", "rhs1", "rhs2", "rhs3", "rhs0", "wibble")
+_VALUES = st.one_of(
+    st.integers(-2, 4).map(str),
+    st.sampled_from(["0.01", "0.5", "0.25", "1e300", "1e-300", "-0", "nan", "inf", "1e3", "1.0"]),
+    st.sampled_from(['"-x1"', '"x1 - x2"', '"sin("', '"x1 + y"', '"exp(-t"', '"t"', '"exp(-t)"',
+                     '"x3"', '"r"', '"1/(t - 1)"', '""', '"nan"', '"-inf"', '"0.5"', '"abc']),
+    st.text("x12t+-*/()^. e", max_size=8).map(lambda v: f'"{v}"'),
+    st.sampled_from(["example1", "example2", "example3", "example9", "nr1:3", "nr1:0", "nr1:x", "two"]),
+    st.lists(st.sampled_from(["1", "-0.5", "0", '"nan"', '"1"', "nr1:2", "a", "[1]", ""]), max_size=3)
+    .map(lambda v: "[" + ", ".join(v) + "]"),
+    st.sampled_from(["", "[", "[1", '"', "= 1"]),
+)
+
+
+@st.composite
+def _config_texts(draw):
+    entries = dict(_VALID_LINES) if draw(st.booleans()) else {}
+    entries.update(draw(st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=4)))
+    for key in draw(st.lists(st.sampled_from(sorted(entries) or ["dim"]), max_size=2)):
+        entries.pop(key, None)
+    lines = [f"{key} = {value}" for key, value in entries.items()]
+    lines += draw(st.lists(st.text(max_size=10), max_size=2))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_config_texts())
+@example("preset = example1\nrhs1 = \"x1 + y\"\n")
+@example("preset = example3\nphi = \"exp(-t\"\n")
+@example('dim = 0\norder = 0.5\nx0 = []\nt_end = 1\nh = 0.01\n')
+@example('preset = example1\nx0 = ["nan", 1]\n')
+def test_any_config_text_is_a_run_config_or_a_config_error(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 # --- CLI end-to-end ------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fracstab.errors import DivergenceError, DomainError, EvalError, ShapeError
 from fracstab.expressions import evaluate, parse, sample_on
 import fracstab.solver
 from fracstab.operators import _FFT_MIN_TERMS, SampleSeries, TimeGrid, rl_integral
+from fracstab.presets import get_preset
 from fracstab.solver import SystemDef, convergence_study, solve
 from fracstab.special import MLParams, mittag_leffler
 
@@ -193,6 +194,24 @@ def test_below_crossover_matches_direct_loop_bit_for_bit(name, n_steps):
     system = SystemDef.from_strings(dim, 0.8, rhs, x0)
     grid = TimeGrid(0.0, 5.0 / n_steps, n_steps)
     assert np.array_equal(solve(system, grid).matrix(), pece_direct(system, grid))
+
+
+ZERO_CASES = [
+    # -x1 from +0.0 keeps an all -0.0 RHS history; from -0.0 the history is +0.0
+    pytest.param(SystemDef.from_strings(1, 0.7, ["-x1"], [x0]), n, id=f"-x1_from_{x0}_{n}")
+    for x0 in (-0.0, 0.0)
+    for n in (300, 1100)
+] + [pytest.param(get_preset("example1").system, 1023, id="example1_1023")]
+
+
+@pytest.mark.parametrize("system, n_steps", ZERO_CASES)
+def test_batched_history_keeps_signed_zeros(system, n_steps):
+    # np.array_equal calls -0.0 and 0.0 equal; the signs are compared apart,
+    # so a zero-weight term in the batched corrector sum cannot flip a zero
+    grid = TimeGrid(0.0, 0.01, n_steps)
+    got, want = solve(system, grid).matrix(), pece_direct(system, grid)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 FAST_FIELDS = {

@@ -468,6 +468,18 @@ def test_ml_many_input_shape_and_non_numeric_input():
             mittag_leffler_many(MLParams(0.7), bad)
 
 
+@pytest.mark.parametrize("bad", ["a", None, [1.0], 1 + 2j], ids=["str", "None", "list", "complex"])
+def test_non_numeric_z_is_a_domain_error_in_both_entries(bad):
+    params = MLParams(0.9)
+    with pytest.raises(DomainError, match="^mittag_leffler requires a real number: "):
+        mittag_leffler(params, bad)
+    if isinstance(bad, list):  # a list is a batch of one for the batched entry
+        assert mittag_leffler_many(params, bad).tolist() == [mittag_leffler(params, 1.0)]
+    else:
+        with pytest.raises(DomainError):
+            mittag_leffler_many(params, bad)
+
+
 def _series_per_point(alpha, beta, z):
     """The series with 1/Gamma computed at every term, no table."""
     total = comp = abs_sum = 0.0
