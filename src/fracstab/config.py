@@ -94,12 +94,13 @@ def _number(value, key: str, kind=float):
 
 
 @contextmanager
-def _at_line(line: int | None):
-    """Re-raise a package error from the block as a ConfigError at line."""
+def _at_line(lines: dict[str, int], key: str | None = None):
+    """Re-raise a package error from the block as a ConfigError at the line
+    of key or, without one, of the key its message begins with."""
     try:
         yield
     except FracstabError as exc:
-        raise ConfigError(str(exc), line) from exc
+        raise ConfigError(str(exc), lines.get(key or str(exc).split()[0])) from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -144,7 +145,7 @@ def parse_config(text: str) -> RunConfig:
     if preset_name is not None:
         if preset_name not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {preset_name!r}")
-        with _at_line(lines.get("phi")):
+        with _at_line(lines, "phi"):
             preset = get_preset(str(preset_name), phi_text=str(phi) if phi else None)
         dim = _number(values.get("dim", preset.system.dim), "dim", int)
         alpha = _number(values.get("order", preset.system.order.alpha), "order")
@@ -174,7 +175,7 @@ def parse_config(text: str) -> RunConfig:
     for idx in rhs_lines:
         if idx > dim:
             raise ConfigError(f"dimension mismatch: rhs{idx} present with dim = {dim}")
-    with _at_line(lines.get("order")):
+    with _at_line(lines, "order"):
         order = FracOrder(alpha)
     rhs = []
     for i in range(1, dim + 1):
@@ -183,7 +184,7 @@ def parse_config(text: str) -> RunConfig:
             text_i = to_text(preset_rhs[i - 1])
         if text_i is None:
             raise ConfigError(f"missing key 'rhs{i}'")
-        with _at_line(lines.get(f"rhs{i}")):
+        with _at_line(lines, f"rhs{i}"):
             rhs.append(parse(text_i))
 
     if h <= 0:
@@ -200,7 +201,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"(t_end - t0) must be a multiple of h, got {t_end - t0} / {h}")
 
     x0 = [_number(v, "x0") for v in x0]
-    with _at_line(None):  # the message names the key: dim, x0 or an rhs
+    with _at_line(lines):  # SystemDef's messages begin with dim, x0 or rhs<i>
         system = SystemDef(dim, order, tuple(rhs), x0, label)
     grid = TimeGrid(t0, h, n_steps)
 

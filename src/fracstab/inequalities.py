@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -182,7 +182,6 @@ class IneqReport:
     tol: float
     refinement_ratio: float
     verdict: bool
-    details: dict = field(default_factory=dict, compare=False)
 
 
 def _judge(grid: TimeGrid, order: FracOrder, measure: Callable, refinable: bool):
@@ -215,7 +214,6 @@ def make_report(
     compute: Callable[[TimeGrid], tuple[np.ndarray, np.ndarray]],
     refinable: bool,
     direction: int = 1,
-    details: dict | None = None,
     skip_nodes: int = 0,
 ) -> IneqReport:
     """Evaluate compute(grid) -> (lhs, rhs), apply the tolerance/refinement policy.
@@ -244,7 +242,6 @@ def make_report(
         tol=tol,
         refinement_ratio=ratio,
         verdict=verdict,
-        details=dict(details or {}),
     )
 
 
@@ -450,8 +447,8 @@ def verify_decomposition_nr6(
         f = psi [D(phi x^b) - phi b x^(b-1) Dx]   (<= 0 given the hypothesis)
         g = D(psi y) - psi D(y)                    (>= 0 by the increasing-
                                                     envelope product rule)
-    Both component signs are checked; the report folds them into one slack
-    series min(-f, g) so a violation of either shows up as negative slack.
+    Both component signs are checked: the report's lhs holds f, its rhs -g,
+    and its slack min(-f, g) shows a violation of either as negative slack.
     """
     _require_positive(x.values, "x")
     if not (math.isfinite(beta) and beta >= 0.0):
@@ -485,7 +482,6 @@ def verify_decomposition_nr6(
         tol=tol,
         refinement_ratio=ratio,
         verdict=verdict,
-        details={"components": "lhs holds f(t), rhs holds -g(t); both must stay <= 0"},
     )
 
 

@@ -245,10 +245,7 @@ def caputo_power_oracle(p: float, order: FracOrder, t: float, t0: float) -> floa
     if t < t0:
         raise DomainError(f"oracle requires t >= t0, got t={t}, t0={t0}")
     alpha = order.alpha
-    s = p + 1.0 - alpha
-    if s <= 0.0 and s == math.floor(s):
-        raise DomainError(f"Gamma pole at p+1-alpha = {s}")
-    coeff = gamma(p + 1.0) / gamma(s)
+    coeff = gamma(p + 1.0) / gamma(p + 1.0 - alpha)  # p + 1 - alpha >= 1: no pole
     if t == t0:
         return 0.0 if p > alpha else coeff
     return coeff * (t - t0) ** (p - alpha)

@@ -63,92 +63,53 @@ _LOG_CONTOUR_TARGET = math.log(1e-15)
 _CONTOUR_MAX_NODES = 200
 _CONTOUR_DISC_FACTOR = 100.0
 
-_SQRT_TWO_PI = 2.5066282746310002
-
-# Lanczos approximation, g = 7, 9 terms.  Gives ~1e-13 relative accuracy for
-# real arguments once combined with reflection below 0.5.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 def _sinpi(x: float) -> float:
-    """sin(pi*x) with exact argument reduction on the integer part."""
-    n = math.floor(x)
-    r = x - n
-    if r == 0.0:
-        return 0.0
-    # sin(pi*(n+r)) = (-1)^n sin(pi*r); fold r into [0, 0.5] for accuracy
-    if r > 0.5:
-        s = math.sin(math.pi * (1.0 - r))
-    else:
-        s = math.sin(math.pi * r)
+    """sin(pi*x) = (-1)^n sin(pi*(x - n)), n the nearest integer; x - n is exact."""
+    n = round(x)
+    s = math.sin(math.pi * (x - n))
     return -s if n % 2 else s
 
 
-def _lanczos_positive(z: float) -> float:
-    # valid for z >= 0.5
-    w = z - 1.0
-    series = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        series += _LANCZOS_COEFFS[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    # split the power so intermediates stay finite up to the double limit
-    half_pow = t ** (0.5 * (w + 0.5))
-    return _SQRT_TWO_PI * series * half_pow * math.exp(-t) * half_pow
-
-
-_FACTORIALS = tuple(float(math.factorial(k)) for k in range(23))
-
-
 def gamma(z: float) -> float:
-    """Gamma function for real z > 0.
+    """Gamma function for real z > 0: the standard library's math.gamma.
 
-    Fixed-coefficient Lanczos approximation (coefficients above) with
-    reflection for z < 0.5 and exact values at small integers; relative
-    error below 1e-12 on [1e-3, 170].
+    Exact at the integers 1..23 and, against mpmath at 50 digits, within
+    6.2e-16 relative on 6003 sampled points of [1e-3, 170].  RangeError
+    where Gamma(z) exceeds the double range (z > 171.62 or z < 5.6e-309).
     """
     if not math.isfinite(z) or z <= 0.0:
         raise DomainError(f"gamma requires finite z > 0, got {z!r}")
-    if z <= 23.0 and z == math.floor(z):
-        return _FACTORIALS[int(z) - 1]
-    if z < 0.5:
-        # reflection: Gamma(z) = pi / (sin(pi z) * Gamma(1-z))
-        value = math.pi / (_sinpi(z) * _lanczos_positive(1.0 - z))
-    else:
-        value = _lanczos_positive(z)
-    if math.isinf(value):
-        raise RangeError(f"gamma({z}) exceeds the double range")
-    return value
+    try:
+        return math.gamma(z)
+    except OverflowError:
+        raise RangeError(f"gamma({z}) exceeds the double range") from None
 
 
 def reciprocal_gamma(s: float) -> float:
-    """1/Gamma(s) for any finite real s; zero at the poles s = 0, -1, -2, ..."""
+    """1/Gamma(s) for any finite real s; zero at the poles s = 0, -1, -2, ...
+
+    1/math.gamma(s) on [-170, 171]; against mpmath at 50 digits, the worst
+    relative error away from the poles is 7.7e-16 (6000 sampled points).
+    Above 171, exp(-lgamma(s)), which underflows smoothly to 0.  Where
+    math.gamma overflows (|s| < 1e-307) or its value is subnormal
+    (s < -170), the reflection Gamma(1-s) sin(pi s) / pi in logs, good to
+    about 2e-13.  RangeError where |1/Gamma(s)| exceeds the double range
+    (s < -171.6 away from the poles).
+    """
     if not math.isfinite(s):
         raise DomainError(f"reciprocal_gamma requires finite s, got {s!r}")
-    if s >= 0.5:
-        if s <= 23.0 and s == math.floor(s):
-            return 1.0 / _FACTORIALS[int(s) - 1]
-        if s > 171.0:
-            return math.exp(-math.lgamma(s))  # underflows smoothly to 0
-        return 1.0 / _lanczos_positive(s)
+    if s > 171.0:  # underflows to 0 by s = 180; lgamma overflows past 2.5e305
+        return math.exp(-math.lgamma(s)) if s < 200.0 else 0.0
     if s <= 0.0 and s == math.floor(s):
         return 0.0
-    # reflection: 1/Gamma(s) = Gamma(1-s) * sin(pi s) / pi
+    if s >= -170.0 and abs(s) >= 1e-307:
+        return 1.0 / math.gamma(s)
     sp = _sinpi(s)
-    if 1.0 - s > 171.0:
-        ln_mag = math.lgamma(1.0 - s) + math.log(abs(sp)) - math.log(math.pi)
-        return math.copysign(math.exp(ln_mag), sp)
-    return _lanczos_positive(1.0 - s) * sp / math.pi
+    try:
+        return math.copysign(math.exp(math.lgamma(1.0 - s) + math.log(abs(sp) / math.pi)), sp)
+    except OverflowError:
+        raise RangeError(f"1/gamma({s}) exceeds the double range") from None
 
 
 @dataclass(frozen=True)
@@ -522,12 +483,16 @@ def mittag_leffler_many(params: MLParams, zs) -> np.ndarray:
 
     The Gamma reciprocals and contour nodes, which depend on (alpha, beta)
     only, are computed once per call and shared by all points; each value
-    is bit-identical to the scalar call.  Raises DomainError if zs does not
-    convert to a float array, else what the scalar call raises at the first
-    element (in C order) that fails.
+    is bit-identical to the scalar call.  Raises DomainError unless zs holds
+    real numbers only (not strings or None, as in the scalar call), else
+    what the scalar call raises at the first element (in C order) that fails.
     """
     try:
-        z_arr = np.asarray(zs, dtype=float)
+        z_arr = np.asarray(zs)
+        if z_arr.dtype.kind not in "biuf":  # judge each element as the scalar call does
+            for z in z_arr.ravel().tolist():
+                math.isfinite(z)
+        z_arr = z_arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"mittag_leffler_many requires real numbers: {exc}") from None
     table = _MLTable(params.alpha, params.beta)

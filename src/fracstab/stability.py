@@ -178,7 +178,6 @@ def check_dissipation(V: LyapunovCandidate, traj: Trajectory, order: FracOrder) 
         compute,
         refinable=True,
         skip_nodes=1,
-        details={"node0": "excluded (discrete operator defines node 0 as 0)"},
     )
 
 
@@ -212,7 +211,6 @@ def check_ml_envelope(
         tol=0.0,
         refinement_ratio=math.nan,
         verdict=viol <= 0.0,
-        details={"rate": repr(rate), "amplification": repr(amplification)},
     )
 
 

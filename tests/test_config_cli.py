@@ -5,13 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracstab.cli import main
 from fracstab.config import MAX_INSTANCES, MAX_NODES, RunConfig, parse_config
 from fracstab.errors import ConfigError
 from fracstab.reporting import read_trajectory_csv
+from fracstab.solver import reference_grid
 
 EX1_BLOCK = """\
 preset = example1
@@ -107,6 +108,9 @@ BAD_VALUE_LINES = {
     "rhs_identifier": ('preset = example1\nrhs1 = "x1 + y"\n', 2),
     "phi_syntax": ('preset = example3\nh = 0.01\nphi = "exp(-t"\n', 3),
     "phi_envelope": ('phi = "t"\npreset = example3\n', 1),
+    "x0_nan": ('preset = example1\nx0 = ["nan", 1]\n', 2),
+    "rhs_beyond_dim": ('preset = example1\nrhs2 = "x3"\n', 2),
+    "dim_zero": ("dim = 0\norder = 0.5\nx0 = []\nt_end = 1\nh = 0.01\n", 1),
 }
 
 
@@ -137,13 +141,17 @@ _VALUES = st.one_of(
 
 
 @st.composite
-def _config_texts(draw):
-    entries = dict(_VALID_LINES) if draw(st.booleans()) else {}
-    entries.update(draw(st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=4)))
-    for key in draw(st.lists(st.sampled_from(sorted(entries) or ["dim"]), max_size=2)):
-        entries.pop(key, None)
+def _config_texts(draw, messy=True):
+    """Config text from a valid base with keys replaced; messy texts may
+    also start empty, drop keys and carry junk lines."""
+    entries = dict(_VALID_LINES) if not messy or draw(st.booleans()) else {}
+    entries.update(draw(st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=4 if messy else 1)))
+    if messy:
+        for key in draw(st.lists(st.sampled_from(sorted(entries) or ["dim"]), max_size=2)):
+            entries.pop(key, None)
     lines = [f"{key} = {value}" for key, value in entries.items()]
-    lines += draw(st.lists(st.text(max_size=10), max_size=2))
+    if messy:
+        lines += draw(st.lists(st.text(max_size=10), max_size=2))
     return "\n".join(draw(st.permutations(lines)))
 
 
@@ -159,6 +167,54 @@ def test_any_config_text_is_a_run_config_or_a_config_error(text):
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig)
+
+
+# lines that give `check` and `convergence` something to run; the property
+# adds one to a drawn config text that lacks the key
+_COMMAND_LINES = {
+    "simulate": st.just(""),
+    "check": st.lists(st.sampled_from(["nr1:2", "nr2:1", "nr4_identity:3", "nr6:1", "lemma3:2",
+                                       "nr12:1", "nr1:0", "wibble:1"]), min_size=1, max_size=2)
+    .map(lambda v: "checks = [" + ", ".join(v) + "]"),
+    "convergence": st.sampled_from(["[0.1, 0.05]", "[0.05, 0.025, 0.0125]", "[0.1]", "[0.3, 0.1]",
+                                    "[0.1, 0.1]", "[0.05, 0.1]"]).map(lambda v: f"h_list = {v}"),
+}
+_SMALL_RUN_NODES = 300
+
+
+@st.composite
+def _cli_runs(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_LINES)))
+    text = draw(st.one_of(_config_texts(), _config_texts(messy=False)))
+    extra = draw(_COMMAND_LINES[command])
+    if extra and extra.split()[0] not in text and draw(st.booleans()):
+        text = f"{text}\n{extra}"
+    return command, text
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_cli_runs())
+@example(("simulate", 'preset = example1\nx0 = ["nan", 1]\n'))
+@example(("simulate", DIVERGING.replace("t_end = 20", "t_end = 5")))
+@example(("convergence", SMALL_SYSTEM + "h_list = [0.1, 0.05]\n"))
+@example(("check", SMALL_SYSTEM + "checks = [nr1:2, two]\n"))
+def test_main_exits_0_to_4_without_traceback(tmp_path, capsys, run):
+    command, text = run
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        pass
+    else:  # keep the runs small
+        assume(cfg.grid.n_nodes <= _SMALL_RUN_NODES)
+        if cfg.h_list:
+            assume(reference_grid(cfg.grid.t_end - cfg.grid.t0, cfg.h_list)[1] < _SMALL_RUN_NODES)
+        assume(all(count <= 3 for _, count in cfg.checks))
+    path = tmp_path / "run.cfg"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    code = main([command, str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in captured.out + captured.err
 
 
 # --- CLI end-to-end ------------------------------------------------------------------
@@ -396,6 +452,21 @@ def test_check_outputs_byte_identical(tmp_path):
     assert (out1 / "check_summary.csv").read_bytes() == (out2 / "check_summary.csv").read_bytes()
     for p in sorted((out1 / "lemma4").iterdir()):
         assert p.read_bytes() == (out2 / "lemma4" / p.name).read_bytes()
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # mpmath serves only the Mittag-Leffler fallback and the FFT and random
+    # modules only some operators, suites and solves; a CLI process that
+    # needs none of them must not pay for their import
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fracstab.cli; print(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split("'"))
+    assert "fracstab.cli" in loaded
+    assert not loaded & {"mpmath", "numpy.fft", "numpy.random"}
 
 
 def test_cli_subprocess_end_to_end(tmp_path):

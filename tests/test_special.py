@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +32,8 @@ def test_gamma_known_values():
 
 
 def test_gamma_against_stdlib():
+    # gamma is math.gamma behind its domain checks, so the reference is
+    # mpmath at 50 digits, not the standard library
     rng = np.random.default_rng(11)
     zs = np.concatenate(
         [
@@ -40,9 +43,10 @@ def test_gamma_against_stdlib():
             [1e-3, 0.5, 170.0],
         ]
     )
-    for z in zs:
-        ref = math.gamma(z)
-        assert abs(gamma(float(z)) - ref) / ref < 1e-12
+    with mpmath.workdps(50):
+        for z in zs.tolist():
+            ref = mpmath.gamma(z)
+            assert abs((gamma(z) - ref) / ref) < 1e-14, z
 
 
 def test_gamma_recurrence():
@@ -66,6 +70,49 @@ def test_reciprocal_gamma_poles_and_values():
     # reflection region against stdlib
     for s in (-0.5, -1.7, -12.3, 0.3):
         assert reciprocal_gamma(s) == pytest.approx(1.0 / math.gamma(s), rel=1e-12)
+
+
+def test_reciprocal_gamma_against_mpmath():
+    rng = np.random.default_rng(12)
+    ss = np.concatenate([rng.uniform(-170.0, 171.0, 3000), rng.uniform(-3.0, 3.0, 1000)])
+    near_poles = [-n + d for n in range(0, 170, 13) for d in (1e-12, -1e-12, 1e-6, -1e-6)]
+    with mpmath.workdps(50):
+        for s in ss.tolist() + near_poles + [-170.0 + 1e-9, 171.0, 1e-300, -1e-300]:
+            if abs(s - round(s)) < 1e-13:
+                continue
+            ref = mpmath.rgamma(s)
+            assert abs((reciprocal_gamma(s) - ref) / ref) < 1e-14, s
+
+
+def test_reciprocal_gamma_range_errors_and_subnormal_values():
+    for s in (-171.5, -200.5, -1e15 - 0.5):
+        with pytest.raises(RangeError):
+            reciprocal_gamma(s)
+    # near 0, where math.gamma overflows, 1/Gamma(s) = s to first order
+    for s in (1e-310, -1e-310, 5e-324, -5e-324):
+        assert reciprocal_gamma(s) == pytest.approx(s, rel=1e-9)
+    # below -170, with Gamma(1 - s) past the double range, values stay finite
+    with mpmath.workdps(50):
+        for s in (-170.7, -171.9999, -172.0 - 1e-12, -175.0 + 1e-13):
+            ref = mpmath.rgamma(s)
+            assert abs((reciprocal_gamma(s) - ref) / ref) < 1e-12, s
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-1e-310)
+@example(5e-324)
+@example(171.7)
+@example(2.6e305)
+@example(-171.5)
+@example(-2.0**52 - 0.5)
+def test_gamma_entries_raise_only_package_errors(x):
+    for fn in (gamma, reciprocal_gamma):
+        try:
+            value = fn(x)
+        except (DomainError, RangeError):
+            continue
+        assert isinstance(value, float) and math.isfinite(value), (fn.__name__, x, value)
 
 
 # --- Mittag-Leffler: parameters and trivial identities -------------------------
@@ -463,12 +510,14 @@ def test_ml_many_input_shape_and_non_numeric_input():
     assert got.shape == (2, 2)
     assert got.tolist() == [[mittag_leffler(MLParams(0.7, 1.2), float(z)) for z in row] for row in zs]
     assert mittag_leffler_many(MLParams(0.7), []).shape == (0,)
-    for bad in (["a", -1.0], [[-1.0], [-1.0, -2.0]], [1j]):
+    for bad in (["a", -1.0], [[-1.0], [-1.0, -2.0]], [1j], ["1.5"], [None]):
         with pytest.raises(DomainError):
             mittag_leffler_many(MLParams(0.7), bad)
 
 
-@pytest.mark.parametrize("bad", ["a", None, [1.0], 1 + 2j], ids=["str", "None", "list", "complex"])
+@pytest.mark.parametrize(
+    "bad", ["a", "1.5", None, [1.0], 1 + 2j], ids=["str", "numeric_str", "None", "list", "complex"]
+)
 def test_non_numeric_z_is_a_domain_error_in_both_entries(bad):
     params = MLParams(0.9)
     with pytest.raises(DomainError, match="^mittag_leffler requires a real number: "):
@@ -476,7 +525,7 @@ def test_non_numeric_z_is_a_domain_error_in_both_entries(bad):
     if isinstance(bad, list):  # a list is a batch of one for the batched entry
         assert mittag_leffler_many(params, bad).tolist() == [mittag_leffler(params, 1.0)]
     else:
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^mittag_leffler_many requires real numbers: "):
             mittag_leffler_many(params, bad)
 
 
