@@ -452,15 +452,7 @@ def variables(node: Expr) -> set[str]:
 
 def max_state_index(node: Expr) -> int:
     """Largest x-variable index used (0 when none)."""
-    if isinstance(node, Var):
-        return node.index
-    if isinstance(node, Neg):
-        return max_state_index(node.operand)
-    if isinstance(node, BinOp):
-        return max(max_state_index(node.left), max_state_index(node.right))
-    if isinstance(node, Call):
-        return max((max_state_index(a) for a in node.args), default=0)
-    return 0
+    return max((int(name[1:]) for name in variables(node) if name.startswith("x")), default=0)
 
 
 # --- printing --------------------------------------------------------------

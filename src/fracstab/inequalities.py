@@ -134,22 +134,19 @@ def _validate_even_fraction(beta: Fraction):
         )
 
 
-def _power(vals: np.ndarray, beta, signed: bool) -> np.ndarray:
-    """x^beta; for the even-numerator rational case this is |x|^beta."""
-    b = float(beta)
-    if signed:
-        return np.abs(vals) ** b
-    return vals**b
+def _power(vals: np.ndarray, beta) -> np.ndarray:
+    """|x|^beta: x^beta where x >= 0, and the even-numerator rational power otherwise."""
+    return np.abs(vals) ** float(beta)
 
 
-def _power_slope(vals: np.ndarray, beta, signed: bool) -> np.ndarray:
-    """beta * x^(beta-1), the derivative factor of the power rule."""
+def _power_slope(vals: np.ndarray, beta) -> np.ndarray:
+    """beta sign(x) |x|^(beta-1), the derivative factor of the power rule (0 at beta = 0)."""
     b = float(beta)
     if b == 1.0:
         return np.ones_like(vals)
-    if signed:
-        return b * np.sign(vals) * np.abs(vals) ** (b - 1.0)
-    return b * vals ** (b - 1.0)
+    if b == 0.0:
+        return np.zeros_like(vals)
+    return b * np.sign(vals) * np.abs(vals) ** (b - 1.0)
 
 
 def _require_nonneg(vals: np.ndarray, what: str):
@@ -184,18 +181,18 @@ class IneqReport:
     verdict: bool
 
 
-def _judge(grid: TimeGrid, order: FracOrder, measure: Callable, refinable: bool):
-    """The tolerance-and-refinement policy of make_report and the nr6 check.
+def _judge(name: str, grid: TimeGrid, order: FracOrder, measure: Callable, refinable: bool) -> IneqReport:
+    """The tolerance-and-refinement policy of every verifier; builds its report.
 
-    measure(grid) -> (violation, scale, data).  The violation passes if it
-    is within tol = 10 * h^min(1, 2 - alpha) * scale; above tol it passes
-    only if the grid is refinable and halving it shrinks the violation by
-    at least 1.5x and brings it under the halved grid's own tolerance.
-    Returns (violation, tol, ratio, verdict, data) for `grid`; ratio is NaN
-    unless the grid was halved.
+    measure(grid) -> (violation, scale, (lhs, rhs, slack)).  The violation
+    passes if it is within tol = 10 * h^min(1, 2 - alpha) * scale (so scale
+    0 makes the check exact); above tol it passes only if the grid is
+    refinable and halving it shrinks the violation by at least 1.5x and
+    brings it under the halved grid's own tolerance.  The report holds the
+    data of `grid`; its ratio is NaN unless the grid was halved.
     """
     p = min(1.0, 2.0 - order.alpha)
-    viol, scale, data = measure(grid)
+    viol, scale, (lhs, rhs, slack) = measure(grid)
     tol = 10.0 * grid.h**p * scale
     ratio = math.nan
     verdict = viol <= tol
@@ -204,7 +201,16 @@ def _judge(grid: TimeGrid, order: FracOrder, measure: Callable, refinable: bool)
         viol2, scale2, _ = measure(half)
         ratio = math.inf if viol2 == 0.0 else viol / viol2
         verdict = ratio >= 1.5 and viol2 <= 10.0 * half.h**p * scale2
-    return viol, tol, ratio, verdict, data
+    return IneqReport(
+        name=name,
+        slack=SampleSeries(grid, slack),
+        lhs=lhs,
+        rhs=rhs,
+        max_violation=viol,
+        tol=tol,
+        refinement_ratio=ratio,
+        verdict=verdict,
+    )
 
 
 def make_report(
@@ -232,17 +238,7 @@ def make_report(
         scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
         return viol, scale, (lhs, rhs, slack)
 
-    viol, tol, ratio, verdict, (lhs, rhs, slack) = _judge(grid, order, measure, refinable)
-    return IneqReport(
-        name=name,
-        slack=SampleSeries(grid, slack),
-        lhs=lhs,
-        rhs=rhs,
-        max_violation=viol,
-        tol=tol,
-        refinement_ratio=ratio,
-        verdict=verdict,
-    )
+    return _judge(name, grid, order, measure, refinable)
 
 
 def _series_at(x: SampleSeries, grid: TimeGrid) -> np.ndarray:
@@ -254,17 +250,18 @@ def _series_at(x: SampleSeries, grid: TimeGrid) -> np.ndarray:
 # --- product inequalities ----------------------------------------------------
 
 
-def _product_report(
-    name: str, phi: EnvelopeSpec, x: SampleSeries, order: FracOrder, direction: int
+def _envelope_product(
+    name: str, phi: EnvelopeSpec, m: int, x: SampleSeries, beta, order: FracOrder, direction: int = 1
 ) -> IneqReport:
-    """D(phi*x) against phi * D(x), for the two product verifiers."""
+    """D(phi^m x^beta) against phi^m D(x^beta), for the product and odd-power verifiers."""
 
     def compute(grid: TimeGrid):
-        pv = phi.sample(grid)
+        pv = phi.sample(grid) ** m
         xv = _series_at(x, grid)
         _require_nonneg(xv, "x (refined)")
-        lhs = caputo_l1(SampleSeries(grid, pv * xv), order).values
-        rhs = pv * caputo_l1(SampleSeries(grid, xv), order).values
+        xb = xv**beta
+        lhs = caputo_l1(SampleSeries(grid, pv * xb), order).values
+        rhs = pv * caputo_l1(SampleSeries(grid, xb), order).values
         return lhs, rhs
 
     refinable = x.source is not None
@@ -276,7 +273,7 @@ def verify_product_decreasing(phi: EnvelopeSpec, x: SampleSeries, order: FracOrd
     _require_nonneg(x.values, "x")
     if phi.kind == "mono_increasing":
         raise EnvelopeError("verify_product_decreasing needs a decreasing envelope")
-    return _product_report("product_decreasing", phi, x, order, direction=1)
+    return _envelope_product("product_decreasing", phi, 1, x, 1.0, order)
 
 
 def verify_product_increasing(phi: EnvelopeSpec, x: SampleSeries, order: FracOrder) -> IneqReport:
@@ -284,7 +281,7 @@ def verify_product_increasing(phi: EnvelopeSpec, x: SampleSeries, order: FracOrd
     _require_nonneg(x.values, "x")
     if phi.kind != "mono_increasing":
         raise EnvelopeError("verify_product_increasing needs an increasing envelope")
-    return _product_report("product_increasing", phi, x, order, direction=-1)
+    return _envelope_product("product_increasing", phi, 1, x, 1.0, order, direction=-1)
 
 
 def verify_odd_power_envelope(
@@ -307,18 +304,7 @@ def verify_odd_power_envelope(
         )
     if phi.kind == "mono_increasing":
         raise EnvelopeError("verify_odd_power_envelope needs a decreasing envelope")
-    m = 2 * int(n) + 1
-
-    def compute(grid: TimeGrid):
-        pv = phi.sample(grid) ** m
-        xv = _series_at(x, grid) ** beta
-        lhs = caputo_l1(SampleSeries(grid, pv * xv), order).values
-        rhs = pv * caputo_l1(SampleSeries(grid, xv), order).values
-        return lhs, rhs
-
-    return make_report(
-        "odd_power_envelope", x.grid, order, compute, refinable=x.source is not None
-    )
+    return _envelope_product("odd_power_envelope", phi, 2 * int(n) + 1, x, beta, order)
 
 
 def verify_power_rule(
@@ -328,31 +314,40 @@ def verify_power_rule(
 
     With require_nonneg set, beta is any real >= 1 and x must be >= 0; with
     it clear, beta must be a rational with even numerator (x may change
-    sign, x^beta meaning |x|^beta).
+    sign, x^beta meaning |x|^beta).  The one-term case of the composite check.
     """
     if require_nonneg:
         _require_nonneg(x.values, "x")
         if isinstance(beta, Fraction):
             beta = float(beta)
-        if not (math.isfinite(beta) and beta >= 1.0):
-            raise DomainError(f"beta must be >= 1, got {beta!r}")
-        signed = False
-    else:
-        if not isinstance(beta, Fraction):
-            raise DomainError("sign-changing x needs beta as a Fraction with even numerator")
-        _validate_even_fraction(beta)
-        signed = True
-
-    def compute(grid: TimeGrid):
-        xv = _series_at(x, grid)
-        lhs = caputo_l1(SampleSeries(grid, _power(xv, beta, signed)), order).values
-        rhs = _power_slope(xv, beta, signed) * caputo_l1(SampleSeries(grid, xv), order).values
-        return lhs, rhs
-
-    return make_report("power_rule", x.grid, order, compute, refinable=x.source is not None)
+    elif not isinstance(beta, Fraction):
+        raise DomainError("sign-changing x needs beta as a Fraction with even numerator")
+    return _power_sum("power_rule", [[PowerTerm(1.0, beta)]], [x], order)
 
 
 # --- composite sums (suites nr7..nr12) ----------------------------------------
+
+
+def _power_sum(
+    name: str, terms: Sequence[Sequence[PowerTerm]], x: Sequence[SampleSeries], order: FracOrder
+) -> IneqReport:
+    """D(sum of the terms) against the sum of their power-rule bounds."""
+
+    def compute(grid: TimeGrid):
+        total = np.zeros(grid.n_nodes)
+        rhs = np.zeros(grid.n_nodes)
+        for i, group in enumerate(terms):
+            xv = _series_at(x[i], grid)
+            dxi = caputo_l1(SampleSeries(grid, xv), order).values
+            for term in group:
+                weight = term.c * (term.envelope.sample(grid) ** term.p if term.envelope else 1.0)
+                total += weight * _power(xv, term.beta)
+                rhs += weight * _power_slope(xv, term.beta) * dxi
+        lhs = caputo_l1(SampleSeries(grid, total), order).values
+        return lhs, rhs
+
+    refinable = all(s.source is not None for s in x)
+    return make_report(name, x[0].grid, order, compute, refinable=refinable)
 
 
 def verify_composite(
@@ -368,33 +363,26 @@ def verify_composite(
         raise ShapeError(f"need one term group per series, got {len(terms)} and {len(x)}")
     if not x:
         raise ShapeError("composite check needs at least one series")
-    grid0 = x[0].grid
     for s in x[1:]:
-        if s.grid != grid0:
+        if s.grid != x[0].grid:
             raise ShapeError("all series must share one grid")
     for i, group in enumerate(terms):
         for term in group:
             if not term.signed_ok:
                 _require_nonneg(x[i].values, f"x[{i}]")
-
-    def compute(grid: TimeGrid):
-        total = np.zeros(grid.n_nodes)
-        rhs = np.zeros(grid.n_nodes)
-        for i, group in enumerate(terms):
-            xv = _series_at(x[i], grid)
-            dxi = caputo_l1(SampleSeries(grid, xv), order).values
-            for term in group:
-                weight = term.c * (term.envelope.sample(grid) ** term.p if term.envelope else 1.0)
-                total += weight * _power(xv, term.beta, term.signed_ok)
-                rhs += weight * _power_slope(xv, term.beta, term.signed_ok) * dxi
-        lhs = caputo_l1(SampleSeries(grid, total), order).values
-        return lhs, rhs
-
-    refinable = all(s.source is not None for s in x)
-    return make_report("composite", grid0, order, compute, refinable=refinable)
+    return _power_sum("composite", terms, x, order)
 
 
 # --- proof-identity checks (suites nr4_identity and nr6) ----------------------
+
+
+def _decomposition_parts(pv: np.ndarray, xv: np.ndarray, beta: float, grid: TimeGrid, order: FracOrder):
+    """D(phi x^b), D(x^b), D(x) and b x^(b-1), the pieces of the nr4 and nr6 checks."""
+    xb = _power(xv, beta)
+    d_prod = caputo_l1(SampleSeries(grid, pv * xb), order).values
+    d_pow = caputo_l1(SampleSeries(grid, xb), order).values
+    d_x = caputo_l1(SampleSeries(grid, xv), order).values
+    return d_prod, d_pow, d_x, _power_slope(xv, beta)
 
 
 @dataclass(frozen=True)
@@ -422,14 +410,8 @@ def verify_decomposition_nr4(
     _require_nonneg(x.values, "x")
     if not (math.isfinite(beta) and beta >= 1.0):
         raise DomainError(f"beta must be >= 1, got {beta!r}")
-    grid = x.grid
-    pv = phi.sample(grid)
-    xv = x.values
-    xb = xv**beta
-    d_prod = caputo_l1(SampleSeries(grid, pv * xb), order).values
-    d_pow = caputo_l1(SampleSeries(grid, xb), order).values
-    d_x = caputo_l1(SampleSeries(grid, xv), order).values
-    slope = _power_slope(xv, beta, signed=False)
+    pv = phi.sample(x.grid)
+    d_prod, d_pow, d_x, slope = _decomposition_parts(pv, x.values, beta, x.grid, order)
     left = d_prod - pv * slope * d_x
     right = (d_prod - pv * d_pow) + pv * (d_pow - slope * d_x)
     pieces = [d_prod, pv * d_pow, pv * slope * d_x]
@@ -461,33 +443,24 @@ def verify_decomposition_nr6(
         xv = _series_at(x, grid)
         _require_positive(xv, "x (refined)")
         psi = 1.0 / pv
-        xb = xv**beta
-        slope = beta * xv ** (beta - 1.0) if beta > 0.0 else np.zeros_like(xv)
-        d_prod = caputo_l1(SampleSeries(grid, pv * xb), order).values
-        d_pow = caputo_l1(SampleSeries(grid, xb), order).values
-        d_x = caputo_l1(SampleSeries(grid, xv), order).values
+        d_prod, d_pow, d_x, slope = _decomposition_parts(pv, xv, beta, grid, order)
         f = psi * (d_prod - pv * slope * d_x)
         g = d_pow - psi * d_prod
         worst = np.maximum(f, -g)  # <= 0 wanted for both components
         scale = float(np.max(np.maximum(np.abs(psi * d_prod), psi * np.abs(pv * slope * d_x))))
-        return max(0.0, float(np.max(worst))), scale, (f, g, worst)
+        return max(0.0, float(np.max(worst))), scale, (f, -g, -worst)
 
-    viol, tol, ratio, verdict, (f, g, worst) = _judge(x.grid, order, measure, x.source is not None)
-    return IneqReport(
-        name="nr6_decomposition",
-        slack=SampleSeries(x.grid, -worst),
-        lhs=f,
-        rhs=-g,
-        max_violation=viol,
-        tol=tol,
-        refinement_ratio=ratio,
-        verdict=verdict,
-    )
+    return _judge("nr6_decomposition", x.grid, order, measure, x.source is not None)
 
 
 # --- randomized instances ------------------------------------------------------
 
 _DEFAULT_GRID = TimeGrid(0.0, 0.01, 500)
+
+# Random instances draw alpha uniformly from [0.1, 1); alpha = 1 (finite
+# differences, no exact discrete sign property) is exercised by targeted
+# tests rather than random suites.
+_ALPHA_RANGE = (0.1, 1.0)
 
 
 @dataclass(frozen=True)
@@ -498,7 +471,6 @@ class InstanceProfile:
     x_kind: str  # 'nonneg' | 'positive' | 'signed'
     beta_kind: str = "none"  # 'none' | 'real' | 'nonneg_real' | 'even_rational'
     beta_range: tuple[float, float] = (1.0, 4.0)
-    alpha_range: tuple[float, float] = (0.1, 1.0)
     grid: TimeGrid = _DEFAULT_GRID
 
 
@@ -555,12 +527,6 @@ def _draw_x(rng, x_kind: str) -> str:
     return f"({q})^2 + {_fmt(shift)}"
 
 
-def _draw_alpha(rng, alpha_range) -> float:
-    # uniform draw; alpha = 1 (finite differences, no exact discrete sign
-    # property) is exercised by targeted tests rather than random suites
-    return float(rng.uniform(*alpha_range))
-
-
 def _draw_even_fraction(rng) -> Fraction:
     while True:
         u = 2 * int(rng.integers(1, 5))
@@ -591,7 +557,7 @@ def generate_instance(seed: int, profile: InstanceProfile):
         beta = _draw_even_fraction(rng)
     else:
         raise DomainError(f"unknown beta_kind {profile.beta_kind!r}")
-    order = FracOrder(_draw_alpha(rng, profile.alpha_range))
+    order = FracOrder(float(rng.uniform(*_ALPHA_RANGE)))
     return envelope, x, beta, order
 
 
@@ -609,7 +575,7 @@ PROFILES = {
 def _composite_instance(seed: int, flavor: str, grid: TimeGrid):
     """Terms and series for the composite suites (nr7..nr12)."""
     rng = np.random.default_rng(seed)
-    order = FracOrder(_draw_alpha(rng, (0.1, 1.0)))
+    order = FracOrder(float(rng.uniform(*_ALPHA_RANGE)))
     if flavor in ("nr7", "nr8"):
         n_vars = 1
     else:

@@ -38,7 +38,6 @@ class ExamplePreset:
     system: SystemDef
     grid: TimeGrid
     candidate: LyapunovCandidate
-    checks: tuple[str, ...]
     ml_rate: float | None = None
     ml_amplification: float | None = None
     ball_radius: float | None = None
@@ -63,7 +62,6 @@ def _example1() -> ExamplePreset:
         system=system,
         grid=TimeGrid(0.0, 0.01, 5000),
         candidate=candidate,
-        checks=("sandwich", "dissipation", "envelope"),
         ml_rate=0.5,
         ml_amplification=2.0,
     )
@@ -88,7 +86,6 @@ def _example2() -> ExamplePreset:
         system=system,
         grid=TimeGrid(0.0, 0.01, 2000),
         candidate=candidate,
-        checks=("sandwich", "dissipation"),
     )
 
 
@@ -117,7 +114,6 @@ def _example3(phi_text: str = DEFAULT_EX3_PHI) -> ExamplePreset:
         system=system,
         grid=grid,
         candidate=candidate,
-        checks=("ball", "dissipation"),
         ball_radius=ball_radius,
     )
 
@@ -137,19 +133,24 @@ def get_preset(name: str, phi_text: str | None = None) -> ExamplePreset:
 
 
 def run_preset(preset: ExamplePreset) -> tuple[Trajectory, StabilityReport]:
-    """Solve the preset system and run its stability checks."""
+    """Solve the preset system and run the checks its declarations call for.
+
+    The sandwich runs when the candidate has both class-K bounds, the
+    dissipation check when it has a rate, the Mittag-Leffler envelope when
+    the preset sets ml_rate, and the ball check when it sets ball_radius.
+    """
     traj = solve(preset.system, preset.grid)
     order = preset.system.order
-    sandwich = check_sandwich(preset.candidate, traj) if "sandwich" in preset.checks else None
-    dissipation = (
-        check_dissipation(preset.candidate, traj, order) if "dissipation" in preset.checks else None
-    )
+    V = preset.candidate
+    has_bounds = V.class_k_lower is not None and V.class_k_upper is not None
+    sandwich = check_sandwich(V, traj) if has_bounds else None
+    dissipation = check_dissipation(V, traj, order) if V.dissipation_rate is not None else None
     envelope = (
         check_ml_envelope(traj, order, preset.ml_rate, preset.ml_amplification)
-        if "envelope" in preset.checks
+        if preset.ml_rate is not None
         else None
     )
-    ball = check_local_ball(traj, preset.ball_radius) if "ball" in preset.checks else None
+    ball = check_local_ball(traj, preset.ball_radius) if preset.ball_radius is not None else None
     return traj, StabilityReport(
         label=preset.name,
         sandwich=sandwich,

@@ -71,6 +71,16 @@ def _sinpi(x: float) -> float:
     return -s if n % 2 else s
 
 
+def _isfinite(z, name: str) -> bool:
+    """math.isfinite(z), with DomainError for non-numbers and RangeError past the double range."""
+    try:
+        return math.isfinite(z)
+    except TypeError as exc:
+        raise DomainError(f"{name} requires a real number: {exc}") from None
+    except OverflowError as exc:  # an int beyond the double range
+        raise RangeError(f"{name} requires a number within the double range: {exc}") from None
+
+
 def gamma(z: float) -> float:
     """Gamma function for real z > 0: the standard library's math.gamma.
 
@@ -78,7 +88,7 @@ def gamma(z: float) -> float:
     6.2e-16 relative on 6003 sampled points of [1e-3, 170].  RangeError
     where Gamma(z) exceeds the double range (z > 171.62 or z < 5.6e-309).
     """
-    if not math.isfinite(z) or z <= 0.0:
+    if not _isfinite(z, "gamma") or z <= 0.0:
         raise DomainError(f"gamma requires finite z > 0, got {z!r}")
     try:
         return math.gamma(z)
@@ -95,9 +105,9 @@ def reciprocal_gamma(s: float) -> float:
     math.gamma overflows (|s| < 1e-307) or its value is subnormal
     (s < -170), the reflection Gamma(1-s) sin(pi s) / pi in logs, good to
     about 2e-13.  RangeError where |1/Gamma(s)| exceeds the double range
-    (s < -171.6 away from the poles).
+    (s < -171.6 away from the poles) and for an int beyond the double range.
     """
-    if not math.isfinite(s):
+    if not _isfinite(s, "reciprocal_gamma"):
         raise DomainError(f"reciprocal_gamma requires finite s, got {s!r}")
     if s > 171.0:  # underflows to 0 by s = 180; lgamma overflows past 2.5e305
         return math.exp(-math.lgamma(s)) if s < 200.0 else 0.0
@@ -425,11 +435,7 @@ class _MLTable:
 
     def value(self, z: float) -> float:
         """E_{alpha,beta}(z): the first branch that certifies serves it."""
-        try:
-            finite = math.isfinite(z)
-        except TypeError as exc:
-            raise DomainError(f"mittag_leffler requires a real number: {exc}") from None
-        if not finite:
+        if not _isfinite(z, "mittag_leffler"):
             raise DomainError(f"mittag_leffler requires finite z, got {z!r}")
         if z > ML_Z_MAX:
             raise RangeError(f"mittag_leffler supports z <= {ML_Z_MAX}, got {z}")
@@ -465,8 +471,9 @@ def mittag_leffler(params: MLParams, z: float) -> float:
 
     Supports all z <= ML_Z_MAX (= 5); relative error below 1e-9 on
     [-50, 5].  Raises DomainError for z that is not a finite real number,
-    RangeError for z > ML_Z_MAX or when the value exceeds the double range
-    (possible for positive z at small alpha).
+    RangeError for z > ML_Z_MAX, for an int beyond the double range, or
+    when the value exceeds the double range (possible for positive z at
+    small alpha).
 
     Branches, first certified wins: the power series (always for
     |z| < 0.25; skipped on the negative axis where a bound on the function
@@ -495,6 +502,8 @@ def mittag_leffler_many(params: MLParams, zs) -> np.ndarray:
         z_arr = z_arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"mittag_leffler_many requires real numbers: {exc}") from None
+    except OverflowError as exc:  # an int beyond the double range
+        raise RangeError(f"mittag_leffler_many requires numbers within the double range: {exc}") from None
     table = _MLTable(params.alpha, params.beta)
     values = [table.value(z) for z in z_arr.ravel().tolist()]
     return np.array(values, dtype=float).reshape(z_arr.shape)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, EvalError, PreconditionError
 from .expressions import Expr, _compile, evaluate, parse, sample_on, to_text, variables
-from .inequalities import IneqReport, make_report
+from .inequalities import IneqReport, _judge, make_report
 from .operators import FracOrder, SampleSeries, TimeGrid, caputo_l1
 from .solver import Trajectory, solve
 from .special import MLParams, mittag_leffler_many
@@ -194,24 +194,18 @@ def check_ml_envelope(
     if not (math.isfinite(amplification) and amplification > 0.0):
         raise DomainError(f"amplification must be > 0, got {amplification!r}")
     alpha = order.alpha
-    params = MLParams(alpha)
     ts = traj.grid.nodes()
     t0 = ts[0]
     norms_sq = traj.norms() ** 2
-    decay = mittag_leffler_many(params, [-rate * (t - t0) ** alpha for t in ts])
+    decay = mittag_leffler_many(MLParams(alpha), [-rate * (t - t0) ** alpha for t in ts])
     rhs = amplification * decay * norms_sq[0] * (1.0 + ENVELOPE_SLACK_ALLOWANCE)
     slack = rhs - norms_sq
-    viol = max(0.0, -float(np.min(slack)))
-    return IneqReport(
-        name="ml_envelope",
-        slack=SampleSeries(traj.grid, slack),
-        lhs=norms_sq,
-        rhs=rhs,
-        max_violation=viol,
-        tol=0.0,
-        refinement_ratio=math.nan,
-        verdict=viol <= 0.0,
-    )
+
+    def measure(grid: TimeGrid):
+        return max(0.0, -float(np.min(slack))), 0.0, (norms_sq, rhs, slack)
+
+    # scale 0: the policy's tolerance is 0, and the envelope is not refined
+    return _judge("ml_envelope", traj.grid, order, measure, refinable=False)
 
 
 def check_local_ball(traj: Trajectory, r: float) -> BallResult:

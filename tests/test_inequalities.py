@@ -43,6 +43,14 @@ def env(kind, text):
     return EnvelopeSpec(kind, parse(text))
 
 
+def assert_same_numbers(a, b):
+    """Two reports with equal lhs, rhs and slack at every node, and the same tol and verdict."""
+    assert np.array_equal(a.lhs, b.lhs)
+    assert np.array_equal(a.rhs, b.rhs)
+    assert np.array_equal(a.slack.values, b.slack.values)
+    assert a.tol == b.tol and a.verdict == b.verdict
+
+
 # --- envelope binding -----------------------------------------------------------
 
 
@@ -117,7 +125,7 @@ def test_odd_power_reduces_to_product_at_n0_beta1():
     phi = env("mono_decreasing", "exp(-t)")
     a = verify_odd_power_envelope(phi, 0, x, 1.0, FracOrder(0.5))
     b = verify_product_decreasing(phi, x, FracOrder(0.5))
-    assert np.allclose(a.slack.values, b.slack.values, rtol=0, atol=1e-14)
+    assert_same_numbers(a, b)
 
 
 def test_odd_power_exp_envelope():
@@ -184,11 +192,12 @@ def test_power_rule_fraction_with_odd_denominator():
 
 
 def test_composite_single_term_reduces_to_power_rule():
-    x = series(lambda t: np.sin(t))
-    term = PowerTerm(c=1.0, beta=Fraction(2))
-    a = verify_composite([[term]], [x], FracOrder(0.5))
-    b = verify_power_rule(x, Fraction(2), FracOrder(0.5), False)
-    assert np.allclose(a.slack.values, b.slack.values, rtol=0, atol=1e-13)
+    cases = [(np.sin, Fraction(2), False), (lambda t: 1.0 + np.sin(t) ** 2, 2.5, True)]
+    for fn, beta, require_nonneg in cases:
+        x = series(fn)
+        a = verify_composite([[PowerTerm(c=1.0, beta=beta)]], [x], FracOrder(0.5))
+        b = verify_power_rule(x, beta, FracOrder(0.5), require_nonneg)
+        assert_same_numbers(a, b)
 
 
 def test_composite_example1_candidate(example1_run):

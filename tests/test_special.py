@@ -106,6 +106,10 @@ def test_reciprocal_gamma_range_errors_and_subnormal_values():
 @example(2.6e305)
 @example(-171.5)
 @example(-2.0**52 - 0.5)
+@example("1.5")
+@example(None)
+@example(10**400)
+@example(-10**400)
 def test_gamma_entries_raise_only_package_errors(x):
     for fn in (gamma, reciprocal_gamma):
         try:
@@ -527,6 +531,15 @@ def test_non_numeric_z_is_a_domain_error_in_both_entries(bad):
     else:
         with pytest.raises(DomainError, match="^mittag_leffler_many requires real numbers: "):
             mittag_leffler_many(params, bad)
+
+
+@pytest.mark.parametrize("z", [10**400, -10**400], ids=["huge_int", "huge_negative_int"])
+def test_ints_beyond_the_double_range_are_range_errors_in_both_entries(z):
+    params = MLParams(0.9)
+    with pytest.raises(RangeError):
+        mittag_leffler(params, z)
+    with pytest.raises(RangeError):
+        mittag_leffler_many(params, [z])
 
 
 def _series_per_point(alpha, beta, z):
