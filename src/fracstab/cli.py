@@ -16,16 +16,15 @@ from pathlib import Path
 
 from .config import RunConfig, load_config
 from .errors import ConfigError, DivergenceError, FracstabError
-from .inequalities import SUITE_NAMES, IdentityResidual, run_suite
+from .inequalities import SUITE_NAMES, run_suite
 from .presets import get_preset, run_preset
 from .reporting import (
     check_summary_row,
     gnuplot_script,
     write_check_summary_csv,
     write_convergence_csv,
-    write_report_csv,
-    write_residual_csv,
     write_stability_report,
+    write_suite_reports,
     write_trajectory_csv,
 )
 from .solver import convergence_study, solve
@@ -67,9 +66,7 @@ def cmd_check(config: RunConfig, out_flag: str | None = None) -> int:
         result = run_suite(name, count, seed=config.seed)
         suite_dir = out / name
         suite_dir.mkdir(parents=True, exist_ok=True)
-        for i, rep in enumerate(result.reports):
-            write = write_residual_csv if isinstance(rep, IdentityResidual) else write_report_csv
-            write(suite_dir / f"instance_{i:04d}.csv", rep)
+        write_suite_reports(suite_dir, result)
         line = check_summary_row(result)
         summary_lines.append(line)
         print(line)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .errors import ConfigError, FracstabError
 from .expressions import parse, to_text
+from .inequalities import MAX_INSTANCES
 from .operators import FracOrder, TimeGrid
 from .presets import PRESET_NAMES, get_preset
 from .solver import SystemDef, reference_grid
@@ -29,9 +30,6 @@ _DEFAULT_CHECK_COUNT = 100
 # allocation (a few arrays of n floats per state component), not work: a
 # two-component solve at the limit takes about half a minute.
 MAX_NODES = 1_000_000
-# Largest instance count per check suite; every instance keeps its report
-# (about 16 KiB) until the suite's files are written.
-MAX_INSTANCES = 10_000
 
 
 @dataclass(frozen=True)
@@ -224,8 +222,8 @@ def parse_config(text: str) -> RunConfig:
         checks.append((name.strip(), n))
 
     seed = values.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if not (isinstance(seed, int) and seed >= 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}", lines.get("seed"))
     output = values.get("output")
     h_list = values.get("h_list", [])
     if not isinstance(h_list, list):

@@ -11,7 +11,9 @@ under grid halving are attributed to discretization.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -26,7 +28,7 @@ from .errors import (
     SingularityError,
     UnknownCheckError,
 )
-from .expressions import Expr, parse, sample_on, to_text
+from .expressions import BinOp, Call, Expr, Neg, Num, Var, parse, sample_on, to_text
 from .operators import FracOrder, SampleSeries, TimeGrid, caputo_l1
 
 __all__ = [
@@ -46,6 +48,7 @@ __all__ = [
     "SuiteResult",
     "run_suite",
     "SUITE_NAMES",
+    "MAX_INSTANCES",
     "make_report",
 ]
 
@@ -181,26 +184,26 @@ class IneqReport:
     verdict: bool
 
 
-def _judge(name: str, grid: TimeGrid, order: FracOrder, measure: Callable, refinable: bool) -> IneqReport:
+def _judge(name: str, grid: TimeGrid, measure: Callable, refinable: bool) -> IneqReport:
     """The tolerance-and-refinement policy of every verifier; builds its report.
 
     measure(grid) -> (violation, scale, (lhs, rhs, slack)).  The violation
-    passes if it is within tol = 10 * h^min(1, 2 - alpha) * scale (so scale
-    0 makes the check exact); above tol it passes only if the grid is
-    refinable and halving it shrinks the violation by at least 1.5x and
-    brings it under the halved grid's own tolerance.  The report holds the
-    data of `grid`; its ratio is NaN unless the grid was halved.
+    passes if it is within tol = 10 * h * scale (so scale 0 makes the check
+    exact); above tol it passes only if the grid is refinable and halving it
+    shrinks the violation by at least 1.5x and brings it under the halved
+    grid's own tolerance.  The report holds the data of `grid`; its ratio is
+    NaN unless the grid was halved.  The tolerance is first order in h for
+    every order alpha in (0, 1].
     """
-    p = min(1.0, 2.0 - order.alpha)
     viol, scale, (lhs, rhs, slack) = measure(grid)
-    tol = 10.0 * grid.h**p * scale
+    tol = 10.0 * grid.h * scale
     ratio = math.nan
     verdict = viol <= tol
     if not verdict and refinable:
         half = grid.halved()
         viol2, scale2, _ = measure(half)
         ratio = math.inf if viol2 == 0.0 else viol / viol2
-        verdict = ratio >= 1.5 and viol2 <= 10.0 * half.h**p * scale2
+        verdict = ratio >= 1.5 and viol2 <= 10.0 * half.h * scale2
     return IneqReport(
         name=name,
         slack=SampleSeries(grid, slack),
@@ -227,7 +230,8 @@ def make_report(
     direction +1 checks LHS <= RHS, -1 checks LHS >= RHS.  skip_nodes
     excludes leading nodes from the verdict (the slack series still reports
     them); used where the operator's node-0 convention makes the comparison
-    vacuous.  The tolerance scale is the largest |RHS|.
+    vacuous.  The tolerance scale is the largest |RHS|; the tolerance does
+    not depend on order.
     """
 
     def measure(g: TimeGrid):
@@ -238,7 +242,7 @@ def make_report(
         scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
         return viol, scale, (lhs, rhs, slack)
 
-    return _judge(name, grid, order, measure, refinable)
+    return _judge(name, grid, measure, refinable)
 
 
 def _series_at(x: SampleSeries, grid: TimeGrid) -> np.ndarray:
@@ -450,7 +454,7 @@ def verify_decomposition_nr6(
         scale = float(np.max(np.maximum(np.abs(psi * d_prod), psi * np.abs(pv * slope * d_x))))
         return max(0.0, float(np.max(worst))), scale, (f, -g, -worst)
 
-    return _judge("nr6_decomposition", x.grid, order, measure, x.source is not None)
+    return _judge("nr6_decomposition", x.grid, measure, x.source is not None)
 
 
 # --- randomized instances ------------------------------------------------------
@@ -474,11 +478,29 @@ class InstanceProfile:
     grid: TimeGrid = _DEFAULT_GRID
 
 
-def _fmt(v: float) -> str:
-    return f"({v:.12g})" if v < 0 else f"{v:.12g}"
+_T = Var("t")
 
 
-def _draw_decreasing(rng, kind: str) -> str:
+def _lit(v: float) -> Expr:
+    """v rounded to 12 significant digits, as the tree a parsed literal gives.
+
+    The parser has no negative literal: `(-c)` reads as Neg(Num(c)).
+    """
+    text = f"{v:.12g}"
+    return Neg(Num(float(text[1:]))) if text[0] == "-" else Num(float(text))
+
+
+def _sum(terms: Sequence[Expr]) -> Expr:
+    """terms[0] + terms[1] + ..., associated to the left as the parser reads it."""
+    return functools.reduce(lambda a, b: BinOp("+", a, b), terms)
+
+
+def _decay(lam: float) -> Expr:
+    """exp(-lam*t)."""
+    return Call("exp", (BinOp("*", Neg(_lit(lam)), _T),))
+
+
+def _draw_decreasing(rng, kind: str) -> Expr:
     if kind == "mono_decreasing":
         base = rng.uniform(-1.0, 1.0)
     elif kind == "positive_decreasing":
@@ -486,45 +508,47 @@ def _draw_decreasing(rng, kind: str) -> str:
     else:
         base = rng.uniform(0.0, 1.0)
     if rng.random() < 0.5:
-        parts = [_fmt(base)]
+        terms = [_lit(base)]
         for _ in range(rng.integers(1, 4)):
             c = rng.uniform(0.1, 2.0)
             lam = rng.uniform(0.05, 2.0)
-            parts.append(f"{_fmt(c)}*exp(-{_fmt(lam)}*t)")
-        return " + ".join(parts)
+            terms.append(BinOp("*", _lit(c), _decay(lam)))
+        return _sum(terms)
     c = rng.uniform(0.2, 2.0)
     a = rng.uniform(0.1, 2.0)
     m = int(rng.integers(1, 4))
-    return f"{_fmt(base)} + {_fmt(c)}/(1 + {_fmt(a)}*t)^{m}"
+    denominator = BinOp("^", BinOp("+", Num(1.0), BinOp("*", _lit(a), _T)), Num(float(m)))
+    return BinOp("+", _lit(base), BinOp("/", _lit(c), denominator))
 
 
-def _draw_increasing(rng) -> str:
+def _draw_increasing(rng) -> Expr:
     base = rng.uniform(0.0, 1.0)
     if rng.random() < 0.5:
         c = rng.uniform(0.1, 2.0)
         lam = rng.uniform(0.05, 2.0)
-        return f"{_fmt(base)} + {_fmt(c)}*(1 - exp(-{_fmt(lam)}*t))"
+        return BinOp("+", _lit(base), BinOp("*", _lit(c), BinOp("-", Num(1.0), _decay(lam))))
     s = rng.uniform(0.05, 1.0)
-    return f"{_fmt(base)} + {_fmt(s)}*t"
+    return BinOp("+", _lit(base), BinOp("*", _lit(s), _T))
 
 
-def _draw_trig_poly(rng) -> str:
-    parts = [_fmt(rng.uniform(-1.0, 1.0))]
+def _draw_trig_poly(rng) -> Expr:
+    terms = [_lit(rng.uniform(-1.0, 1.0))]
     degree = int(rng.integers(1, 5))
     for d in range(1, degree + 1):
         a = rng.uniform(-1.0, 1.0)
         b = rng.uniform(-1.0, 1.0)
-        parts.append(f"{_fmt(a)}*cos({d}*t)")
-        parts.append(f"{_fmt(b)}*sin({d}*t)")
-    return " + ".join(parts)
+        dt = (BinOp("*", Num(float(d)), _T),)
+        terms.append(BinOp("*", _lit(a), Call("cos", dt)))
+        terms.append(BinOp("*", _lit(b), Call("sin", dt)))
+    return _sum(terms)
 
 
-def _draw_x(rng, x_kind: str) -> str:
+def _draw_x(rng, x_kind: str) -> Expr:
     q = _draw_trig_poly(rng)
     if x_kind == "signed":
         return q
     shift = rng.uniform(0.2, 1.0) if x_kind == "positive" else rng.uniform(0.0, 0.5)
-    return f"({q})^2 + {_fmt(shift)}"
+    return BinOp("+", BinOp("^", q, Num(2.0)), _lit(shift))
 
 
 def _draw_even_fraction(rng) -> Fraction:
@@ -539,12 +563,11 @@ def generate_instance(seed: int, profile: InstanceProfile):
     """Deterministic (envelope, x series, beta, order) draw for a profile."""
     rng = np.random.default_rng(seed)
     if profile.envelope_kind == "mono_increasing":
-        env_text = _draw_increasing(rng)
+        env_expr = _draw_increasing(rng)
     else:
-        env_text = _draw_decreasing(rng, profile.envelope_kind)
-    envelope = EnvelopeSpec(profile.envelope_kind, parse(env_text))
-    x_expr = parse(_draw_x(rng, profile.x_kind))
-    x = SampleSeries.from_function(profile.grid, lambda ts: sample_on(x_expr, ts))
+        env_expr = _draw_decreasing(rng, profile.envelope_kind)
+    envelope = EnvelopeSpec(profile.envelope_kind, env_expr)
+    x = SampleSeries.from_function(profile.grid, functools.partial(sample_on, _draw_x(rng, profile.x_kind)))
     if profile.beta_kind == "none":
         beta = 1.0
     elif profile.beta_kind == "real":
@@ -585,9 +608,8 @@ def _composite_instance(seed: int, flavor: str, grid: TimeGrid):
     series = []
     groups = []
     for _ in range(n_vars):
-        x_expr = parse(_draw_x(rng, x_kind))
-        series.append(SampleSeries.from_function(grid, lambda ts, e=x_expr: sample_on(e, ts)))
-        env = EnvelopeSpec("nonneg_decreasing", parse(_draw_decreasing(rng, "nonneg_decreasing")))
+        series.append(SampleSeries.from_function(grid, functools.partial(sample_on, _draw_x(rng, x_kind))))
+        env = EnvelopeSpec("nonneg_decreasing", _draw_decreasing(rng, "nonneg_decreasing"))
         beta = _draw_even_fraction(rng) if signed else float(rng.uniform(1.0, 4.0))
         p = 1.0 if flavor == "nr7" else float(rng.uniform(1.0, 3.0))
         group = [PowerTerm(c=float(rng.uniform(0.1, 2.0)), beta=beta, p=p, envelope=env)]
@@ -601,6 +623,10 @@ def _composite_instance(seed: int, flavor: str, grid: TimeGrid):
 
 
 _COMPOSITE_FLAVORS = ("nr7", "nr8", "nr9", "nr10", "nr11", "nr12")
+
+# Largest instance count of one suite run; every instance keeps its report
+# (about 16 KiB) until the suite's files are written.
+MAX_INSTANCES = 10_000
 
 SUITE_NAMES = tuple(PROFILES) + _COMPOSITE_FLAVORS
 
@@ -618,6 +644,10 @@ class SuiteResult:
     @property
     def all_passed(self) -> bool:
         return self.passes == self.instances
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _run_one(name: str, seed: int, grid: TimeGrid):
@@ -648,6 +678,10 @@ def run_suite(name: str, instances: int, seed: int, grid: TimeGrid | None = None
     """Run a named suite of seeded instances; deterministic in (name, instances, seed)."""
     if name not in SUITE_NAMES:
         raise UnknownCheckError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+    if not (_is_int(instances) and 1 <= instances <= MAX_INSTANCES):
+        raise DomainError(f"instances must be an integer in 1..{MAX_INSTANCES}, got {instances!r}")
+    if not (_is_int(seed) and seed >= 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     grid = grid or _DEFAULT_GRID
     child_seeds = np.random.SeedSequence(seed).generate_state(instances)
     reports = []

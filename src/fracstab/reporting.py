@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .inequalities import IdentityResidual, IneqReport, SuiteResult
+from .operators import TimeGrid
 from .solver import ConvergenceStudy, Trajectory
 from .stability import StabilityReport
 
@@ -22,15 +23,28 @@ def fmt(v: float) -> str:
     return FLOAT_FORMAT % float(v)
 
 
-def _rows_text(columns) -> str:
+def _column_text(values) -> list[str]:
+    """fmt of each value: a column formatted once, for _rows_text's lead."""
+    return [FLOAT_FORMAT % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _rows_text(columns, lead: list[str] | None = None) -> str:
     """CSV lines of equal-length float columns, each line ended by a newline.
 
+    lead, when given, is a first column already formatted by _column_text.
     One `%` over a row template repeated n times formats the whole table:
     the same bytes as fmt per value, at the cost of the formatting alone.
     """
-    table = np.column_stack(columns)
-    n, k = table.shape
-    return ((",".join([FLOAT_FORMAT] * k) + "\n") * n) % tuple(table.ravel().tolist())
+    texts = [np.asarray(c, dtype=float).tolist() for c in columns]
+    row = ",".join([FLOAT_FORMAT] * len(texts))
+    if lead is not None:
+        texts.insert(0, lead)
+        row = "%s," + row
+    k, n = len(texts), len(texts[0])
+    fields = [None] * (k * n)
+    for j, col in enumerate(texts):
+        fields[j::k] = col
+    return ((row + "\n") * n) % tuple(fields)
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory) -> None:
@@ -47,8 +61,14 @@ def read_trajectory_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1:]
 
 
-def write_report_csv(path: Path, report: IneqReport) -> None:
-    rows = _rows_text([report.slack.grid.nodes(), report.lhs, report.rhs, report.slack.values])
+def write_report_csv(path: Path, report: IneqReport, t_text: list[str] | None = None) -> None:
+    """The report's node rows and verdict row; t_text, when given, is
+    _column_text of the report grid's nodes, formatted once by the caller."""
+    columns = [report.lhs, report.rhs, report.slack.values]
+    if t_text is None:
+        rows = _rows_text([report.slack.grid.nodes()] + columns)
+    else:
+        rows = _rows_text(columns, lead=t_text)
     verdict = "pass" if report.verdict else "fail"
     Path(path).write_text(
         "t,lhs,rhs,slack\n"
@@ -63,6 +83,25 @@ def write_residual_csv(path: Path, residual: IdentityResidual) -> None:
         "max_residual,scale,relative\n"
         f"{fmt(residual.max_residual)},{fmt(residual.scale)},{fmt(residual.relative)}\n"
     )
+
+
+def write_suite_reports(suite_dir: Path, result: SuiteResult) -> None:
+    """instance_NNNN.csv for each report of one suite run, in order.
+
+    Each distinct grid's time column is formatted once per call: the
+    reports of a suite usually share one grid.
+    """
+    suite_dir = Path(suite_dir)
+    t_texts: dict[TimeGrid, list[str]] = {}
+    for i, rep in enumerate(result.reports):
+        path = suite_dir / f"instance_{i:04d}.csv"
+        if isinstance(rep, IdentityResidual):
+            write_residual_csv(path, rep)
+            continue
+        grid = rep.slack.grid
+        if grid not in t_texts:
+            t_texts[grid] = _column_text(grid.nodes())
+        write_report_csv(path, rep, t_texts[grid])
 
 
 def check_summary_row(result: SuiteResult) -> str:

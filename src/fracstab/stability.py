@@ -205,7 +205,7 @@ def check_ml_envelope(
         return max(0.0, -float(np.min(slack))), 0.0, (norms_sq, rhs, slack)
 
     # scale 0: the policy's tolerance is 0, and the envelope is not refined
-    return _judge("ml_envelope", traj.grid, order, measure, refinable=False)
+    return _judge("ml_envelope", traj.grid, measure, refinable=False)
 
 
 def check_local_ball(traj: Trajectory, r: float) -> BallResult:

@@ -10,7 +10,8 @@ trapezoidal PECE, and closed forms use math.gamma.  Expressions are
 evaluated by a math-module transcription of their documented semantics, and
 the fractional PECE reference is the solver's direct O(n^2) history loop.
 CSV files are rebuilt from their documented layouts, one built-in
-format(v, ".17g") per value.
+format(v, ".17g") per value.  Random suite instances are written as text,
+for parse to read.
 """
 
 from __future__ import annotations
@@ -325,9 +326,121 @@ def report_csv_oracle(ts, lhs, rhs, slack, verdict, max_violation, tol, refineme
     return out + ("pass," if verdict else "fail,") + _csv_line((max_violation, tol, refinement_ratio))
 
 
+def residual_csv_oracle(max_residual, scale) -> str:
+    """The bytes of an identity-residual CSV."""
+    relative = max_residual / scale if scale else 0.0
+    return "max_residual,scale,relative\n" + _csv_line((max_residual, scale, relative))
+
+
 def trajectory_csv_oracle(ts, states) -> str:
     """The bytes of a trajectory CSV; states is (n_nodes, dim)."""
     out = "t," + ",".join("x" + str(i + 1) for i in range(len(states[0]))) + "\n"
     for j in range(len(ts)):
         out += _csv_line([ts[j]] + list(states[j]))
+    return out
+
+
+# --- instance texts ------------------------------------------------------------
+#
+# The random suite instances as text: the form in which the generators once
+# wrote them, to be read back by parse.  Every coefficient has 12 significant
+# digits and a negative one is parenthesized.  The draws follow the order of
+# inequalities.generate_instance and _composite_instance, so one seed gives
+# the same instance here and there.
+
+
+def _fmt(v: float) -> str:
+    return f"({v:.12g})" if v < 0 else f"{v:.12g}"
+
+
+def decreasing_text(rng, kind: str) -> str:
+    if kind == "mono_decreasing":
+        base = rng.uniform(-1.0, 1.0)
+    elif kind == "positive_decreasing":
+        base = rng.uniform(0.05, 1.0)
+    else:
+        base = rng.uniform(0.0, 1.0)
+    if rng.random() < 0.5:
+        parts = [_fmt(base)]
+        for _ in range(rng.integers(1, 4)):
+            c = rng.uniform(0.1, 2.0)
+            lam = rng.uniform(0.05, 2.0)
+            parts.append(f"{_fmt(c)}*exp(-{_fmt(lam)}*t)")
+        return " + ".join(parts)
+    c = rng.uniform(0.2, 2.0)
+    a = rng.uniform(0.1, 2.0)
+    m = int(rng.integers(1, 4))
+    return f"{_fmt(base)} + {_fmt(c)}/(1 + {_fmt(a)}*t)^{m}"
+
+
+def increasing_text(rng) -> str:
+    base = rng.uniform(0.0, 1.0)
+    if rng.random() < 0.5:
+        c = rng.uniform(0.1, 2.0)
+        lam = rng.uniform(0.05, 2.0)
+        return f"{_fmt(base)} + {_fmt(c)}*(1 - exp(-{_fmt(lam)}*t))"
+    s = rng.uniform(0.05, 1.0)
+    return f"{_fmt(base)} + {_fmt(s)}*t"
+
+
+def trig_poly_text(rng) -> str:
+    parts = [_fmt(rng.uniform(-1.0, 1.0))]
+    degree = int(rng.integers(1, 5))
+    for d in range(1, degree + 1):
+        a = rng.uniform(-1.0, 1.0)
+        b = rng.uniform(-1.0, 1.0)
+        parts.append(f"{_fmt(a)}*cos({d}*t)")
+        parts.append(f"{_fmt(b)}*sin({d}*t)")
+    return " + ".join(parts)
+
+
+def x_text(rng, x_kind: str) -> str:
+    q = trig_poly_text(rng)
+    if x_kind == "signed":
+        return q
+    shift = rng.uniform(0.2, 1.0) if x_kind == "positive" else rng.uniform(0.0, 0.5)
+    return f"({q})^2 + {_fmt(shift)}"
+
+
+def _even_fraction_draw(rng) -> None:
+    while True:
+        u = 2 * int(rng.integers(1, 5))
+        v = int(rng.choice([1, 3, 5]))
+        if u >= v:
+            return
+
+
+def profile_texts(seed: int, envelope_kind: str, x_kind: str) -> tuple[str, str]:
+    """(envelope, x) texts of generate_instance(seed, profile)."""
+    rng = np.random.default_rng(seed)
+    env = increasing_text(rng) if envelope_kind == "mono_increasing" else decreasing_text(rng, envelope_kind)
+    return env, x_text(rng, x_kind)
+
+
+def composite_texts(seed: int, flavor: str) -> list[tuple[str, str]]:
+    """(envelope, x) texts of each series of a composite instance (nr7..nr12)."""
+    rng = np.random.default_rng(seed)
+    rng.uniform(0.1, 1.0)  # the order
+    n_vars = 1 if flavor in ("nr7", "nr8") else int(rng.integers(2, 4))
+    signed = flavor in ("nr7", "nr10", "nr11", "nr12")
+
+    def exponent():
+        if signed:
+            _even_fraction_draw(rng)
+        else:
+            rng.uniform(1.0, 4.0)
+
+    out = []
+    for _ in range(n_vars):
+        x = x_text(rng, "signed" if signed else "nonneg")
+        out.append((decreasing_text(rng, "nonneg_decreasing"), x))
+        exponent()  # beta
+        if flavor != "nr7":
+            rng.uniform(1.0, 3.0)  # p
+        rng.uniform(0.1, 2.0)  # c of the enveloped term
+        if flavor in ("nr11", "nr12"):
+            rng.uniform(0.1, 2.0)
+        if flavor == "nr12":
+            exponent()
+            rng.uniform(0.1, 2.0)
     return out

@@ -101,6 +101,15 @@ def test_seed_must_be_integer():
         parse_config(SMALL_SYSTEM + "seed = 1.5\n")
 
 
+def test_negative_seed_is_a_config_error_at_its_line(tmp_path, capsys):
+    text = "preset = example1\nseed = -1\nchecks = [nr1:2]\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.line == 2
+    assert main(["check", _write(tmp_path, "neg.cfg", text), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("config error: line 2: seed must be an integer >= 0")
+
+
 # values whose own parsing or validation fails, each with the line of its key
 BAD_VALUE_LINES = {
     "order": ("preset = example1\norder = 2\n", 2),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracstab.errors import BindError, EvalError, ExpressionError, ParseError
 from fracstab.expressions import (
@@ -217,6 +219,33 @@ def test_round_trip_500_random_expressions():
         e = _random_expr(rng, depth=4)
         text = to_text(e)
         assert parse(text) == e, text
+
+
+def _literal(v: float):
+    # The parser has no negative literal: "-2.5" reads as Neg(Num(2.5)).
+    return Neg(Num(-v)) if math.copysign(1.0, v) < 0 else Num(v)
+
+
+_LEAVES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(_literal),  # subnormals to 1e308, both signs
+    st.sampled_from([Var("t"), Var("r")]),
+    st.integers(1, 12).map(lambda i: Var(f"x{i}", i)),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        children.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
+        st.builds(lambda name, a: Call(name, (a,)), st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]), children),
+        st.builds(lambda a, b: Call("pow", (a, b)), children, children),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.recursive(_LEAVES, _extend, max_leaves=24))
+def test_round_trip_property(e):
+    assert parse(to_text(e)) == e
 
 
 # --- evaluation properties ------------------------------------------------------------

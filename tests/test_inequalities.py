@@ -14,10 +14,13 @@ from fracstab.errors import (
 )
 from fracstab.expressions import parse
 from fracstab.inequalities import (
+    _COMPOSITE_FLAVORS,
+    MAX_INSTANCES,
     PROFILES,
     SUITE_NAMES,
     EnvelopeSpec,
     PowerTerm,
+    _composite_instance,
     generate_instance,
     make_report,
     run_suite,
@@ -30,6 +33,8 @@ from fracstab.inequalities import (
     verify_product_increasing,
 )
 from fracstab.operators import FracOrder, SampleSeries, TimeGrid
+
+from oracles import composite_texts, profile_texts
 
 
 GRID = TimeGrid(0.0, 0.01, 500)
@@ -364,6 +369,55 @@ def test_run_suite_deterministic():
 def test_run_suite_unknown_name():
     with pytest.raises(UnknownCheckError):
         run_suite("bogus", 5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "instances, seed",
+    [
+        (10**400, 1),
+        (0, 1),
+        (MAX_INSTANCES + 1, 1),
+        (2.5, 1),
+        (True, 1),
+        ("3", 1),
+        (1, -1),
+        (1, 2.5),
+        (1, math.nan),
+        (1, "a"),
+        (1, None),
+    ],
+)
+def test_run_suite_rejects_bad_counts_and_seeds(instances, seed):
+    with pytest.raises(DomainError):
+        run_suite("nr1", instances, seed)
+
+
+def test_run_suite_accepts_numpy_integers():
+    a = run_suite("nr1", np.int64(2), np.uint32(5))
+    assert [r.max_violation for r in a.reports] == [r.max_violation for r in run_suite("nr1", 2, 5).reports]
+
+
+def test_max_instances_is_shared_with_config():
+    from fracstab import config
+
+    assert config.MAX_INSTANCES is MAX_INSTANCES
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_instance_trees_match_parsed_oracle_text(name):
+    # The generators build the tree that parse gives for the text they once
+    # wrote, draw for draw, so the suites' instances did not change.
+    for seed in range(200):
+        if name in _COMPOSITE_FLAVORS:
+            groups, series, _ = _composite_instance(seed, name, GRID)
+            built = [(g[0].envelope.expression, s.source.args[0]) for g, s in zip(groups, series)]
+            texts = composite_texts(seed, name)
+        else:
+            profile = PROFILES[name]
+            envelope, x, _, _ = generate_instance(seed, profile)
+            built = [(envelope.expression, x.source.args[0])]
+            texts = [profile_texts(seed, profile.envelope_kind, profile.x_kind)]
+        assert built == [(parse(env), parse(xt)) for env, xt in texts], (name, seed)
 
 
 def test_duality_of_product_verifiers():

@@ -10,18 +10,20 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fracstab.expressions import parse
-from fracstab.inequalities import IdentityResidual, IneqReport
+from fracstab.inequalities import IdentityResidual, IneqReport, SuiteResult
 from fracstab.operators import FracOrder, SampleSeries, TimeGrid
 from fracstab.reporting import (
+    _column_text,
     fmt,
     read_trajectory_csv,
     write_report_csv,
     write_residual_csv,
+    write_suite_reports,
     write_trajectory_csv,
 )
 from fracstab.solver import SystemDef, Trajectory
 
-from oracles import report_csv_oracle, trajectory_csv_oracle
+from oracles import report_csv_oracle, residual_csv_oracle, trajectory_csv_oracle
 
 # Signed zero, subnormals, the normal/subnormal boundary and the top of the range.
 EDGES = (-0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308)
@@ -55,6 +57,63 @@ def test_report_csv_matches_oracle(grid, data, verdict, max_violation, tol, rati
     report = IneqReport("r", SampleSeries(grid, slack), lhs, rhs, max_violation, tol, ratio, verdict)
     expected = report_csv_oracle(grid.nodes(), lhs, rhs, slack, verdict, max_violation, tol, ratio)
     assert written(write_report_csv, report) == expected
+
+
+def _report(data, grid: TimeGrid) -> IneqReport:
+    lhs, rhs = (data.draw(hnp.arrays(np.float64, grid.n_nodes, elements=ANY)) for _ in range(2))
+    slack = data.draw(hnp.arrays(np.float64, grid.n_nodes, elements=FINITE))
+    return IneqReport("r", SampleSeries(grid, slack), lhs, rhs, data.draw(ANY), data.draw(ANY), data.draw(ANY), data.draw(st.booleans()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(GRIDS, st.data())
+def test_report_csv_is_the_same_with_a_preformatted_time_column(grid, data):
+    report = _report(data, grid)
+    t_text = _column_text(grid.nodes())
+    assert written(lambda path, r: write_report_csv(path, r, t_text), report) == written(write_report_csv, report)
+
+
+def instance_oracle(rep) -> str:
+    """The bytes of one instance file of a suite."""
+    if isinstance(rep, IdentityResidual):
+        return residual_csv_oracle(rep.max_residual, rep.scale)
+    return report_csv_oracle(
+        rep.slack.grid.nodes(), rep.lhs, rep.rhs, rep.slack.values,
+        rep.verdict, rep.max_violation, rep.tol, rep.refinement_ratio,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(GRIDS, GRIDS, st.lists(st.sampled_from(["a", "b", "residual"]), min_size=1, max_size=8), st.data())
+def test_suite_reports_match_oracle_per_file(grid_a, grid_b, kinds, data):
+    # Reports on two grids (each grid's time column is formatted once) and
+    # identity residuals, written in order as instance_NNNN.csv.
+    reports = []
+    for kind in kinds:
+        if kind == "residual":
+            reports.append(IdentityResidual(data.draw(FINITE), data.draw(FINITE)))
+        else:
+            reports.append(_report(data, grid_a if kind == "a" else grid_b))
+    result = SuiteResult("s", len(reports), 0, 0.0, tuple(reports))
+    with tempfile.TemporaryDirectory() as d:
+        write_suite_reports(Path(d), result)
+        names = sorted(p.name for p in Path(d).iterdir())
+        assert names == [f"instance_{i:04d}.csv" for i in range(len(reports))]
+        for name, rep in zip(names, reports):
+            assert (Path(d) / name).read_text() == instance_oracle(rep), name
+
+
+def test_suite_reports_of_mixed_suite_runs_match_oracle():
+    from fracstab.inequalities import run_suite
+
+    coarse, fine = TimeGrid(0.0, 0.04, 50), TimeGrid(0.0, 0.02, 100)
+    runs = [run_suite("nr1", 2, 1, grid=coarse), run_suite("nr4_identity", 2, 1), run_suite("lemma3", 2, 1, grid=fine)]
+    reports = tuple(r for run in runs for r in run.reports)
+    assert {r.slack.grid for r in reports if isinstance(r, IneqReport)} == {coarse, fine}
+    with tempfile.TemporaryDirectory() as d:
+        write_suite_reports(Path(d), SuiteResult("mixed", len(reports), 0, 0.0, reports))
+        for i, rep in enumerate(reports):
+            assert (Path(d) / f"instance_{i:04d}.csv").read_text() == instance_oracle(rep)
 
 
 def test_report_csv_writes_nan_refinement_ratio_as_nan():
