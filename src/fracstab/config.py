@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, FracstabError
+from .errors import ConfigError, DomainError, FracstabError, count, real
 from .expressions import parse, to_text
 from .inequalities import MAX_INSTANCES
 from .operators import FracOrder, TimeGrid
@@ -78,17 +78,11 @@ def _parse_value(raw: str, lineno: int):
         f = float(raw)
     except ValueError:
         return raw  # bare word (preset names, check names)
-    if not math.isfinite(f):
-        raise ConfigError(f"number must be finite, got {raw!r}", lineno)
-    return int(f) if f == int(f) and ("e" not in raw.lower() and "." not in raw) else f
-
-
-def _number(value, key: str, kind=float):
-    """value converted by kind (float or int); ConfigError if it is no number."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+        f = real(f, f"number {raw!r}")
+    except DomainError as exc:
+        raise ConfigError(str(exc), lineno) from None
+    return int(f) if f == int(f) and ("e" not in raw.lower() and "." not in raw) else f
 
 
 @contextmanager
@@ -99,6 +93,11 @@ def _at_line(lines: dict[str, int], key: str | None = None):
         yield
     except FracstabError as exc:
         raise ConfigError(str(exc), lines.get(key or str(exc).split()[0])) from exc
+
+
+def _real(settings: dict, key: str, lines: dict[str, int]) -> float:
+    with _at_line(lines, key):
+        return real(settings[key], key)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -145,26 +144,32 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"unknown preset {preset_name!r}")
         with _at_line(lines, "phi"):
             preset = get_preset(str(preset_name), phi_text=str(phi) if phi else None)
-        dim = _number(values.get("dim", preset.system.dim), "dim", int)
-        alpha = _number(values.get("order", preset.system.order.alpha), "order")
-        x0 = values.get("x0", list(preset.system.x0))
-        preset_rhs = preset.system.rhs
-        t0 = _number(values.get("t0", preset.grid.t0), "t0")
-        t_end = _number(values.get("t_end", preset.grid.t_end), "t_end")
-        h = _number(values.get("h", preset.grid.h), "h")
-        label = str(values.get("label", preset.name))
+        system, grid = preset.system, preset.grid
+        settings = {
+            "dim": system.dim,
+            "order": system.order.alpha,
+            "x0": list(system.x0),
+            "t0": grid.t0,
+            "t_end": grid.t_end,
+            "h": grid.h,
+            "label": preset.name,
+        }
+        preset_rhs = system.rhs
     else:
         for key in ("dim", "order", "x0", "t_end", "h"):
             if key not in values:
                 raise ConfigError(f"missing key {key!r}")
-        dim = _number(values["dim"], "dim", int)
-        alpha = _number(values["order"], "order")
-        x0 = values["x0"]
+        settings = {"t0": 0.0, "label": "custom"}
         preset_rhs = ()
-        t0 = _number(values.get("t0", 0.0), "t0")
-        t_end = _number(values["t_end"], "t_end")
-        h = _number(values["h"], "h")
-        label = str(values.get("label", "custom"))
+    settings.update(values)
+
+    with _at_line(lines, "dim"):
+        dim = count(settings["dim"], "dim", 1)
+    with _at_line(lines, "order"):
+        order = FracOrder(settings["order"])
+    t0, t_end, h = (_real(settings, key, lines) for key in ("t0", "t_end", "h"))
+    x0 = settings["x0"]
+    label = str(settings["label"])
 
     if not isinstance(x0, list):
         raise ConfigError("x0 must be a bracketed list")
@@ -173,8 +178,6 @@ def parse_config(text: str) -> RunConfig:
     for idx in rhs_lines:
         if idx > dim:
             raise ConfigError(f"dimension mismatch: rhs{idx} present with dim = {dim}")
-    with _at_line(lines, "order"):
-        order = FracOrder(alpha)
     rhs = []
     for i in range(1, dim + 1):
         text_i = rhs_lines.get(i)
@@ -198,8 +201,7 @@ def parse_config(text: str) -> RunConfig:
     if n_steps < 1 or abs(t0 + n_steps * h - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ConfigError(f"(t_end - t0) must be a multiple of h, got {t_end - t0} / {h}")
 
-    x0 = [_number(v, "x0") for v in x0]
-    with _at_line(lines):  # SystemDef's messages begin with dim, x0 or rhs<i>
+    with _at_line(lines):  # SystemDef's messages begin with x0 or rhs<i>
         system = SystemDef(dim, order, tuple(rhs), x0, label)
     grid = TimeGrid(t0, h, n_steps)
 
@@ -210,27 +212,24 @@ def parse_config(text: str) -> RunConfig:
     for item in checks_raw:
         if not isinstance(item, str):
             raise ConfigError(f"bad check entry {item!r}")
-        name, _, count = str(item).partition(":")
+        name, _, n_text = item.partition(":")
         try:
-            n = int(count) if count else _DEFAULT_CHECK_COUNT
+            n = int(n_text) if n_text else _DEFAULT_CHECK_COUNT
         except ValueError:
             raise ConfigError(f"bad instance count in check entry {item!r}") from None
-        if not 1 <= n <= MAX_INSTANCES:
-            raise ConfigError(
-                f"instance count must be in 1..{MAX_INSTANCES} in check entry {item!r}"
-            )
-        checks.append((name.strip(), n))
+        with _at_line(lines, "checks"):  # run_suite's own bounds, checked before any run
+            checks.append((name.strip(), count(n, "instance count", 1, MAX_INSTANCES)))
 
-    seed = values.get("seed", 0)
-    if not (isinstance(seed, int) and seed >= 0):
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}", lines.get("seed"))
+    with _at_line(lines, "seed"):
+        seed = count(values.get("seed", 0), "seed", 0)
     output = values.get("output")
     h_list = values.get("h_list", [])
     if not isinstance(h_list, list):
         raise ConfigError("h_list must be a bracketed list")
-    h_list = tuple(_number(v, "h_list") for v in h_list)
+    with _at_line(lines, "h_list"):
+        h_list = tuple(real(v, "h_list") for v in h_list)
     if h_list:
-        if not all(h > 0 for h in h_list):  # also rejects a quoted "nan"
+        if not all(h > 0 for h in h_list):
             raise ConfigError(f"h_list steps must be > 0, got {list(h_list)}")
         ref_nodes = reference_grid(grid.t_end - grid.t0, h_list)[1] + 1
         if ref_nodes > MAX_NODES:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BindError, EvalError, ParseError
+from .errors import BindError, EvalError, ParseError, real, reals
 
 __all__ = ["Expr", "Num", "Var", "Neg", "BinOp", "Call", "parse", "evaluate", "variables", "to_text"]
 
@@ -397,21 +397,32 @@ def _compile_call(node: Call, arg, scalar: bool):
     return call
 
 
+def _inputs(caller: str, t, x, r, scalar: bool):
+    """t, each x and r (unless None) as floats (scalar) or float arrays.
+
+    BindError unless each is a finite real number, or an array of them.
+    """
+    as_real = real if scalar else reals
+    try:
+        xs = [as_real(v, f"x{i}") for i, v in enumerate(x, start=1)]
+        return as_real(t, "t"), xs, None if r is None else as_real(r, "r")
+    except (TypeError, ValueError) as exc:  # x not iterable; DomainError and RangeError are ValueErrors
+        raise BindError(f"{caller} needs finite real t, x and r: {exc}") from None
+
+
 def evaluate(node: Expr, t=0.0, x=(), r=None) -> float:
     """Evaluate at scalar or numpy-array arguments.
 
     Scalar inputs return float; array inputs (numpy arrays or nested
     sequences of numbers) return an ndarray over the broadcast shape.
     Faults raise EvalError/BindError, never silent NaN; so does input that
-    is not numeric.
+    is not a finite real number.
     """
     try:
         scalar = np.ndim(t) == 0 and np.ndim(r) == 0 and all(np.ndim(v) == 0 for v in x)
-        as_float = float if scalar else _float_array
-        t, x = as_float(t), [as_float(v) for v in x]
-        r = None if r is None else as_float(r)
-    except (TypeError, ValueError) as exc:
-        raise BindError(f"evaluate needs numeric t, x and r: {exc}") from None
+    except (TypeError, ValueError) as exc:  # x not iterable, or ragged nesting
+        raise BindError(f"evaluate needs finite real t, x and r: {exc}") from None
+    t, x, r = _inputs("evaluate", t, x, r, scalar)
     if scalar:
         return _compile(node, scalar=True)(t, x, r)
     f = _compile(node, scalar=False)
@@ -422,12 +433,12 @@ def evaluate(node: Expr, t=0.0, x=(), r=None) -> float:
     return out
 
 
-def _float_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
 def sample_on(node: Expr, ts: np.ndarray, x=(), r=None) -> np.ndarray:
-    """Evaluate over an array of times, broadcasting constants to ts.shape."""
+    """Evaluate over an array of times, broadcasting constants to ts.shape.
+
+    BindError unless ts, each x and r hold finite real numbers only.
+    """
+    ts, x, r = _inputs("sample_on", ts, x, r, scalar=False)
     f = _compile(node, scalar=False)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = np.asarray(f(ts, x, r), dtype=float)
@@ -478,7 +489,12 @@ def _wrap(node: Expr, minimum: int) -> str:
 
 
 def to_text(node: Expr) -> str:
-    """Render the AST back to parseable text (round-trips structurally)."""
+    """Render the AST back to text that parses to the same tree.
+
+    That holds for the trees `parse` produces.  Their literals are finite
+    and non-negative (a negative one is Neg(Num)); a negative or non-finite
+    Num prints as text that reads back as Neg(Num) or does not parse.
+    """
     if isinstance(node, Num):
         return repr(node.value)
     if isinstance(node, Var):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -27,6 +27,8 @@ from .errors import (
     ShapeError,
     SingularityError,
     UnknownCheckError,
+    count,
+    real,
 )
 from .expressions import BinOp, Call, Expr, Neg, Num, Var, parse, sample_on, to_text
 from .operators import FracOrder, SampleSeries, TimeGrid, caputo_l1
@@ -100,7 +102,8 @@ class PowerTerm:
 
     beta as a Fraction must have an even numerator (in lowest terms), which
     is what lets x change sign; a float beta >= 1 is allowed when the bound
-    series it multiplies is non-negative.
+    series it multiplies is non-negative.  c, p and a beta that is not a
+    Fraction are stored as floats.
     """
 
     c: float
@@ -109,19 +112,26 @@ class PowerTerm:
     envelope: EnvelopeSpec | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.c) and self.c >= 0.0):
-            raise DomainError(f"coefficient must be >= 0, got {self.c!r}")
-        if not (math.isfinite(self.p) and self.p >= 1.0):
-            raise DomainError(f"envelope exponent p must be >= 1, got {self.p!r}")
+        c = real(self.c, "coefficient")
+        p = real(self.p, "envelope exponent p")
+        if c < 0.0:
+            raise DomainError(f"coefficient must be >= 0, got {c!r}")
+        if p < 1.0:
+            raise DomainError(f"envelope exponent p must be >= 1, got {p!r}")
         if isinstance(self.beta, Fraction):
             _validate_even_fraction(self.beta)
-        elif not (math.isfinite(self.beta) and self.beta >= 1.0):
-            raise DomainError(f"beta must be >= 1, got {self.beta!r}")
+        else:
+            beta = real(self.beta, "beta")
+            if beta < 1.0:
+                raise DomainError(f"beta must be >= 1, got {beta!r}")
+            object.__setattr__(self, "beta", beta)
         if self.envelope is not None and self.envelope.kind not in (
             "nonneg_decreasing",
             "positive_decreasing",
         ):
             raise DomainError("composite envelopes must be non-negative decreasing")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "p", p)
 
     @property
     def signed_ok(self) -> bool:
@@ -230,8 +240,8 @@ def make_report(
     direction +1 checks LHS <= RHS, -1 checks LHS >= RHS.  skip_nodes
     excludes leading nodes from the verdict (the slack series still reports
     them); used where the operator's node-0 convention makes the comparison
-    vacuous.  The tolerance scale is the largest |RHS|; the tolerance does
-    not depend on order.
+    vacuous.  The tolerance scale is the largest |RHS|.  order is accepted
+    and not read: the tolerance 10 * h * scale is the same for every order.
     """
 
     def measure(g: TimeGrid):
@@ -295,11 +305,12 @@ def verify_odd_power_envelope(
 
     phi decreasing (sign unrestricted: the odd power preserves monotonicity),
     x >= 0, real beta >= 0.  For beta < 1, x must stay above a small floor
-    since x^beta loses differentiability at zeros of x.
+    since x^beta loses differentiability at zeros of x.  n is at most
+    sys.maxsize // 2, so that the exponent 2n + 1 is a machine integer.
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a non-negative integer, got {n!r}")
-    if not (math.isfinite(beta) and beta >= 0.0):
+    n = count(n, "n", 0, sys.maxsize // 2)
+    beta = real(beta, "beta")
+    if beta < 0.0:
         raise DomainError(f"beta must be >= 0, got {beta!r}")
     _require_nonneg(x.values, "x")
     if beta < 1.0 and beta != 0.0 and np.min(x.values) < POWER_FLOOR:
@@ -308,7 +319,7 @@ def verify_odd_power_envelope(
         )
     if phi.kind == "mono_increasing":
         raise EnvelopeError("verify_odd_power_envelope needs a decreasing envelope")
-    return _envelope_product("odd_power_envelope", phi, 2 * int(n) + 1, x, beta, order)
+    return _envelope_product("odd_power_envelope", phi, 2 * n + 1, x, beta, order)
 
 
 def verify_power_rule(
@@ -412,7 +423,8 @@ def verify_decomposition_nr4(
     level (<= 1e-10 * scale) for every valid input.
     """
     _require_nonneg(x.values, "x")
-    if not (math.isfinite(beta) and beta >= 1.0):
+    beta = real(beta, "beta")
+    if beta < 1.0:
         raise DomainError(f"beta must be >= 1, got {beta!r}")
     pv = phi.sample(x.grid)
     d_prod, d_pow, d_x, slope = _decomposition_parts(pv, x.values, beta, x.grid, order)
@@ -437,7 +449,8 @@ def verify_decomposition_nr6(
     and its slack min(-f, g) shows a violation of either as negative slack.
     """
     _require_positive(x.values, "x")
-    if not (math.isfinite(beta) and beta >= 0.0):
+    beta = real(beta, "beta")
+    if beta < 0.0:
         raise DomainError(f"beta must be >= 0, got {beta!r}")
     if phi.kind != "positive_decreasing":
         raise EnvelopeError("verify_decomposition_nr6 needs a positive decreasing envelope")
@@ -646,10 +659,6 @@ class SuiteResult:
         return self.passes == self.instances
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _run_one(name: str, seed: int, grid: TimeGrid):
     if name in _COMPOSITE_FLAVORS:
         groups, series, order = _composite_instance(seed, name, grid)
@@ -678,10 +687,8 @@ def run_suite(name: str, instances: int, seed: int, grid: TimeGrid | None = None
     """Run a named suite of seeded instances; deterministic in (name, instances, seed)."""
     if name not in SUITE_NAMES:
         raise UnknownCheckError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    if not (_is_int(instances) and 1 <= instances <= MAX_INSTANCES):
-        raise DomainError(f"instances must be an integer in 1..{MAX_INSTANCES}, got {instances!r}")
-    if not (_is_int(seed) and seed >= 0):
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    instances = count(instances, "instance count", 1, MAX_INSTANCES)
+    seed = count(seed, "seed", 0)
     grid = grid or _DEFAULT_GRID
     child_seeds = np.random.SeedSequence(seed).generate_state(instances)
     reports = []

@@ -13,13 +13,12 @@ zero-padded real FFT product from there on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, count, real, reals
 from .special import gamma
 
 __all__ = [
@@ -35,19 +34,31 @@ __all__ = [
 ]
 
 
+# Largest step count of a TimeGrid: its node count must still be a numpy
+# array length.
+_MAX_STEPS = np.iinfo(np.intp).max - 1
+
+
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t0 + j*h for j = 0..n_steps."""
+    """Uniform grid t0 + j*h for j = 0..n_steps; t0 and h are stored as
+    floats, n_steps as an int."""
 
     t0: float
     h: float
     n_steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.t0) and math.isfinite(self.h) and self.h > 0.0):
-            raise DomainError(f"TimeGrid requires finite t0 and h > 0, got {self}")
-        if self.n_steps < 1:
-            raise ShapeError(f"TimeGrid requires n_steps >= 1, got {self.n_steps}")
+        t0 = real(self.t0, "TimeGrid.t0")
+        h = real(self.h, "TimeGrid.h")
+        n_steps = count(self.n_steps, "TimeGrid.n_steps", 0, _MAX_STEPS)
+        if h <= 0.0:
+            raise DomainError(f"TimeGrid requires h > 0, got {h!r}")
+        if n_steps < 1:
+            raise ShapeError(f"TimeGrid requires n_steps >= 1, got {n_steps}")
+        object.__setattr__(self, "t0", t0)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "n_steps", n_steps)
 
     @property
     def n_nodes(self) -> int:
@@ -80,13 +91,11 @@ class SampleSeries:
     )
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = reals(self.values, "series values")
         if vals.shape != (self.grid.n_nodes,):
             raise ShapeError(
                 f"series needs {self.grid.n_nodes} values, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("series values must all be finite")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -103,13 +112,15 @@ class SampleSeries:
 
 @dataclass(frozen=True)
 class FracOrder:
-    """Fractional differentiation order restricted to (0, 1]."""
+    """Fractional differentiation order restricted to (0, 1], stored as a float."""
 
     alpha: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and 0.0 < self.alpha <= 1.0):
-            raise DomainError(f"FracOrder.alpha must be in (0, 1], got {self.alpha!r}")
+        alpha = real(self.alpha, "FracOrder.alpha")
+        if not 0.0 < alpha <= 1.0:
+            raise DomainError(f"FracOrder.alpha must be in (0, 1], got {alpha!r}")
+        object.__setattr__(self, "alpha", alpha)
 
 
 # Output length from which `_lag_sum` convolves by FFT.  Timing sweep of
@@ -147,7 +158,8 @@ def rl_weights(mu: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     weights f_{k-m} for 1 <= m <= k-1; the newest sample f_k has weight 1.
     All are to be scaled by h^mu / Gamma(mu + 2).
     """
-    if mu <= 0.0 or not math.isfinite(mu):
+    mu = real(mu, "rl integral order")
+    if mu <= 0.0:
         raise DomainError(f"rl integral order must be > 0, got {mu!r}")
     a0 = np.zeros(n_steps + 1)
     k = np.arange(1, n_steps + 1, dtype=float)
@@ -170,7 +182,7 @@ def rl_integral(f: SampleSeries, mu: float) -> SampleSeries:
     """
     grid = f.grid
     n = grid.n_steps
-    a0, body = rl_weights(mu, n)
+    a0, body = rl_weights(mu, n)  # checks mu
     scale = grid.h**mu / gamma(mu + 2.0)
     vals = f.values
     out = np.zeros(n + 1)
@@ -240,6 +252,7 @@ def caputo_l1(f: SampleSeries, order: FracOrder) -> SampleSeries:
 
 def caputo_power_oracle(p: float, order: FracOrder, t: float, t0: float) -> float:
     """Exact Caputo derivative of (t - t0)^p: Gamma(p+1)/Gamma(p+1-alpha) * (t-t0)^(p-alpha)."""
+    p, t, t0 = real(p, "oracle p"), real(t, "oracle t"), real(t0, "oracle t0")
     if p < 1.0:
         raise DomainError(f"power-rule oracle requires p >= 1, got {p!r}")
     if t < t0:

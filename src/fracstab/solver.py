@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, EvalError, ShapeError
+from .errors import DivergenceError, DomainError, EvalError, ShapeError, count, real, reals
 from .expressions import Expr, _compile, max_state_index, parse, to_text, variables
 from .operators import (
     _FFT_MIN_TERMS,
@@ -47,32 +47,28 @@ class SystemDef:
     label: str = ""
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ShapeError(f"dim must be >= 1, got {self.dim}")
+        dim = count(self.dim, "dim", 1)
         rhs = tuple(self.rhs)
-        x0 = np.asarray(self.x0, dtype=float)
-        if len(rhs) != self.dim or x0.shape != (self.dim,):
+        x0 = reals(self.x0, "x0")
+        if len(rhs) != dim or x0.shape != (dim,):
             raise ShapeError(
-                f"need {self.dim} rhs expressions and initial values, "
+                f"need {dim} rhs expressions and initial values, "
                 f"got {len(rhs)} and {x0.shape}"
             )
-        if not np.all(np.isfinite(x0)):
-            raise DomainError("x0 must be finite")
         for i, e in enumerate(rhs):
-            if max_state_index(e) > self.dim:
-                raise ShapeError(
-                    f"rhs{i + 1} references x{max_state_index(e)} beyond dim {self.dim}"
-                )
+            if max_state_index(e) > dim:
+                raise ShapeError(f"rhs{i + 1} references x{max_state_index(e)} beyond dim {dim}")
             if "r" in variables(e):
                 raise ShapeError(f"rhs{i + 1} must not use the class-K variable 'r'")
         x0 = x0.copy()
         x0.flags.writeable = False
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "x0", x0)
 
     @classmethod
     def from_strings(cls, dim, alpha, rhs_texts, x0, label="") -> "SystemDef":
-        return cls(dim, FracOrder(alpha), tuple(parse(s) for s in rhs_texts), np.asarray(x0, float), label)
+        return cls(dim, FracOrder(alpha), tuple(parse(s) for s in rhs_texts), x0, label)
 
 
 @dataclass(frozen=True)
@@ -231,9 +227,11 @@ def convergence_study(system: SystemDef, t_end: float, h_list, t0: float = 0.0) 
     layer at the initial time that caps the order there, the same
     convention the discrete operators use.
     """
-    h_list = [float(h) for h in h_list]
-    if len(h_list) < 2 or any(h2 >= h1 for h1, h2 in zip(h_list, h_list[1:])):
+    t_end, t0 = real(t_end, "t_end"), real(t0, "t0")
+    steps = reals(h_list, "h_list")
+    if steps.ndim != 1 or steps.size < 2 or np.any(np.diff(steps) >= 0.0):
         raise DomainError("h_list must be decreasing with at least 2 entries")
+    h_list = steps.tolist()
     span = t_end - t0
     h_ref, n_ref = reference_grid(span, h_list)
     try:

@@ -10,12 +10,11 @@ Mittag-Leffler decay envelope |x(t)|^2 <= amp * E_alpha(-rate t^alpha) *
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvalError, PreconditionError
+from .errors import DomainError, EvalError, PreconditionError, real
 from .expressions import Expr, _compile, evaluate, parse, sample_on, to_text, variables
 from .inequalities import IneqReport, _judge, make_report
 from .operators import FracOrder, SampleSeries, TimeGrid, caputo_l1
@@ -189,9 +188,11 @@ def check_ml_envelope(
     Exact pointwise check (tol = 0); amplification below 1 is accepted so
     sharpness probes can drive the check to fail at t = 0.
     """
-    if not (math.isfinite(rate) and rate > 0.0):
+    rate = real(rate, "envelope rate")
+    amplification = real(amplification, "amplification")
+    if rate <= 0.0:
         raise DomainError(f"envelope rate must be > 0, got {rate!r}")
-    if not (math.isfinite(amplification) and amplification > 0.0):
+    if amplification <= 0.0:
         raise DomainError(f"amplification must be > 0, got {amplification!r}")
     alpha = order.alpha
     ts = traj.grid.nodes()
@@ -210,7 +211,8 @@ def check_ml_envelope(
 
 def check_local_ball(traj: Trajectory, r: float) -> BallResult:
     """|x(t_j)| <= r at every node (domain of the local dissipation estimate)."""
-    if not (0.0 < r < 1.0):
+    r = real(r, "ball radius")
+    if not 0.0 < r < 1.0:
         raise DomainError(f"ball radius must be in (0, 1), got {r!r}")
     norms = traj.norms()
     bad = np.nonzero(norms > r)[0]

@@ -109,13 +109,17 @@ def ml_gll_oracle(alpha: float, beta: float, z: float) -> float:
 def ml_series_oracle(alpha: float, beta: float, z: float) -> float:
     """E_{alpha,beta}(z), beta > 0, by its power series in mpmath at SERIES_DIGITS correct digits.
 
-    The working precision covers the cancellation on the negative axis: the
-    decimal size of the largest term, plus 2 log10|z| since the sum can be as
-    small as 1/z^2 (when 1/Gamma(beta - alpha) = 0), plus 20 guard digits.
-    Terms decrease once alpha k + beta > |z|^(1/alpha); the sum stops past
-    that point at the first term below 10^-(SERIES_DIGITS + 10) of the total.  Both
-    the term count and the precision grow like |z|^(1/alpha), so this is the
-    reference for small |z|^(1/alpha), where the integral oracle can be unsafe.
+    The working precision starts from the cancellation on the negative
+    axis: the decimal size of the largest term, plus 2 log10|z| since the
+    sum can be as small as 1/z^2 (when 1/Gamma(beta - alpha) = 0), plus 20
+    guard digits.  The sum can be smaller still (at large beta it is about
+    1/Gamma(beta)), so the precision is judged against the sum itself: the
+    series is summed at p and at p + 30 digits, and p doubles until the
+    two agree to SERIES_DIGITS.  Terms decrease once alpha k + beta >
+    |z|^(1/alpha); the sum stops past that point at the first term below
+    10^-(SERIES_DIGITS + 10) of the total.  Both the term count and the
+    precision grow like |z|^(1/alpha), so this is the reference for small
+    |z|^(1/alpha), where the integral oracle can be unsafe.
     """
     r = abs(z) ** (1.0 / alpha)
     past_peak = int((r + 2.0) / alpha) + 2
@@ -123,17 +127,26 @@ def ml_series_oracle(alpha: float, beta: float, z: float) -> float:
         [k * math.log(abs(z)) - math.lgamma(alpha * k + beta) for k in range(past_peak)] if z else [0.0]
     )
     extra = max(0.0, log_peak / math.log(10)) + 2.0 * max(0.0, math.log10(abs(z) or 1.0))
-    with mpmath.workdps(SERIES_DIGITS + int(extra) + 20):
-        a, b, zz = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
-        floor = mpmath.mpf(10) ** (-(SERIES_DIGITS + 10))
-        total, power, k = mpmath.mpf(0), mpmath.mpf(1), 0
-        while True:
-            term = power * mpmath.rgamma(a * k + b)
-            total += term
-            if k >= past_peak and abs(term) <= floor * abs(total):
-                return float(total)
-            k += 1
-            power *= zz
+
+    def series(digits: int):
+        with mpmath.workdps(digits):
+            a, b, zz = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
+            floor = mpmath.mpf(10) ** (-(SERIES_DIGITS + 10))
+            total, power, k = mpmath.mpf(0), mpmath.mpf(1), 0
+            while True:
+                term = power * mpmath.rgamma(a * k + b)
+                total += term
+                if k >= past_peak and abs(term) <= floor * abs(total):
+                    return total
+                k += 1
+                power *= zz
+
+    digits = SERIES_DIGITS + int(extra) + 20
+    while True:
+        value, finer = series(digits), series(digits + 30)
+        if abs(value - finer) <= mpmath.mpf(10) ** -SERIES_DIGITS * abs(finer):
+            return float(finer)
+        digits *= 2
 
 
 def ml_alpha_one_oracle(beta: float, z: float) -> float:

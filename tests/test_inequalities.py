@@ -1,8 +1,13 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from fracstab import inequalities
 
 from fracstab.errors import (
     DomainError,
@@ -509,3 +514,74 @@ def test_make_report_skip_nodes_and_direction():
     # direction -1 checks lhs >= rhs: node 0 holds, every other node has slack 0
     r = make_report("s", GRID, order, compute, refinable=False, direction=-1)
     assert r.verdict and r.slack.values[0] == 4.0
+
+
+# --- the detection limit of a verdict ----------------------------------------------------
+
+_SMALL = TimeGrid(0.0, 0.01, 100)
+
+
+def _plain(x):
+    """x without its source function, so a verdict on it cannot refine."""
+    return SampleSeries(x.grid, x.values)
+
+
+def _instance_check(suite, seed):
+    """The check of one real instance of a suite on _SMALL, on series without a source.
+
+    nr1 and nr2 go through the `_envelope_product` kernel, lemma3, nr8 and
+    nr11 through `_power_sum`.
+    """
+    if suite in _COMPOSITE_FLAVORS:
+        groups, xs, order = _composite_instance(seed, suite, _SMALL)
+        return lambda: verify_composite(groups, [_plain(x) for x in xs], order)
+    envelope, x, beta, order = generate_instance(seed, dataclasses.replace(PROFILES[suite], grid=_SMALL))
+    if suite == "nr1":
+        return lambda: verify_product_decreasing(envelope, _plain(x), order)
+    if suite == "nr2":
+        return lambda: verify_odd_power_envelope(envelope, seed % 3, _plain(x), beta, order)
+    return lambda: verify_power_rule(_plain(x), beta, order, require_nonneg=True)
+
+
+def _lowering(node, amount):
+    """make_report with the RHS that compute returns lowered by amount at one node."""
+
+    def lowered_report(name, grid, order, compute, refinable, direction=1, skip_nodes=0):
+        def lowered(g):
+            lhs, rhs = compute(g)
+            rhs = rhs.copy()
+            rhs[node] -= amount
+            return lhs, rhs
+
+        return make_report(name, grid, order, lowered, refinable, direction, skip_nodes)
+
+    return lowered_report
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    suite=st.sampled_from(["nr1", "nr2", "lemma3", "nr8", "nr11"]),
+    seed=st.integers(0, 2**32 - 1),
+    node=st.integers(1, _SMALL.n_steps - 1),
+    u=st.floats(0.0, 3.0).filter(lambda u: abs(u - 1.0) > 1e-3),
+)
+def test_a_verdict_fails_exactly_past_its_tolerance(suite, seed, node, u):
+    # Lowering the RHS of a real, exactly holding instance by delta * scale
+    # at one interior node j fails a verdict that cannot refine exactly when
+    # delta * scale - slack_j > 10 h scale', scale' the new max |RHS|; u puts
+    # delta * scale - slack_j at u * 10 h scale.
+    check = _instance_check(suite, seed)
+    base = check()
+    assume(base.max_violation == 0.0)
+    h = _SMALL.h
+    slack_j = base.slack.values[node]
+    amount = slack_j + u * 10.0 * h * float(np.max(np.abs(base.rhs)))
+    rhs = base.rhs.copy()
+    rhs[node] -= amount
+    tol = 10.0 * h * float(np.max(np.abs(rhs)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(inequalities, "make_report", _lowering(node, amount))
+        report = check()
+    assert np.array_equal(report.rhs, rhs) and np.array_equal(report.lhs, base.lhs)
+    assert report.tol == tol and math.isnan(report.refinement_ratio)
+    assert report.verdict == (amount - slack_j <= tol)

@@ -238,6 +238,16 @@ def test_series_oracle_self_check():
     assert ml_series_oracle(1.0, 2.3, -30.0) == pytest.approx(ml_alpha_one_oracle(2.3, -30.0), rel=1e-14)
 
 
+@pytest.mark.parametrize("alpha, beta, z", [(0.5, 100.0, -10.0), (0.9, 100.0, -50.0)])
+def test_ml_large_beta_fallback_against_series_oracle(alpha, beta, z):
+    # |E| is about 1/Gamma(100) ~ 1e-156 here, below the fallback's old
+    # absolute stopping floor, so the series stopped at k = 4 and returned
+    # 1.0636e-156 and 7.723e-157 (true values 5.3508e-157 and 5.9672e-157)
+    ref = ml_series_oracle(alpha, beta, z)
+    assert abs(mittag_leffler(MLParams(alpha, beta), z) - ref) <= 1e-9 * abs(ref)
+    assert ref == pytest.approx({-10.0: 5.3508e-157, -50.0: 5.9672e-157}[z], rel=1e-4)
+
+
 @pytest.mark.parametrize("alpha, beta, z", [(0.1308, 1.1177, -0.7548), (0.9292, 1.7187, -0.2860)])
 def test_integral_oracle_refuses_where_quad_fails(alpha, beta, z):
     # quad warns here and its value is off by 2.8e-5 and 3.9e-7 relative; the
