@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, DomainError, FracstabError, count, real
-from .expressions import parse, to_text
+from .expressions import parse
 from .inequalities import MAX_INSTANCES
 from .operators import FracOrder, TimeGrid
 from .presets import PRESET_NAMES, get_preset
@@ -41,8 +41,6 @@ class RunConfig:
     checks: tuple[tuple[str, int], ...] = ()
     output: str | None = None
     seed: int = 0
-    preset: str | None = None
-    phi: str | None = None
     h_list: tuple[float, ...] = ()
 
 
@@ -180,13 +178,13 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"dimension mismatch: rhs{idx} present with dim = {dim}")
     rhs = []
     for i in range(1, dim + 1):
-        text_i = rhs_lines.get(i)
-        if text_i is None and i <= len(preset_rhs):
-            text_i = to_text(preset_rhs[i - 1])
-        if text_i is None:
+        if i in rhs_lines:
+            with _at_line(lines, f"rhs{i}"):
+                rhs.append(parse(rhs_lines[i]))
+        elif i <= len(preset_rhs):
+            rhs.append(preset_rhs[i - 1])
+        else:
             raise ConfigError(f"missing key 'rhs{i}'")
-        with _at_line(lines, f"rhs{i}"):
-            rhs.append(parse(text_i))
 
     if h <= 0:
         raise ConfigError(f"h must be > 0, got {h}")
@@ -243,8 +241,6 @@ def parse_config(text: str) -> RunConfig:
         checks=tuple(checks),
         output=str(output) if output is not None else None,
         seed=seed,
-        preset=str(preset_name) if preset_name else None,
-        phi=str(phi) if phi else None,
         h_list=h_list,
     )
 

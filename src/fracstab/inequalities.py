@@ -194,24 +194,35 @@ class IneqReport:
     verdict: bool
 
 
-def _judge(name: str, grid: TimeGrid, measure: Callable, refinable: bool) -> IneqReport:
+def _judge(
+    name: str, grid: TimeGrid, measure: Callable, refinable: bool, skip_nodes: int = 0
+) -> IneqReport:
     """The tolerance-and-refinement policy of every verifier; builds its report.
 
-    measure(grid) -> (violation, scale, (lhs, rhs, slack)).  The violation
-    passes if it is within tol = 10 * h * scale (so scale 0 makes the check
-    exact); above tol it passes only if the grid is refinable and halving it
-    shrinks the violation by at least 1.5x and brings it under the halved
-    grid's own tolerance.  The report holds the data of `grid`; its ratio is
-    NaN unless the grid was halved.  The tolerance is first order in h for
-    every order alpha in (0, 1].
+    measure(grid) -> (lhs, rhs, slack, scale).  The violation is the worst
+    negative slack, max(0, -min(slack)), over the nodes from skip_nodes on
+    (the slack series still reports the skipped ones).  It passes if it is
+    within tol = 10 * h * scale (so scale 0 makes the check exact); above
+    tol it passes only if the grid is refinable and halving it shrinks the
+    violation by at least 1.5x and brings it under the halved grid's own
+    tolerance.  The report holds the data of `grid`; its ratio is NaN unless
+    the grid was halved.  The tolerance is first order in h for every order
+    alpha in (0, 1].
     """
-    viol, scale, (lhs, rhs, slack) = measure(grid)
+
+    def violation(slack: np.ndarray) -> float:
+        judged = slack[skip_nodes:]
+        return max(0.0, -float(np.min(judged))) if judged.size else 0.0
+
+    lhs, rhs, slack, scale = measure(grid)
+    viol = violation(slack)
     tol = 10.0 * grid.h * scale
     ratio = math.nan
     verdict = viol <= tol
     if not verdict and refinable:
         half = grid.halved()
-        viol2, scale2, _ = measure(half)
+        _, _, slack2, scale2 = measure(half)
+        viol2 = violation(slack2)
         ratio = math.inf if viol2 == 0.0 else viol / viol2
         verdict = ratio >= 1.5 and viol2 <= 10.0 * half.h * scale2
     return IneqReport(
@@ -229,7 +240,6 @@ def _judge(name: str, grid: TimeGrid, measure: Callable, refinable: bool) -> Ine
 def make_report(
     name: str,
     grid: TimeGrid,
-    order: FracOrder,
     compute: Callable[[TimeGrid], tuple[np.ndarray, np.ndarray]],
     refinable: bool,
     direction: int = 1,
@@ -240,19 +250,16 @@ def make_report(
     direction +1 checks LHS <= RHS, -1 checks LHS >= RHS.  skip_nodes
     excludes leading nodes from the verdict (the slack series still reports
     them); used where the operator's node-0 convention makes the comparison
-    vacuous.  The tolerance scale is the largest |RHS|.  order is accepted
-    and not read: the tolerance 10 * h * scale is the same for every order.
+    vacuous.  The tolerance scale is the largest |RHS|; the tolerance
+    10 * h * scale is the same for every order.
     """
 
     def measure(g: TimeGrid):
         lhs, rhs = compute(g)
-        slack = direction * (rhs - lhs)
-        judged = slack[skip_nodes:]
-        viol = max(0.0, -float(np.min(judged))) if judged.size else 0.0
         scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
-        return viol, scale, (lhs, rhs, slack)
+        return lhs, rhs, direction * (rhs - lhs), scale
 
-    return _judge(name, grid, measure, refinable)
+    return _judge(name, grid, measure, refinable, skip_nodes)
 
 
 def _series_at(x: SampleSeries, grid: TimeGrid) -> np.ndarray:
@@ -279,7 +286,7 @@ def _envelope_product(
         return lhs, rhs
 
     refinable = x.source is not None
-    return make_report(name, x.grid, order, compute, refinable=refinable, direction=direction)
+    return make_report(name, x.grid, compute, refinable=refinable, direction=direction)
 
 
 def verify_product_decreasing(phi: EnvelopeSpec, x: SampleSeries, order: FracOrder) -> IneqReport:
@@ -322,22 +329,18 @@ def verify_odd_power_envelope(
     return _envelope_product("odd_power_envelope", phi, 2 * n + 1, x, beta, order)
 
 
-def verify_power_rule(
-    x: SampleSeries, beta, order: FracOrder, require_nonneg: bool
-) -> IneqReport:
+def verify_power_rule(x: SampleSeries, beta, order: FracOrder) -> IneqReport:
     """D(x^beta) <= beta * x^(beta-1) * D(x).
 
-    With require_nonneg set, beta is any real >= 1 and x must be >= 0; with
-    it clear, beta must be a rational with even numerator (x may change
-    sign, x^beta meaning |x|^beta).  The one-term case of the composite check.
+    beta's type sets the sign rule, as in a PowerTerm: a Fraction with an
+    even numerator (in lowest terms) lets x change sign, x^beta meaning
+    |x|^beta (Lemma 4); any other beta is a real >= 1 and x must be >= 0
+    (Lemma 3).  The one-term case of the composite check.
     """
-    if require_nonneg:
+    term = PowerTerm(1.0, beta)
+    if not term.signed_ok:
         _require_nonneg(x.values, "x")
-        if isinstance(beta, Fraction):
-            beta = float(beta)
-    elif not isinstance(beta, Fraction):
-        raise DomainError("sign-changing x needs beta as a Fraction with even numerator")
-    return _power_sum("power_rule", [[PowerTerm(1.0, beta)]], [x], order)
+    return _power_sum("power_rule", [[term]], [x], order)
 
 
 # --- composite sums (suites nr7..nr12) ----------------------------------------
@@ -362,7 +365,7 @@ def _power_sum(
         return lhs, rhs
 
     refinable = all(s.source is not None for s in x)
-    return make_report(name, x[0].grid, order, compute, refinable=refinable)
+    return make_report(name, x[0].grid, compute, refinable=refinable)
 
 
 def verify_composite(
@@ -402,7 +405,11 @@ def _decomposition_parts(pv: np.ndarray, xv: np.ndarray, beta: float, grid: Time
 
 @dataclass(frozen=True)
 class IdentityResidual:
-    """Max pointwise residual of an exact operator-linearity identity."""
+    """Max pointwise residual of an exact operator-linearity identity.
+
+    verdict: the residual is at rounding level (<= 1e-10 * scale);
+    max_violation: the relative residual, which a suite reports as its worst.
+    """
 
     max_residual: float
     scale: float
@@ -410,6 +417,14 @@ class IdentityResidual:
     @property
     def relative(self) -> float:
         return self.max_residual / self.scale if self.scale else 0.0
+
+    @property
+    def verdict(self) -> bool:
+        return self.max_residual <= 1e-10 * self.scale
+
+    @property
+    def max_violation(self) -> float:
+        return self.relative
 
 
 def verify_decomposition_nr4(
@@ -465,7 +480,7 @@ def verify_decomposition_nr6(
         g = d_pow - psi * d_prod
         worst = np.maximum(f, -g)  # <= 0 wanted for both components
         scale = float(np.max(np.maximum(np.abs(psi * d_prod), psi * np.abs(pv * slope * d_x))))
-        return max(0.0, float(np.max(worst))), scale, (f, -g, -worst)
+        return f, -g, -worst, scale
 
     return _judge("nr6_decomposition", x.grid, measure, x.source is not None)
 
@@ -573,8 +588,8 @@ def _draw_even_fraction(rng) -> Fraction:
 
 
 def generate_instance(seed: int, profile: InstanceProfile):
-    """Deterministic (envelope, x series, beta, order) draw for a profile."""
-    rng = np.random.default_rng(seed)
+    """Deterministic (envelope, x series, beta, order) draw for a profile; seed is an int >= 0."""
+    rng = np.random.default_rng(count(seed, "seed", 0))
     if profile.envelope_kind == "mono_increasing":
         env_expr = _draw_increasing(rng)
     else:
@@ -672,10 +687,8 @@ def _run_one(name: str, seed: int, grid: TimeGrid):
     if name == "nr2":
         n = seed % 3
         return verify_odd_power_envelope(envelope, n, x, beta, order)
-    if name == "lemma3":
-        return verify_power_rule(x, beta, order, require_nonneg=True)
-    if name == "lemma4":
-        return verify_power_rule(x, beta, order, require_nonneg=False)
+    if name in ("lemma3", "lemma4"):
+        return verify_power_rule(x, beta, order)
     if name == "nr4_identity":
         return verify_decomposition_nr4(envelope, x, beta, order)
     if name == "nr6":
@@ -697,11 +710,6 @@ def run_suite(name: str, instances: int, seed: int, grid: TimeGrid | None = None
     for child in child_seeds:
         out = _run_one(name, int(child), grid)
         reports.append(out)
-        if isinstance(out, IdentityResidual):
-            ok = out.max_residual <= 1e-10 * out.scale
-            worst = max(worst, out.relative)
-        else:
-            ok = out.verdict
-            worst = max(worst, out.max_violation)
-        passes += int(ok)
+        passes += int(out.verdict)
+        worst = max(worst, out.max_violation)
     return SuiteResult(name, instances, passes, worst, tuple(reports))

@@ -13,12 +13,13 @@ zero-padded real FFT product from there on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, count, real, reals
+from .errors import DomainError, RangeError, ShapeError, count, real, reals
 from .special import gamma
 
 __all__ = [
@@ -33,6 +34,9 @@ __all__ = [
     "caputo_power_oracle",
 ]
 
+
+# Log of the largest double, for the range check of rl_weights.
+_LOG_MAX = math.log(np.finfo(float).max)
 
 # Largest step count of a TimeGrid: its node count must still be a numpy
 # array length.
@@ -156,11 +160,19 @@ def rl_weights(mu: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (a0, body): a0[k] weights f_0 at node k (k = 0..n), and body[m]
     weights f_{k-m} for 1 <= m <= k-1; the newest sample f_k has weight 1.
-    All are to be scaled by h^mu / Gamma(mu + 2).
+    All are to be scaled by h^mu / Gamma(mu + 2).  RangeError, before any
+    power is taken, where an intermediate could leave the double range:
+    about (mu + 1) log(n_steps) > log(max double).
     """
     mu = real(mu, "rl integral order")
     if mu <= 0.0:
         raise DomainError(f"rl integral order must be > 0, got {mu!r}")
+    # every intermediate below is at most n^mu (2 n + mu) in size
+    n = max(n_steps, 1)
+    if mu * math.log(n) + math.log(2.0 * n + mu) > _LOG_MAX:
+        raise RangeError(
+            f"rl integral order {mu!r} on {n_steps} steps gives weights beyond the double range"
+        )
     a0 = np.zeros(n_steps + 1)
     k = np.arange(1, n_steps + 1, dtype=float)
     km1 = k - 1.0
@@ -227,8 +239,6 @@ def caputo_l1(f: SampleSeries, order: FracOrder) -> SampleSeries:
     """
     grid = f.grid
     n = grid.n_steps
-    if grid.n_nodes < 2:
-        raise ShapeError("caputo_l1 needs at least 2 nodes")
     vals = f.values
     alpha = order.alpha
     if alpha == 1.0:
@@ -251,7 +261,10 @@ def caputo_l1(f: SampleSeries, order: FracOrder) -> SampleSeries:
 
 
 def caputo_power_oracle(p: float, order: FracOrder, t: float, t0: float) -> float:
-    """Exact Caputo derivative of (t - t0)^p: Gamma(p+1)/Gamma(p+1-alpha) * (t-t0)^(p-alpha)."""
+    """Exact Caputo derivative of (t - t0)^p: Gamma(p+1)/Gamma(p+1-alpha) * (t-t0)^(p-alpha).
+
+    RangeError where that value leaves the double range.
+    """
     p, t, t0 = real(p, "oracle p"), real(t, "oracle t"), real(t0, "oracle t0")
     if p < 1.0:
         raise DomainError(f"power-rule oracle requires p >= 1, got {p!r}")
@@ -261,4 +274,10 @@ def caputo_power_oracle(p: float, order: FracOrder, t: float, t0: float) -> floa
     coeff = gamma(p + 1.0) / gamma(p + 1.0 - alpha)  # p + 1 - alpha >= 1: no pole
     if t == t0:
         return 0.0 if p > alpha else coeff
-    return coeff * (t - t0) ** (p - alpha)
+    try:
+        value = coeff * (t - t0) ** (p - alpha)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise RangeError(f"oracle value at t - t0 = {t - t0} exceeds the double range (p={p})")
+    return value

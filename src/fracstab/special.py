@@ -1,13 +1,13 @@
 """Scalar special functions on the real line: Gamma and Mittag-Leffler.
 
-Mittag-Leffler evaluation strategies are chosen per argument and validated
-at runtime: the power series tracks its own cancellation budget, alpha = 1
-with integer beta has closed forms, the negative axis has an inverse-Laplace
-quadrature on Garrappa's optimal parabolic contour that certifies its own
-error bound, and arguments none of these certifies fall through to a slow
-high-precision evaluation (mpmath).  On the negative axis a bound on the
-function rejects the series before it is summed where its cancellation test
-is sure to fail.  mittag_leffler_many shares the work that depends on
+Mittag-Leffler evaluation is one chain of branches, tried in order for
+every argument until one certifies its result: the power series, which
+tracks its own cancellation budget; closed forms at alpha = 1 with integer
+beta; on the negative axis an inverse-Laplace quadrature on Garrappa's
+optimal parabolic contour that certifies its own error bound; and last a
+slow high-precision evaluation (mpmath).  On the negative axis a bound on
+the function rejects the series before it is summed where its cancellation
+test is sure to fail.  mittag_leffler_many shares the work that depends on
 (alpha, beta) only among the points of one call; nothing is cached across
 calls, so a cold process pays the same per call as a warm one.
 """
@@ -132,11 +132,6 @@ class MLParams:
             raise DomainError(f"MLParams.beta must be > 0, got {beta!r}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-
-
-def _ml_series(alpha: float, beta: float, z: float):
-    """One-point form of _MLTable.series: (value, estimated_relative_error) or None."""
-    return _MLTable(alpha, beta).series(z)
 
 
 def _series_doomed(alpha: float, beta: float, z: float) -> bool:
@@ -267,12 +262,6 @@ def _contour_sums(nodes, z):
         total += weight * term.imag
         abs_total += weight * abs(term)
     return total, abs_total
-
-
-def _ml_contour(alpha: float, beta: float, z: float):
-    """One-point form of _MLTable.contour: (value, certified_relative_error)
-    or None."""
-    return _MLTable(alpha, beta).contour(z)
 
 
 def _ml_bigfloat(alpha: float, beta: float, z: float) -> float:
@@ -442,13 +431,6 @@ class _MLTable:
             raise RangeError(f"mittag_leffler supports z <= {ML_Z_MAX}, got {z}")
         alpha, beta = self.alpha, self.beta
 
-        if abs(z) < 0.25:
-            # series converges immediately with negligible cancellation
-            out = self.series(z)
-            if out is None:  # only reachable for extreme beta
-                return _ml_bigfloat(alpha, beta, z)
-            return out[0]
-
         if not _series_doomed(alpha, beta, z):
             out = self.series(z)
             if out is not None and out[1] <= _BRANCH_TARGET:
@@ -476,12 +458,14 @@ def mittag_leffler(params: MLParams, z: float) -> float:
     when the value exceeds the double range (possible for positive z at
     small alpha).
 
-    Branches, first certified wins: the power series (always for
-    |z| < 0.25; skipped on the negative axis where a bound on the function
-    proves its cancellation test would fail), the closed forms at alpha = 1
-    with integer beta, for z < 0 the parabolic-contour quadrature (Garrappa,
-    SIAM J. Numer. Anal. 2015) when its error bound is at most 1e-10
-    relative, and the mpmath fallback.
+    Branches, first certified wins: the power series when its cancellation
+    estimate is at most 1e-10 relative (skipped for z <= -0.25 where a bound
+    on the function proves that test would fail), the closed forms at
+    alpha = 1 with integer beta, for z < 0 the parabolic-contour quadrature
+    (Garrappa, SIAM J. Numer. Anal. 2015) when its error bound is at most
+    1e-10 relative, and the mpmath fallback.  Every z takes this one chain,
+    so near a zero of E_{alpha,beta} (possible for beta < alpha) the
+    fallback serves small |z| too.
     """
     return _MLTable(params.alpha, params.beta).value(z)
 

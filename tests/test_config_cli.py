@@ -46,7 +46,7 @@ def test_parse_example1_block():
     assert cfg.system.order.alpha == 0.9
     assert cfg.grid.n_steps == 5000
     assert list(cfg.system.x0) == [-10.0, 10.0]
-    assert cfg.preset == "example1"
+    assert cfg.system.label == "example1"
 
 
 def test_parse_preset_defaults_fill_in():

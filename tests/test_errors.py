@@ -14,7 +14,9 @@ from fracstab.errors import BindError, ConfigError, DomainError, FracstabError, 
 from fracstab.expressions import evaluate, parse, sample_on
 from fracstab.inequalities import (
     EnvelopeSpec,
+    PROFILES,
     PowerTerm,
+    generate_instance,
     run_suite,
     verify_decomposition_nr4,
     verify_decomposition_nr6,
@@ -112,11 +114,12 @@ SLOTS = {
     "PowerTerm.p": (lambda v: PowerTerm(1.0, 2.0, v), FracstabError),
     "verify_odd_power_envelope.n": (lambda v: verify_odd_power_envelope(PHI, v, X, 1.0, ORDER), FracstabError),
     "verify_odd_power_envelope.beta": (lambda v: verify_odd_power_envelope(PHI, 0, X, v, ORDER), FracstabError),
-    "verify_power_rule.beta": (lambda v: verify_power_rule(X, v, ORDER, True), FracstabError),
+    "verify_power_rule.beta": (lambda v: verify_power_rule(X, v, ORDER), FracstabError),
     "verify_decomposition_nr4.beta": (lambda v: verify_decomposition_nr4(PHI, X, v, ORDER), FracstabError),
     "verify_decomposition_nr6.beta": (lambda v: verify_decomposition_nr6(PHI, X, v, ORDER), FracstabError),
     "run_suite.instances": (lambda v: run_suite("nr1", v, 0, GRID), FracstabError),
     "run_suite.seed": (lambda v: run_suite("nr1", 1, v, GRID), FracstabError),
+    "generate_instance.seed": (lambda v: generate_instance(v, PROFILES["nr1"]), FracstabError),
     "SystemDef.dim": (lambda v: SystemDef(v, ORDER, SYSTEM.rhs, [1.0]), FracstabError),
     "SystemDef.x0": (lambda v: SystemDef(1, ORDER, SYSTEM.rhs, v), FracstabError),
     "SystemDef.x0[0]": (lambda v: SystemDef(1, ORDER, SYSTEM.rhs, [v]), FracstabError),
@@ -162,6 +165,12 @@ def test_bad_arguments_end_in_a_result_or_a_fracstab_error(slot, extra):
             call(value)
         except error:
             pass
+
+
+def test_generate_instance_seed_follows_the_count_rule():
+    for bad in (-1, 1.5):
+        with pytest.raises(DomainError, match="^seed must be an integer >= 0, got "):
+            generate_instance(bad, PROFILES["nr1"])
 
 
 # --- the config applies the same rule at the key's line -------------------------

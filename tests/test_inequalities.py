@@ -170,31 +170,29 @@ def test_odd_power_singularity_guard():
 
 
 def test_power_rule_identity_at_beta_one():
-    r = verify_power_rule(series(lambda t: 1.0 + np.sin(t) ** 2), 1.0, FracOrder(0.5), True)
+    r = verify_power_rule(series(lambda t: 1.0 + np.sin(t) ** 2), 1.0, FracOrder(0.5))
     assert np.max(np.abs(r.slack.values)) <= 1e-12 * np.max(np.abs(r.rhs))
 
 
 def test_power_rule_nonneg_and_signed():
-    r = verify_power_rule(series(lambda t: np.sin(t) + 2.0), 3.0, FracOrder(0.5), True)
+    r = verify_power_rule(series(lambda t: np.sin(t) + 2.0), 3.0, FracOrder(0.5))
     assert r.verdict
-    r2 = verify_power_rule(series(lambda t: np.sin(t)), Fraction(2), FracOrder(0.5), False)
+    r2 = verify_power_rule(series(lambda t: np.sin(t)), Fraction(2), FracOrder(0.5))
     assert r2.verdict
 
 
 def test_power_rule_domain_errors():
     x = series(lambda t: np.sin(t))
     with pytest.raises(DomainError):
-        verify_power_rule(series(lambda t: t + 1.0), 0.5, FracOrder(0.5), True)
+        verify_power_rule(series(lambda t: t + 1.0), 0.5, FracOrder(0.5))
     with pytest.raises(DomainError):
-        verify_power_rule(x, Fraction(3), FracOrder(0.5), False)  # odd numerator
-    with pytest.raises(DomainError):
-        verify_power_rule(x, 2.0, FracOrder(0.5), False)  # float beta needs nonneg route
+        verify_power_rule(x, Fraction(3), FracOrder(0.5))  # odd numerator
     with pytest.raises(PreconditionError):
-        verify_power_rule(x, 2.0, FracOrder(0.5), True)  # sign-changing x
+        verify_power_rule(x, 2.0, FracOrder(0.5))  # sign-changing x
 
 
 def test_power_rule_fraction_with_odd_denominator():
-    r = verify_power_rule(series(lambda t: np.sin(2 * t)), Fraction(4, 3), FracOrder(0.7), False)
+    r = verify_power_rule(series(lambda t: np.sin(2 * t)), Fraction(4, 3), FracOrder(0.7))
     assert r.verdict
 
 
@@ -202,11 +200,11 @@ def test_power_rule_fraction_with_odd_denominator():
 
 
 def test_composite_single_term_reduces_to_power_rule():
-    cases = [(np.sin, Fraction(2), False), (lambda t: 1.0 + np.sin(t) ** 2, 2.5, True)]
-    for fn, beta, require_nonneg in cases:
+    cases = [(np.sin, Fraction(2)), (lambda t: 1.0 + np.sin(t) ** 2, 2.5)]
+    for fn, beta in cases:
         x = series(fn)
         a = verify_composite([[PowerTerm(c=1.0, beta=beta)]], [x], FracOrder(0.5))
-        b = verify_power_rule(x, beta, FracOrder(0.5), require_nonneg)
+        b = verify_power_rule(x, beta, FracOrder(0.5))
         assert_same_numbers(a, b)
 
 
@@ -290,7 +288,7 @@ def test_nr6_constant_envelope_collapses():
     phi = env("positive_decreasing", "1")
     x = series(lambda t: 1.0 + np.sin(t) ** 2)
     r = verify_decomposition_nr6(phi, x, 2.0, FracOrder(0.5))
-    pr = verify_power_rule(x, 2.0, FracOrder(0.5), True)
+    pr = verify_power_rule(x, 2.0, FracOrder(0.5))
     # f equals the power-rule deficit, g vanishes identically
     assert np.allclose(r.lhs, -pr.slack.values, atol=1e-13)
     assert np.max(np.abs(r.rhs)) <= 1e-13
@@ -488,7 +486,7 @@ def _synthetic(violation, scale=lambda h: 1.0):
 )
 def test_make_report_policy(violation, scale, refinable, verdict, ratio, steps):
     compute, calls = _synthetic(violation, scale)
-    r = make_report("synthetic", GRID, FracOrder(0.5), compute, refinable=refinable)
+    r = make_report("synthetic", GRID, compute, refinable=refinable)
     assert r.verdict is verdict
     assert r.max_violation == pytest.approx(violation(0.01), rel=1e-12)
     assert r.tol == pytest.approx(0.1 * scale(0.01), rel=1e-12)
@@ -506,13 +504,12 @@ def test_make_report_skip_nodes_and_direction():
         lhs[0] = 5.0  # a violation at node 0 only
         return lhs, rhs
 
-    order = FracOrder(0.5)
-    assert not make_report("s", GRID, order, compute, refinable=False).verdict
-    r = make_report("s", GRID, order, compute, refinable=False, skip_nodes=1)
+    assert not make_report("s", GRID, compute, refinable=False).verdict
+    r = make_report("s", GRID, compute, refinable=False, skip_nodes=1)
     assert r.verdict and r.max_violation == 0.0
     assert r.slack.values[0] == -4.0  # skipped nodes are still reported
     # direction -1 checks lhs >= rhs: node 0 holds, every other node has slack 0
-    r = make_report("s", GRID, order, compute, refinable=False, direction=-1)
+    r = make_report("s", GRID, compute, refinable=False, direction=-1)
     assert r.verdict and r.slack.values[0] == 4.0
 
 
@@ -540,20 +537,20 @@ def _instance_check(suite, seed):
         return lambda: verify_product_decreasing(envelope, _plain(x), order)
     if suite == "nr2":
         return lambda: verify_odd_power_envelope(envelope, seed % 3, _plain(x), beta, order)
-    return lambda: verify_power_rule(_plain(x), beta, order, require_nonneg=True)
+    return lambda: verify_power_rule(_plain(x), beta, order)
 
 
 def _lowering(node, amount):
     """make_report with the RHS that compute returns lowered by amount at one node."""
 
-    def lowered_report(name, grid, order, compute, refinable, direction=1, skip_nodes=0):
+    def lowered_report(name, grid, compute, refinable, direction=1, skip_nodes=0):
         def lowered(g):
             lhs, rhs = compute(g)
             rhs = rhs.copy()
             rhs[node] -= amount
             return lhs, rhs
 
-        return make_report(name, grid, order, lowered, refinable, direction, skip_nodes)
+        return make_report(name, grid, lowered, refinable, direction, skip_nodes)
 
     return lowered_report
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracstab.errors import DomainError, ShapeError
+from fracstab.errors import DomainError, RangeError, ShapeError
 from fracstab.operators import (
     _FFT_MIN_TERMS,
     FracOrder,
@@ -209,6 +209,18 @@ def test_caputo_alpha_near_one_consistency():
     assert np.max(np.abs(near[1:] - exact[1:])) < 1e-3
 
 
+def test_rl_huge_order_is_a_range_error():
+    # weights of order 1000 on 10 steps reach 10^1001: refused before numpy
+    # overflows (a warning is an error here) or returns inf and nan weights
+    with pytest.raises(RangeError):
+        rl_weights(1000.0, 10)
+    _, f = grid_series(lambda t: t, n=10)
+    with pytest.raises(RangeError):
+        rl_integral(f, 1e300)
+    a0, body = rl_weights(150.0, 100)  # 100^151 fits the double range
+    assert np.all(np.isfinite(a0)) and np.all(np.isfinite(body))
+
+
 def test_caputo_needs_two_nodes():
     with pytest.raises(ShapeError):
         TimeGrid(0.0, 0.1, 0)
@@ -244,6 +256,13 @@ def test_power_oracle_domain_errors():
         caputo_power_oracle(0.5, FracOrder(0.5), 1.0, 0.0)
     with pytest.raises(DomainError):
         caputo_power_oracle(2.0, FracOrder(0.5), -1.0, 0.0)
+
+
+def test_power_oracle_range_error():
+    # (1e300)^2.5 is beyond the double range, (1e100)^2.5 is not
+    with pytest.raises(RangeError):
+        caputo_power_oracle(3.0, FracOrder(0.5), 1e300, 0.0)
+    assert math.isfinite(caputo_power_oracle(3.0, FracOrder(0.5), 1e100, 0.0))
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fracstab.errors import DomainError, RangeError
 from fracstab.special import ML_Z_MAX, MLParams, gamma, mittag_leffler, mittag_leffler_many, reciprocal_gamma
-from fracstab.special import _BRANCH_TARGET, _ml_bigfloat, _ml_contour, _ml_series, _series_doomed
+from fracstab.special import _BRANCH_TARGET, _MLTable, _ml_bigfloat, _series_doomed
 from fracstab.special import _CONTOUR_DISC_FACTOR, _EPS, _LOG_CONTOUR_TARGET, _LOG_EPS, _contour_params
 
 from oracles import (
@@ -248,6 +248,23 @@ def test_ml_large_beta_fallback_against_series_oracle(alpha, beta, z):
     assert ref == pytest.approx({-10.0: 5.3508e-157, -50.0: 5.9672e-157}[z], rel=1e-4)
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, z",
+    [
+        (1.0, 0.05, -0.05256519518345587),
+        (0.9, 0.05, -0.056324786747372756),
+        (0.5, 0.02, -0.03673769675467172),
+        (0.95, 0.1, -0.11432080202488158),
+    ],
+)
+def test_ml_near_a_zero_at_small_z(alpha, beta, z):
+    # E_{alpha,beta} with beta < alpha has a zero near these z: |E| is about
+    # 1e-18 against terms of order 1, so the double-precision series keeps
+    # no correct digit and its cancellation test must send the point on
+    ref = ml_series_oracle(alpha, beta, z)
+    assert abs(mittag_leffler(MLParams(alpha, beta), z) - ref) <= 1e-9 * abs(ref)
+
+
 @pytest.mark.parametrize("alpha, beta, z", [(0.1308, 1.1177, -0.7548), (0.9292, 1.7187, -0.2860)])
 def test_integral_oracle_refuses_where_quad_fails(alpha, beta, z):
     # quad warns here and its value is off by 2.8e-5 and 3.9e-7 relative; the
@@ -298,7 +315,7 @@ def test_ml_one_param_positive_bounded(alpha, z):
 def test_alpha_one_integer_beta_vs_highprec_series():
     # the closed forms at alpha = 1 cross-checked against the independent
     # high-precision series, so the branch wiring cannot hide an error
-    from fracstab.special import _BRANCH_TARGET, _ml_bigfloat, _ml_contour
+    from fracstab.special import _BRANCH_TARGET, _ml_bigfloat
 
     for beta in (1.0, 2.0, 3.0):
         for z in (-12.0, -3.0, -0.7, 0.9, 1.8):
@@ -370,7 +387,7 @@ def test_contour_certificate_bounds_its_error():
     for alpha in (0.2, 0.45, 0.7, 0.95, 1.0):
         for beta in (0.3, 1.0, 1.0 + alpha + 0.05, 2.5):
             for z in (-0.25, -0.6, -1.5, -4.0, -9.0):
-                value, cert = _ml_contour(alpha, beta, z)
+                value, cert = _MLTable(alpha, beta).contour(z)
                 ref = _ml_bigfloat(alpha, beta, z)
                 assert abs(value - ref) <= cert * abs(ref), (alpha, beta, z)
 
@@ -378,7 +395,7 @@ def test_contour_certificate_bounds_its_error():
 def test_contour_keeps_accuracy_at_high_beta_small_z():
     # lowering beta by E_{a,b+a} = (E_{a,b} - 1/Gamma(b)) / z would amplify
     # the error 1/|z| per shift (20 shifts here); the contour must not
-    value, cert = _ml_contour(0.1, 3.0, -0.25)
+    value, cert = _MLTable(0.1, 3.0).contour(-0.25)
     ref = _ml_bigfloat(0.1, 3.0, -0.25)
     assert cert <= _BRANCH_TARGET
     assert abs(value - ref) <= 1e-12 * abs(ref)
@@ -388,7 +405,7 @@ def test_contour_keeps_accuracy_at_high_beta_small_z():
 def test_contour_rejects_exponentially_small_values():
     # E_{1,1}(-50) = e^-50 ~ 2e-22 sits far below the quadrature's absolute
     # accuracy; the certificate must say so, and the closed form serves it
-    value, cert = _ml_contour(1.0, 1.0, -50.0)
+    value, cert = _MLTable(1.0, 1.0).contour(-50.0)
     assert cert > _BRANCH_TARGET
     assert mittag_leffler(MLParams(1.0), -50.0) == pytest.approx(math.exp(-50.0), rel=1e-14)
 
@@ -442,7 +459,7 @@ def test_series_doomed_only_rejects_what_the_series_rejects(case):
     # the point either, so no served value can change.
     alpha, beta, z = case
     if _series_doomed(alpha, beta, z):
-        out = _ml_series(alpha, beta, z)
+        out = _MLTable(alpha, beta).series(z)
         assert out is None or out[1] > _BRANCH_TARGET, (alpha, beta, z, out)
 
 
@@ -452,7 +469,7 @@ def test_series_doomed_catches_most_series_rejections():
     rejected = caught = 0
     for i in range(3976):
         z = -0.25 - 0.01 * i
-        out = _ml_series(0.9, 1.0, z)
+        out = _MLTable(0.9, 1.0).series(z)
         if out is None or out[1] > _BRANCH_TARGET:
             rejected += 1
             caught += _series_doomed(0.9, 1.0, z)
@@ -599,6 +616,6 @@ def test_tables_reproduce_the_per_point_arithmetic():
     # series or the contour, nor of the certificates that pick the branch.
     for alpha, beta in ((0.9, 1.0), (0.5, 1.5), (0.2, 0.7), (1.0, 2.0), (0.7, 3.0)):
         for z in (-0.3, -1.7, -4.0, -9.5, -17.0, -33.0, 0.2, 2.5):
-            assert _ml_series(alpha, beta, z) == _series_per_point(alpha, beta, z), (alpha, beta, z)
+            assert _MLTable(alpha, beta).series(z) == _series_per_point(alpha, beta, z), (alpha, beta, z)
             if z < 0.0:
-                assert _ml_contour(alpha, beta, z) == _contour_per_point(alpha, beta, z), (alpha, beta, z)
+                assert _MLTable(alpha, beta).contour(z) == _contour_per_point(alpha, beta, z), (alpha, beta, z)
