@@ -13,21 +13,17 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .config import RunConfig, load_config
 from .errors import ConfigError, DivergenceError, FracstabError
-from .inequalities import SUITE_NAMES, run_suite
-from .presets import get_preset, run_preset
-from .reporting import (
-    check_summary_row,
-    gnuplot_script,
-    write_check_summary_csv,
-    write_convergence_csv,
-    write_stability_report,
-    write_suite_reports,
-    write_trajectory_csv,
-)
-from .solver import convergence_study, solve
+
+if TYPE_CHECKING:
+    from .config import RunConfig
+    from .presets import ExamplePreset
+
+# Each subcommand imports the modules it needs when it runs, and calls
+# through the module (`solver.solve`), so a name rebound there is the one
+# called here.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,66 +39,91 @@ def _outdir(config_output: str | None, flag_output: str | None = None) -> Path:
     return out
 
 
+def load_config(path: Path) -> RunConfig:
+    """`config.load_config`: the validated RunConfig of a config file."""
+    from . import config
+
+    return config.load_config(path)
+
+
+def get_preset(name: str, phi_text: str | None = None) -> ExamplePreset:
+    """`presets.get_preset`: the built-in example `name`; `cmd_reproduce`
+    calls whatever this name is bound to when it runs."""
+    from . import presets
+
+    return presets.get_preset(name, phi_text=phi_text)
+
+
 def cmd_simulate(config: RunConfig, out_flag: str | None = None) -> int:
+    from . import reporting, solver
+
     out = _outdir(config.output, out_flag)
-    traj = solve(config.system, config.grid)
-    write_trajectory_csv(out / "trajectory.csv", traj)
+    traj = solver.solve(config.system, config.grid)
+    reporting.write_trajectory_csv(out / "trajectory.csv", traj)
     print(f"wrote {out / 'trajectory.csv'} ({traj.grid.n_nodes} rows)")
     return EXIT_OK
 
 
 def cmd_check(config: RunConfig, out_flag: str | None = None) -> int:
+    from . import inequalities, reporting
+
     if not config.checks:
         print("config lists no checks", file=sys.stderr)
         return EXIT_USAGE
     for name, _ in config.checks:
-        if name not in SUITE_NAMES:
-            print(f"unknown check {name!r}; known: {', '.join(SUITE_NAMES)}", file=sys.stderr)
+        if name not in inequalities.SUITE_NAMES:
+            print(f"unknown check {name!r}; known: {', '.join(inequalities.SUITE_NAMES)}", file=sys.stderr)
             return EXIT_UNKNOWN_CHECK
     out = _outdir(config.output, out_flag)
     summary_lines = []
     all_ok = True
     for name, count in config.checks:
-        result = run_suite(name, count, seed=config.seed)
+        result = inequalities.run_suite(name, count, seed=config.seed)
         suite_dir = out / name
         suite_dir.mkdir(parents=True, exist_ok=True)
-        write_suite_reports(suite_dir, result)
-        line = check_summary_row(result)
+        reporting.write_suite_reports(suite_dir, result)
+        line = reporting.check_summary_row(result)
         summary_lines.append(line)
         print(line)
         all_ok &= result.all_passed
-    write_check_summary_csv(out / "check_summary.csv", summary_lines)
+    reporting.write_check_summary_csv(out / "check_summary.csv", summary_lines)
     return EXIT_OK if all_ok else EXIT_USAGE
 
 
 def cmd_reproduce(example_id: str, out_flag: str | None, phi: str | None) -> int:
+    from . import presets, reporting
+
     preset = get_preset(f"example{example_id}", phi_text=phi)
     out = _outdir(None, out_flag)
-    traj, report = run_preset(preset)
-    write_trajectory_csv(out / "trajectory.csv", traj)
-    write_stability_report(out, report)
+    traj, report = presets.run_preset(preset)
+    reporting.write_trajectory_csv(out / "trajectory.csv", traj)
+    reporting.write_stability_report(out, report)
     print((out / "stability_summary.txt").read_text(), end="")
     return EXIT_OK if report.all_passed else EXIT_USAGE
 
 
 def cmd_convergence(config: RunConfig, out_flag: str | None = None) -> int:
+    from . import reporting, solver
+
     if len(config.h_list) < 2:
         print("config needs h_list with at least 2 decreasing steps", file=sys.stderr)
         return EXIT_USAGE
     out = _outdir(config.output, out_flag)
-    study = convergence_study(config.system, config.grid.t_end, config.h_list, t0=config.grid.t0)
-    write_convergence_csv(out / "convergence.csv", study)
+    study = solver.convergence_study(config.system, config.grid.t_end, config.h_list, t0=config.grid.t0)
+    reporting.write_convergence_csv(out / "convergence.csv", study)
     print(f"fitted order: {study.fitted_order:.3f}")
     return EXIT_OK
 
 
 def cmd_plotscript(csv_path: str, out_flag: str | None = None) -> int:
+    from . import reporting
+
     csv = Path(csv_path)
     lines = csv.read_text().splitlines()
     if not lines:
         raise FracstabError(f"{csv} has no header line")
     dim = max(1, len(lines[0].split(",")) - 1)
-    script = gnuplot_script(csv.name, dim)
+    script = reporting.gnuplot_script(csv.name, dim)
     target = Path(out_flag) if out_flag else csv.with_suffix(".gp")
     target.write_text(script)
     print(f"wrote {target}")

@@ -155,6 +155,22 @@ def _lag_sum(w: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(spectrum, size)[:n]
 
 
+def _positive_order(mu, name: str) -> float:
+    mu = real(mu, name)
+    if mu <= 0.0:
+        raise DomainError(f"{name} must be > 0, got {mu!r}")
+    return mu
+
+
+def _power_steps(p: float, n_steps: int) -> np.ndarray:
+    """[0, 1^p - 0^p, ..., n_steps^p - (n_steps - 1)^p] for checked arguments."""
+    w = np.arange(n_steps + 1, dtype=float) ** p
+    out = np.empty_like(w)
+    out[0] = 0.0
+    out[1:] = w[1:] - w[:-1]
+    return out
+
+
 def rl_weights(mu: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Product-trapezoidal weights for the order-mu RL integral.
 
@@ -162,11 +178,11 @@ def rl_weights(mu: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     weights f_{k-m} for 1 <= m <= k-1; the newest sample f_k has weight 1.
     All are to be scaled by h^mu / Gamma(mu + 2).  RangeError, before any
     power is taken, where an intermediate could leave the double range:
-    about (mu + 1) log(n_steps) > log(max double).
+    about (mu + 1) log(n_steps) > log(max double).  mu must be > 0 and
+    n_steps an integer >= 0 (DomainError otherwise).
     """
-    mu = real(mu, "rl integral order")
-    if mu <= 0.0:
-        raise DomainError(f"rl integral order must be > 0, got {mu!r}")
+    mu = _positive_order(mu, "rl integral order")
+    n_steps = count(n_steps, "rl_weights n_steps", 0, _MAX_STEPS)
     # every intermediate below is at most n^mu (2 n + mu) in size
     n = max(n_steps, 1)
     if mu * math.log(n) + math.log(2.0 * n + mu) > _LOG_MAX:
@@ -210,22 +226,30 @@ def rect_weights(mu: float, n_steps: int) -> np.ndarray:
     """Product-rectangle kernel W[m] = m^mu - (m-1)^mu for m = 1..n_steps.
 
     Entry 0 is unused (set to 0).  Scaled by h^mu / Gamma(mu + 1), W[m]
-    weights f_{k-m} in the order-mu RL integral at node k.
+    weights f_{k-m} in the order-mu RL integral at node k.  mu must be > 0
+    and n_steps an integer >= 0 (DomainError otherwise); RangeError where
+    n_steps^mu leaves the double range.
     """
-    m = np.arange(n_steps + 1, dtype=float)
-    w = m**mu
-    out = np.empty_like(w)
-    out[0] = 0.0
-    out[1:] = w[1:] - w[:-1]
-    return out
+    mu = _positive_order(mu, "rect_weights order")
+    n_steps = count(n_steps, "rect_weights n_steps", 0, _MAX_STEPS)
+    if n_steps > 1 and mu * math.log(n_steps) > _LOG_MAX:
+        raise RangeError(
+            f"rect_weights order {mu!r} on {n_steps} steps gives weights beyond the double range"
+        )
+    return _power_steps(mu, n_steps)
 
 
 def l1_weights(alpha: float, n_steps: int) -> np.ndarray:
     """L1 kernel W[m] = m^(1-alpha) - (m-1)^(1-alpha) for m = 1..n_steps.
 
     Entry 0 is unused (set to 0); scale sums by h^(-alpha) / Gamma(2 - alpha).
+    alpha must be in (0, 1] and n_steps an integer >= 0 (DomainError
+    otherwise).
     """
-    return rect_weights(1.0 - alpha, n_steps)
+    alpha = real(alpha, "L1 order")
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"L1 order must be in (0, 1], got {alpha!r}")
+    return _power_steps(1.0 - alpha, count(n_steps, "l1_weights n_steps", 0, _MAX_STEPS))
 
 
 def caputo_l1(f: SampleSeries, order: FracOrder) -> SampleSeries:

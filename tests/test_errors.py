@@ -23,7 +23,16 @@ from fracstab.inequalities import (
     verify_odd_power_envelope,
     verify_power_rule,
 )
-from fracstab.operators import FracOrder, SampleSeries, TimeGrid, caputo_power_oracle, rl_integral
+from fracstab.operators import (
+    FracOrder,
+    SampleSeries,
+    TimeGrid,
+    caputo_power_oracle,
+    l1_weights,
+    rect_weights,
+    rl_integral,
+    rl_weights,
+)
 from fracstab.solver import SystemDef, convergence_study, solve
 from fracstab.special import MLParams, gamma, mittag_leffler, mittag_leffler_many, reciprocal_gamma
 from fracstab.stability import check_local_ball, check_ml_envelope
@@ -99,6 +108,12 @@ SLOTS = {
     "SampleSeries.values": (lambda v: SampleSeries(GRID, v), FracstabError),
     "SampleSeries.values[10]": (lambda v: SampleSeries(GRID, [1.0] * 10 + [v]), FracstabError),
     "rl_integral.mu": (lambda v: rl_integral(X, v), FracstabError),
+    "rl_weights.mu": (lambda v: rl_weights(v, 10), FracstabError),
+    "rl_weights.n_steps": (lambda v: rl_weights(0.5, v), FracstabError),
+    "rect_weights.mu": (lambda v: rect_weights(v, 10), FracstabError),
+    "rect_weights.n_steps": (lambda v: rect_weights(0.5, v), FracstabError),
+    "l1_weights.alpha": (lambda v: l1_weights(v, 10), FracstabError),
+    "l1_weights.n_steps": (lambda v: l1_weights(0.5, v), FracstabError),
     "caputo_power_oracle.p": (lambda v: caputo_power_oracle(v, ORDER, 1.0, 0.0), FracstabError),
     "caputo_power_oracle.t": (lambda v: caputo_power_oracle(2.0, ORDER, v, 0.0), FracstabError),
     "caputo_power_oracle.t0": (lambda v: caputo_power_oracle(2.0, ORDER, 1.0, v), FracstabError),

@@ -14,6 +14,7 @@ from fracstab.operators import (
     caputo_l1,
     caputo_power_oracle,
     l1_weights,
+    rect_weights,
     rl_integral,
     rl_weights,
 )
@@ -219,11 +220,34 @@ def test_rl_huge_order_is_a_range_error():
         rl_integral(f, 1e300)
     a0, body = rl_weights(150.0, 100)  # 100^151 fits the double range
     assert np.all(np.isfinite(a0)) and np.all(np.isfinite(body))
+    with pytest.raises(RangeError):
+        rect_weights(1000.0, 10)
+    assert np.all(np.isfinite(rect_weights(150.0, 100)))
 
 
 def test_caputo_needs_two_nodes():
     with pytest.raises(ShapeError):
         TimeGrid(0.0, 0.1, 0)
+
+
+BAD_WEIGHT_CALLS = {
+    "rl_weights(0.5, -5)": lambda: rl_weights(0.5, -5),
+    "rl_weights(0.5, 2.5)": lambda: rl_weights(0.5, 2.5),
+    "rect_weights(0.5, -3)": lambda: rect_weights(0.5, -3),
+    "rect_weights(nan, 4)": lambda: rect_weights(math.nan, 4),
+    "rect_weights(0, 4)": lambda: rect_weights(0.0, 4),
+    "l1_weights(0.5, -2)": lambda: l1_weights(0.5, -2),
+    "l1_weights(1.5, 10)": lambda: l1_weights(1.5, 10),
+    "l1_weights(0, 10)": lambda: l1_weights(0.0, 10),
+}
+
+
+@pytest.mark.parametrize("call", list(BAD_WEIGHT_CALLS))
+def test_weight_helpers_refuse_what_the_argument_policy_refuses(call):
+    # a negative or fractional step count and an order outside mu > 0 or
+    # alpha in (0, 1] end in a DomainError, not a numpy error or warning
+    with pytest.raises(DomainError):
+        BAD_WEIGHT_CALLS[call]()
 
 
 def test_weight_accessors():
