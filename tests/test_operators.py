@@ -230,24 +230,24 @@ def test_caputo_needs_two_nodes():
         TimeGrid(0.0, 0.1, 0)
 
 
-BAD_WEIGHT_CALLS = {
-    "rl_weights(0.5, -5)": lambda: rl_weights(0.5, -5),
-    "rl_weights(0.5, 2.5)": lambda: rl_weights(0.5, 2.5),
-    "rect_weights(0.5, -3)": lambda: rect_weights(0.5, -3),
-    "rect_weights(nan, 4)": lambda: rect_weights(math.nan, 4),
-    "rect_weights(0, 4)": lambda: rect_weights(0.0, 4),
-    "l1_weights(0.5, -2)": lambda: l1_weights(0.5, -2),
-    "l1_weights(1.5, 10)": lambda: l1_weights(1.5, 10),
-    "l1_weights(0, 10)": lambda: l1_weights(0.0, 10),
-}
-
-
-@pytest.mark.parametrize("call", list(BAD_WEIGHT_CALLS))
-def test_weight_helpers_refuse_what_the_argument_policy_refuses(call):
+@pytest.mark.parametrize(
+    "weights, order, n_steps",
+    [
+        (rl_weights, 0.5, -5),
+        (rl_weights, 0.5, 2.5),
+        (rect_weights, 0.5, -3),
+        (rect_weights, math.nan, 4),
+        (rect_weights, 0.0, 4),
+        (l1_weights, 0.5, -2),
+        (l1_weights, 1.5, 10),
+        (l1_weights, 0.0, 10),
+    ],
+)
+def test_weight_helpers_refuse_what_the_argument_policy_refuses(weights, order, n_steps):
     # a negative or fractional step count and an order outside mu > 0 or
     # alpha in (0, 1] end in a DomainError, not a numpy error or warning
     with pytest.raises(DomainError):
-        BAD_WEIGHT_CALLS[call]()
+        weights(order, n_steps)
 
 
 def test_weight_accessors():
