@@ -15,9 +15,8 @@ from pathlib import Path
 
 from .errors import ConfigError, DomainError, FracstabError, count, real
 from .expressions import parse
-from .inequalities import MAX_INSTANCES
 from .operators import FracOrder, TimeGrid
-from .presets import PRESET_NAMES, get_preset
+from .presets import PRESET_NAMES, get_preset, preset_system
 from .solver import SystemDef, reference_grid
 
 __all__ = ["RunConfig", "parse_config", "load_config", "MAX_NODES", "MAX_INSTANCES"]
@@ -30,6 +29,17 @@ _DEFAULT_CHECK_COUNT = 100
 # allocation (a few arrays of n floats per state component), not work: a
 # two-component solve at the limit takes about half a minute.
 MAX_NODES = 1_000_000
+
+
+def __getattr__(name: str):
+    # MAX_INSTANCES is run_suite's bound, defined in `inequalities`; that
+    # module is loaded only when a config lists checks, or when this name is
+    # read
+    if name == "MAX_INSTANCES":
+        from .inequalities import MAX_INSTANCES
+
+        return MAX_INSTANCES
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -140,9 +150,10 @@ def parse_config(text: str) -> RunConfig:
     if preset_name is not None:
         if preset_name not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {preset_name!r}")
-        with _at_line(lines, "phi"):
-            preset = get_preset(str(preset_name), phi_text=str(phi) if phi else None)
-        system, grid = preset.system, preset.grid
+        if phi:  # only example3 reads it, through its candidate and envelope check
+            with _at_line(lines, "phi"):
+                get_preset(str(preset_name), phi_text=str(phi))
+        system, grid = preset_system(str(preset_name))
         settings = {
             "dim": system.dim,
             "order": system.order.alpha,
@@ -150,7 +161,7 @@ def parse_config(text: str) -> RunConfig:
             "t0": grid.t0,
             "t_end": grid.t_end,
             "h": grid.h,
-            "label": preset.name,
+            "label": preset_name,
         }
         preset_rhs = system.rhs
     else:
@@ -207,6 +218,8 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(checks_raw, list):
         checks_raw = [checks_raw]
     checks = []
+    if checks_raw:
+        from . import inequalities
     for item in checks_raw:
         if not isinstance(item, str):
             raise ConfigError(f"bad check entry {item!r}")
@@ -216,7 +229,7 @@ def parse_config(text: str) -> RunConfig:
         except ValueError:
             raise ConfigError(f"bad instance count in check entry {item!r}") from None
         with _at_line(lines, "checks"):  # run_suite's own bounds, checked before any run
-            checks.append((name.strip(), count(n, "instance count", 1, MAX_INSTANCES)))
+            checks.append((name.strip(), count(n, "instance count", 1, inequalities.MAX_INSTANCES)))
 
     with _at_line(lines, "seed"):
         seed = count(values.get("seed", 0), "seed", 0)

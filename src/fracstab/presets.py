@@ -12,24 +12,24 @@ second.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .expressions import parse
-from .inequalities import EnvelopeSpec
 from .operators import TimeGrid
 from .solver import SystemDef, Trajectory, solve
-from .stability import (
-    LyapunovCandidate,
-    StabilityReport,
-    check_dissipation,
-    check_local_ball,
-    check_ml_envelope,
-    check_sandwich,
-)
 
-__all__ = ["ExamplePreset", "get_preset", "run_preset", "PRESET_NAMES", "DEFAULT_EX3_PHI"]
+if TYPE_CHECKING:
+    from .stability import LyapunovCandidate, StabilityReport
+
+# The certificate layers (`stability`, `inequalities`) are imported by the
+# code that builds candidates and runs checks, so a config that only names
+# a preset's system (`preset_system`) does not load them.
+
+__all__ = ["ExamplePreset", "get_preset", "preset_system", "run_preset", "PRESET_NAMES", "DEFAULT_EX3_PHI"]
 
 DEFAULT_EX3_PHI = "exp(-t)"
+PRESET_NAMES = ("example1", "example2", "example3")
 
 
 @dataclass(frozen=True)
@@ -43,93 +43,74 @@ class ExamplePreset:
     ball_radius: float | None = None
 
 
-def _example1() -> ExamplePreset:
-    system = SystemDef.from_strings(
-        dim=2,
-        alpha=0.9,
-        rhs_texts=("-x1 - x2/(1+t)", "x1 - x2"),
-        x0=(-10.0, 10.0),
-        label="example1",
-    )
-    candidate = LyapunovCandidate(
-        expression=parse("x1^2 + x2^2 + x2^2/(1+t)"),
-        class_k_lower=parse("r^2"),
-        class_k_upper=parse("2*r^2"),
-        dissipation_rate=parse("r^2"),
-    )
-    return ExamplePreset(
-        name="example1",
-        system=system,
-        grid=TimeGrid(0.0, 0.01, 5000),
-        candidate=candidate,
-        ml_rate=0.5,
-        ml_amplification=2.0,
-    )
-
-
-def _example2() -> ExamplePreset:
-    system = SystemDef.from_strings(
-        dim=1,
-        alpha=0.8,
-        rhs_texts=("-x1^3 - exp(t/2)*x1^3",),
-        x0=(0.1,),
-        label="example2",
-    )
-    candidate = LyapunovCandidate(
-        expression=parse("x1^6 + exp(-t/2)*x1^6"),
-        class_k_lower=parse("r^6"),
-        class_k_upper=parse("2*r^6"),
-        dissipation_rate=parse("12*r^8"),
-    )
-    return ExamplePreset(
-        name="example2",
-        system=system,
-        grid=TimeGrid(0.0, 0.01, 2000),
-        candidate=candidate,
-    )
-
-
-def _example3(phi_text: str = DEFAULT_EX3_PHI) -> ExamplePreset:
-    system = SystemDef.from_strings(
-        dim=2,
-        alpha=0.85,
-        rhs_texts=(
-            "-x1 - x2 + sin(t)*(x1^2 + x2^2)",
-            "x1 - x2 + cos(t)*(x1^2 + x2^2)",
-        ),
-        x0=(-0.2, 0.3),
-        label="example3",
-    )
-    grid = TimeGrid(0.0, 0.01, 4000)
-    # the candidate works for any non-negative decreasing bounded phi; the
-    # envelope check below rejects a bad plug-in early
-    EnvelopeSpec("nonneg_decreasing", parse(phi_text)).sample(grid)
-    ball_radius = 0.5
-    candidate = LyapunovCandidate(
-        expression=parse(f"(1 + ({phi_text}))*(x1^2 + x2^2)/2"),
-        dissipation_rate=parse(f"{1.0 - ball_radius}*r^2"),
-    )
-    return ExamplePreset(
-        name="example3",
-        system=system,
-        grid=grid,
-        candidate=candidate,
-        ball_radius=ball_radius,
-    )
-
-
-PRESET_NAMES = ("example1", "example2", "example3")
+def preset_system(name: str) -> tuple[SystemDef, TimeGrid]:
+    """The system and run grid of the built-in example `name`."""
+    if name == "example1":
+        system = SystemDef.from_strings(
+            dim=2,
+            alpha=0.9,
+            rhs_texts=("-x1 - x2/(1+t)", "x1 - x2"),
+            x0=(-10.0, 10.0),
+            label="example1",
+        )
+        return system, TimeGrid(0.0, 0.01, 5000)
+    if name == "example2":
+        system = SystemDef.from_strings(
+            dim=1,
+            alpha=0.8,
+            rhs_texts=("-x1^3 - exp(t/2)*x1^3",),
+            x0=(0.1,),
+            label="example2",
+        )
+        return system, TimeGrid(0.0, 0.01, 2000)
+    if name == "example3":
+        system = SystemDef.from_strings(
+            dim=2,
+            alpha=0.85,
+            rhs_texts=(
+                "-x1 - x2 + sin(t)*(x1^2 + x2^2)",
+                "x1 - x2 + cos(t)*(x1^2 + x2^2)",
+            ),
+            x0=(-0.2, 0.3),
+            label="example3",
+        )
+        return system, TimeGrid(0.0, 0.01, 4000)
+    raise DomainError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
 
 
 def get_preset(name: str, phi_text: str | None = None) -> ExamplePreset:
     """Look up a preset; example3 accepts a plug-in envelope expression."""
+    from . import stability
+
+    system, grid = preset_system(name)
     if name == "example1":
-        return _example1()
+        candidate = stability.LyapunovCandidate(
+            expression=parse("x1^2 + x2^2 + x2^2/(1+t)"),
+            class_k_lower=parse("r^2"),
+            class_k_upper=parse("2*r^2"),
+            dissipation_rate=parse("r^2"),
+        )
+        return ExamplePreset(name, system, grid, candidate, ml_rate=0.5, ml_amplification=2.0)
     if name == "example2":
-        return _example2()
-    if name == "example3":
-        return _example3(phi_text or DEFAULT_EX3_PHI)
-    raise DomainError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+        candidate = stability.LyapunovCandidate(
+            expression=parse("x1^6 + exp(-t/2)*x1^6"),
+            class_k_lower=parse("r^6"),
+            class_k_upper=parse("2*r^6"),
+            dissipation_rate=parse("12*r^8"),
+        )
+        return ExamplePreset(name, system, grid, candidate)
+    from . import inequalities
+
+    phi_text = phi_text or DEFAULT_EX3_PHI
+    # the candidate works for any non-negative decreasing bounded phi; the
+    # envelope check below rejects a bad plug-in early
+    inequalities.EnvelopeSpec("nonneg_decreasing", parse(phi_text)).sample(grid)
+    ball_radius = 0.5
+    candidate = stability.LyapunovCandidate(
+        expression=parse(f"(1 + ({phi_text}))*(x1^2 + x2^2)/2"),
+        dissipation_rate=parse(f"{1.0 - ball_radius}*r^2"),
+    )
+    return ExamplePreset(name, system, grid, candidate, ball_radius=ball_radius)
 
 
 def run_preset(preset: ExamplePreset) -> tuple[Trajectory, StabilityReport]:
@@ -139,19 +120,21 @@ def run_preset(preset: ExamplePreset) -> tuple[Trajectory, StabilityReport]:
     dissipation check when it has a rate, the Mittag-Leffler envelope when
     the preset sets ml_rate, and the ball check when it sets ball_radius.
     """
+    from . import stability
+
     traj = solve(preset.system, preset.grid)
     order = preset.system.order
     V = preset.candidate
     has_bounds = V.class_k_lower is not None and V.class_k_upper is not None
-    sandwich = check_sandwich(V, traj) if has_bounds else None
-    dissipation = check_dissipation(V, traj, order) if V.dissipation_rate is not None else None
+    sandwich = stability.check_sandwich(V, traj) if has_bounds else None
+    dissipation = stability.check_dissipation(V, traj, order) if V.dissipation_rate is not None else None
     envelope = (
-        check_ml_envelope(traj, order, preset.ml_rate, preset.ml_amplification)
+        stability.check_ml_envelope(traj, order, preset.ml_rate, preset.ml_amplification)
         if preset.ml_rate is not None
         else None
     )
-    ball = check_local_ball(traj, preset.ball_radius) if preset.ball_radius is not None else None
-    return traj, StabilityReport(
+    ball = stability.check_local_ball(traj, preset.ball_radius) if preset.ball_radius is not None else None
+    return traj, stability.StabilityReport(
         label=preset.name,
         sandwich=sandwich,
         dissipation=dissipation,

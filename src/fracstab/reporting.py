@@ -8,13 +8,15 @@ hostnames) is written, keeping repeated runs byte-identical.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .inequalities import IdentityResidual, IneqReport, SuiteResult
-from .operators import TimeGrid
-from .solver import ConvergenceStudy, Trajectory
-from .stability import StabilityReport
+if TYPE_CHECKING:  # annotations only: formatting needs none of these layers
+    from .inequalities import IdentityResidual, IneqReport, SuiteResult
+    from .operators import TimeGrid
+    from .solver import ConvergenceStudy, Trajectory
+    from .stability import StabilityReport
 
 FLOAT_FORMAT = "%.17g"
 
@@ -91,6 +93,8 @@ def write_suite_reports(suite_dir: Path, result: SuiteResult) -> None:
     Each distinct grid's time column is formatted once per call: the
     reports of a suite usually share one grid.
     """
+    from .inequalities import IdentityResidual
+
     suite_dir = Path(suite_dir)
     t_texts: dict[TimeGrid, list[str]] = {}
     for i, rep in enumerate(result.reports):

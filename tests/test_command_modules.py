@@ -1,0 +1,86 @@
+"""Each subcommand, run in a fresh interpreter, loads exactly the fracstab
+modules it runs; and a preset's system and the instance limit are each
+defined once, whichever path reads them.
+
+In-process tests cannot see a missing deferred import: by the time they
+run, other tests have loaded every module.  Hence the fresh processes.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fracstab import config, inequalities, presets
+from fracstab.config import parse_config
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+SOLVE_CONFIG = "preset = example1\nt_end = 1\nh_list = [0.01, 0.005]\n"
+CHECK_CONFIG = SOLVE_CONFIG + "checks = [nr1:2, nr6:2]\n"
+
+CLI = {"fracstab", "fracstab.cli", "fracstab.errors"}
+SOLVING = CLI | {f"fracstab.{m}" for m in
+                 ("config", "presets", "expressions", "operators", "special", "solver", "reporting")}
+CERTIFICATES = {"fracstab.inequalities", "fracstab.stability"}
+
+# argv (with {cfg}, {check_cfg}, {csv}, {out} filled in), exit code, modules loaded
+COMMANDS = {
+    "simulate": (["simulate", "{cfg}", "--out", "{out}"], 0, SOLVING),
+    "convergence": (["convergence", "{cfg}", "--out", "{out}"], 0, SOLVING),
+    "check": (["check", "{check_cfg}", "--out", "{out}"], 0, SOLVING | {"fracstab.inequalities"}),
+    "plotscript": (["plotscript", "{csv}", "--out", "{out}/t.gp"], 0, CLI | {"fracstab.reporting"}),
+    "reproduce": (["reproduce", "2", "--out", "{out}"], 0,
+                  SOLVING - {"fracstab.config"} | CERTIFICATES),
+}
+
+_RUN = """\
+import sys
+from fracstab import cli
+code = cli.main(sys.argv[1:])
+print(" ".join(m for m in sys.modules if m.split(".")[0] == "fracstab"))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
+    template, exit_code, modules = COMMANDS[command]
+    paths = {
+        "cfg": tmp_path / "solve.cfg",
+        "check_cfg": tmp_path / "check.cfg",
+        "csv": tmp_path / "trajectory.csv",
+        "out": tmp_path / "out",
+    }
+    paths["cfg"].write_text(SOLVE_CONFIG)
+    paths["check_cfg"].write_text(CHECK_CONFIG)
+    paths["csv"].write_text("t,x1,x2\n0,1,2\n0.5,0.5,1\n")
+    paths["out"].mkdir()
+    argv = [arg.format(**paths) for arg in template]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _RUN, *argv], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == exit_code, proc.stderr
+    assert set(proc.stdout.splitlines()[-1].split()) == modules
+
+
+def test_max_instances_is_defined_once():
+    assert config.MAX_INSTANCES is inequalities.MAX_INSTANCES
+    with pytest.raises(AttributeError, match="no attribute 'MAX_NODE'"):
+        config.MAX_NODE
+
+
+@pytest.mark.parametrize("name", presets.PRESET_NAMES)
+def test_a_preset_config_is_the_presets_system(name):
+    preset = presets.get_preset(name)
+    for resolved in (parse_config(f"preset = {name}\n"), parse_config(f'preset = {name}\nphi = "exp(-2*t)"\n')):
+        system = resolved.system
+        assert system.rhs == preset.system.rhs
+        assert np.array_equal(system.x0, preset.system.x0)
+        assert system.order == preset.system.order
+        assert system.label == preset.system.label == name
+        assert resolved.grid == preset.grid
+    assert presets.preset_system(name)[0].rhs == preset.system.rhs
