@@ -32,9 +32,7 @@ _EXPORTS = {
         ),
         "expressions": ("evaluate", "parse", "to_text"),
         "inequalities": (
-            "EnvelopeSpec",
             "IdentityResidual",
-            "IneqReport",
             "InstanceProfile",
             "PowerTerm",
             "SuiteResult",
@@ -77,6 +75,7 @@ _EXPORTS = {
             "check_sandwich",
             "evaluate_candidate",
         ),
+        "verdicts": ("EnvelopeSpec", "IneqReport"),
     }.items()
     for name in names
 }

@@ -150,7 +150,7 @@ def parse_config(text: str) -> RunConfig:
     if preset_name is not None:
         if preset_name not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {preset_name!r}")
-        if phi:  # only example3 reads it, through its candidate and envelope check
+        if phi is not None:  # example3's envelope; get_preset rejects it for the others
             with _at_line(lines, "phi"):
                 get_preset(str(preset_name), phi_text=str(phi))
         system, grid = preset_system(str(preset_name))
@@ -165,6 +165,8 @@ def parse_config(text: str) -> RunConfig:
         }
         preset_rhs = system.rhs
     else:
+        if phi is not None:
+            raise ConfigError("phi is a plug-in envelope of preset example3 only", lines["phi"])
         for key in ("dim", "order", "x0", "t_end", "h"):
             if key not in values:
                 raise ConfigError(f"missing key {key!r}")

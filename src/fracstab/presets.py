@@ -22,9 +22,9 @@ from .solver import SystemDef, Trajectory, solve
 if TYPE_CHECKING:
     from .stability import LyapunovCandidate, StabilityReport
 
-# The certificate layers (`stability`, `inequalities`) are imported by the
-# code that builds candidates and runs checks, so a config that only names
-# a preset's system (`preset_system`) does not load them.
+# The certificate layers (`stability`, `verdicts`) are imported by the code
+# that builds candidates and runs checks, so a config that only names a
+# preset's system (`preset_system`) does not load them.
 
 __all__ = ["ExamplePreset", "get_preset", "preset_system", "run_preset", "PRESET_NAMES", "DEFAULT_EX3_PHI"]
 
@@ -79,10 +79,16 @@ def preset_system(name: str) -> tuple[SystemDef, TimeGrid]:
 
 
 def get_preset(name: str, phi_text: str | None = None) -> ExamplePreset:
-    """Look up a preset; example3 accepts a plug-in envelope expression."""
+    """Look up a preset; example3 accepts a plug-in envelope expression.
+
+    A phi_text given to any other example is a DomainError: only example3's
+    candidate reads it.
+    """
     from . import stability
 
     system, grid = preset_system(name)
+    if phi_text is not None and name != "example3":
+        raise DomainError(f"phi is a plug-in envelope of example3 only, not of {name}")
     if name == "example1":
         candidate = stability.LyapunovCandidate(
             expression=parse("x1^2 + x2^2 + x2^2/(1+t)"),
@@ -99,12 +105,12 @@ def get_preset(name: str, phi_text: str | None = None) -> ExamplePreset:
             dissipation_rate=parse("12*r^8"),
         )
         return ExamplePreset(name, system, grid, candidate)
-    from . import inequalities
+    from . import verdicts
 
     phi_text = phi_text or DEFAULT_EX3_PHI
     # the candidate works for any non-negative decreasing bounded phi; the
     # envelope check below rejects a bad plug-in early
-    inequalities.EnvelopeSpec("nonneg_decreasing", parse(phi_text)).sample(grid)
+    verdicts.EnvelopeSpec("nonneg_decreasing", parse(phi_text)).sample(grid)
     ball_radius = 0.5
     candidate = stability.LyapunovCandidate(
         expression=parse(f"(1 + ({phi_text}))*(x1^2 + x2^2)/2"),

@@ -13,10 +13,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # annotations only: formatting needs none of these layers
-    from .inequalities import IdentityResidual, IneqReport, SuiteResult
+    from .inequalities import IdentityResidual, SuiteResult
     from .operators import TimeGrid
     from .solver import ConvergenceStudy, Trajectory
     from .stability import StabilityReport
+    from .verdicts import IneqReport
 
 FLOAT_FORMAT = "%.17g"
 

@@ -452,11 +452,22 @@ class _MLTable:
 def mittag_leffler(params: MLParams, z: float) -> float:
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z) for real z.
 
-    Supports all z <= ML_Z_MAX (= 5); relative error below 1e-9 on
-    [-50, 5].  Raises DomainError for z that is not a finite real number,
-    RangeError for z > ML_Z_MAX, for an int beyond the double range, or
-    when the value exceeds the double range (possible for positive z at
-    small alpha).
+    Supports all z <= ML_Z_MAX (= 5); a returned value is within 1e-9
+    relative on [-50, 5].  Raises DomainError for z that is not a finite
+    real number, RangeError for z > ML_Z_MAX, for an int beyond the double
+    range, or when the value exceeds the double range (possible for
+    positive z at small alpha).
+
+    Two regions of [-50, 5] fall short of a value for every valid
+    (alpha, beta) today.  On the negative axis with beta above about 3 no
+    double-precision branch certifies: the mpmath fallback serves the call
+    at 25-50 ms, and raises RangeError at some points, for example
+    (alpha, beta, z) = (0.5, 100, -30), (0.5, 20, -30), (0.2, 20, -5),
+    (0.05, 30, -50) and (0.3, 40, -50).  On the positive axis the series
+    serves only while z^(1/alpha) stays below about 64-74; past that the
+    mpmath series serves (up to about 2 s a call), and where
+    z^(1/alpha) > 500 it raises RangeError although the value is finite,
+    as at (0.2, 1, 3.5), about 6.29e228.
 
     Branches, first certified wins: the power series when its cancellation
     estimate is at most 1e-10 relative (skipped for z <= -0.25 where a bound

@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import DomainError, EvalError, PreconditionError, real
 from .expressions import Expr, _compile, evaluate, parse, sample_on, to_text, variables
-from .inequalities import IneqReport, _judge, make_report
 from .operators import FracOrder, SampleSeries, TimeGrid, caputo_l1
 from .solver import Trajectory, solve
 from .special import MLParams, mittag_leffler_many
+from .verdicts import IneqReport, _judge, make_report
 
 __all__ = [
     "LyapunovCandidate",

@@ -1,6 +1,7 @@
 """Each subcommand, run in a fresh interpreter, loads exactly the fracstab
-modules it runs; and a preset's system and the instance limit are each
-defined once, whichever path reads them.
+modules it runs, and only `check` loads the standard modules the suites
+need; and a preset's system and the instance limit are each defined once,
+whichever path reads them.
 
 In-process tests cannot see a missing deferred import: by the time they
 run, other tests have loaded every module.  Hence the fresh processes.
@@ -25,25 +26,51 @@ CHECK_CONFIG = SOLVE_CONFIG + "checks = [nr1:2, nr6:2]\n"
 CLI = {"fracstab", "fracstab.cli", "fracstab.errors"}
 SOLVING = CLI | {f"fracstab.{m}" for m in
                  ("config", "presets", "expressions", "operators", "special", "solver", "reporting")}
-CERTIFICATES = {"fracstab.inequalities", "fracstab.stability"}
+REPRODUCE = SOLVING - {"fracstab.config"} | {"fracstab.stability", "fracstab.verdicts"}
+SUITES = {"fracstab.inequalities", "fracstab.verdicts"}
+# loaded by `inequalities` alone (its even-numerator exponents are Fractions)
+SUITE_STDLIB = ("fractions", "decimal")
 
 # argv (with {cfg}, {check_cfg}, {csv}, {out} filled in), exit code, modules loaded
 COMMANDS = {
     "simulate": (["simulate", "{cfg}", "--out", "{out}"], 0, SOLVING),
     "convergence": (["convergence", "{cfg}", "--out", "{out}"], 0, SOLVING),
-    "check": (["check", "{check_cfg}", "--out", "{out}"], 0, SOLVING | {"fracstab.inequalities"}),
+    "check": (["check", "{check_cfg}", "--out", "{out}"], 0, SOLVING | SUITES),
     "plotscript": (["plotscript", "{csv}", "--out", "{out}/t.gp"], 0, CLI | {"fracstab.reporting"}),
-    "reproduce": (["reproduce", "2", "--out", "{out}"], 0,
-                  SOLVING - {"fracstab.config"} | CERTIFICATES),
+    # example 2; example 1 judges its Mittag-Leffler envelope and example 3
+    # checks its plug-in envelope, both through `verdicts`
+    "reproduce": (["reproduce", "2", "--out", "{out}"], 0, REPRODUCE),
+    "reproduce 1": (["reproduce", "1", "--out", "{out}"], 0, REPRODUCE),
+    "reproduce 3": (["reproduce", "3", "--out", "{out}"], 0, REPRODUCE),
 }
+
+_LOADED = f"""\
+print(" ".join(m for m in sys.modules if m.split(".")[0] == "fracstab"))
+print(" ".join(m for m in {SUITE_STDLIB!r} if m in sys.modules))
+"""
 
 _RUN = """\
 import sys
 from fracstab import cli
 code = cli.main(sys.argv[1:])
-print(" ".join(m for m in sys.modules if m.split(".")[0] == "fracstab"))
-sys.exit(code)
-"""
+""" + _LOADED + "sys.exit(code)\n"
+
+# the set-up of a benchmark that runs the presets through the CLI
+_SETUP = """\
+import sys
+from fracstab import cli
+for name in ("example1", "example2", "example3"):
+    cli.get_preset(name)
+""" + _LOADED
+
+
+def _fresh(code: str, argv: list[str], cwd: Path) -> tuple[int, str, set[str], set[str]]:
+    """Exit code, stderr, and the fracstab and SUITE_STDLIB modules loaded by code in a fresh process."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=120)
+    *_, fracstab_line, stdlib_line = ["", "", *proc.stdout.splitlines()]
+    return proc.returncode, proc.stderr, set(fracstab_line.split()), set(stdlib_line.split())
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -60,11 +87,19 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
     paths["csv"].write_text("t,x1,x2\n0,1,2\n0.5,0.5,1\n")
     paths["out"].mkdir()
     argv = [arg.format(**paths) for arg in template]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _RUN, *argv], capture_output=True, text=True,
-                          env=env, cwd=tmp_path, timeout=120)
-    assert proc.returncode == exit_code, proc.stderr
-    assert set(proc.stdout.splitlines()[-1].split()) == modules
+    code, stderr, loaded, stdlib = _fresh(_RUN, argv, tmp_path)
+    assert code == exit_code, stderr
+    assert loaded == modules
+    if "fracstab.inequalities" not in modules:
+        assert stdlib == set()
+
+
+def test_preset_setup_loads_neither_the_suites_nor_fractions(tmp_path):
+    code, stderr, loaded, stdlib = _fresh(_SETUP, [], tmp_path)
+    assert code == 0, stderr
+    assert "fracstab.inequalities" not in loaded
+    assert "fracstab.verdicts" in loaded
+    assert stdlib == set()
 
 
 def test_max_instances_is_defined_once():
@@ -76,7 +111,10 @@ def test_max_instances_is_defined_once():
 @pytest.mark.parametrize("name", presets.PRESET_NAMES)
 def test_a_preset_config_is_the_presets_system(name):
     preset = presets.get_preset(name)
-    for resolved in (parse_config(f"preset = {name}\n"), parse_config(f'preset = {name}\nphi = "exp(-2*t)"\n')):
+    texts = [f"preset = {name}\n"]
+    if name == "example3":  # the one example that reads phi
+        texts.append(f'preset = {name}\nphi = "exp(-2*t)"\n')
+    for resolved in map(parse_config, texts):
         system = resolved.system
         assert system.rhs == preset.system.rhs
         assert np.array_equal(system.x0, preset.system.x0)

@@ -117,6 +117,9 @@ BAD_VALUE_LINES = {
     "rhs_identifier": ('preset = example1\nrhs1 = "x1 + y"\n', 2),
     "phi_syntax": ('preset = example3\nh = 0.01\nphi = "exp(-t"\n', 3),
     "phi_envelope": ('phi = "t"\npreset = example3\n', 1),
+    "phi_example1": ('preset = example1\nphi = "exp(-t)"\n', 2),
+    "phi_example2": ('phi = "t"\npreset = example2\n', 1),
+    "phi_custom": (SMALL_SYSTEM + 'phi = "exp(-t)"\n', 7),
     "x0_nan": ('preset = example1\nx0 = ["nan", 1]\n', 2),
     "rhs_beyond_dim": ('preset = example1\nrhs2 = "x3"\n', 2),
     "dim_zero": ("dim = 0\norder = 0.5\nx0 = []\nt_end = 1\nh = 0.01\n", 1),
@@ -397,6 +400,13 @@ def test_reproduce_example2(tmp_path):
     summary = (out / "stability_summary.txt").read_text()
     assert "all_checks: pass" in summary
     assert (out / "dissipation.csv").exists()
+
+
+def test_reproduce_refuses_phi_outside_example3(tmp_path, capsys):
+    out = tmp_path / "bad"
+    assert main(["reproduce", "2", "--phi", "exp(-t)", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: phi is a plug-in envelope of example3 only")
+    assert not out.exists()
 
 
 def test_reproduce_byte_identical(tmp_path):

@@ -232,3 +232,9 @@ def test_example3_bad_phi_rejected():
 def test_unknown_preset():
     with pytest.raises(DomainError):
         get_preset("example9")
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_phi_is_refused_by_the_examples_that_do_not_read_it(name):
+    with pytest.raises(DomainError, match="example3 only"):
+        get_preset(name, phi_text="exp(-t)")
