@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, DomainError, FracstabError, count, real
+from .errors import ConfigError, DomainError, FracstabError, Record, _set, count, real
 from .expressions import parse
 from .operators import FracOrder, TimeGrid
 from .presets import PRESET_NAMES, get_preset, preset_system
@@ -42,16 +41,26 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Fully resolved run request."""
 
-    system: SystemDef
-    grid: TimeGrid
-    checks: tuple[tuple[str, int], ...] = ()
-    output: str | None = None
-    seed: int = 0
-    h_list: tuple[float, ...] = ()
+    _fields = ("system", "grid", "checks", "output", "seed", "h_list")
+
+    def __init__(
+        self,
+        system: SystemDef,
+        grid: TimeGrid,
+        checks: tuple[tuple[str, int], ...] = (),
+        output: str | None = None,
+        seed: int = 0,
+        h_list: tuple[float, ...] = (),
+    ):
+        _set(self, "system", system)
+        _set(self, "grid", grid)
+        _set(self, "checks", checks)
+        _set(self, "output", output)
+        _set(self, "seed", seed)
+        _set(self, "h_list", h_list)
 
 
 def _strip_comment(line: str) -> str:

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the argument policy
-of its public API.
+"""Exception hierarchy shared across the package, the argument policy of
+its public API, and the base of its immutable record types.
 
 Every public argument that must be a real number or a count goes through
 `real`, `reals` or `count`: a value that is not a real number (str, None,
@@ -8,6 +8,9 @@ DomainError, an int beyond the double range raises RangeError, so bad
 input ends in a FracstabError and never in a Python TypeError,
 OverflowError or ValueError.  An argument of the wrong object type (a float
 where a SystemDef is due) is outside this policy.
+
+`Record` is here because every module that defines a record already
+imports this one.
 """
 
 from __future__ import annotations
@@ -169,3 +172,49 @@ def count(value, name: str, lo: int, hi: int | None = None) -> int:
         return int(value)
     bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
     raise DomainError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+# Stores one field of a Record; only a record's own __init__ calls it.
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in `_fields` and stores each one once, from
+    its own __init__, with `_set`.  Assigning or deleting an attribute
+    raises AttributeError.  `==` compares the `_fields` of two instances of
+    the same class in order, numpy arrays by value; `hash` hashes them, so
+    it raises TypeError on a record that holds an array.  repr shows them as
+    Name(field=value, ...).  Instances keep a __dict__, so copy and pickle
+    work on them.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        for name in self._fields:
+            a, b = getattr(self, name), getattr(other, name)
+            if a is b:
+                continue
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                if not np.array_equal(a, b):
+                    return False
+            elif not a == b:
+                return False
+        return True
+
+    def __hash__(self):
+        return hash(tuple([getattr(self, name) for name in self._fields]))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"

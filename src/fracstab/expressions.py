@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BindError, EvalError, ParseError, real, reals
+from .errors import BindError, EvalError, ParseError, Record, _set, real, reals
 
 __all__ = ["Expr", "Num", "Var", "Neg", "BinOp", "Call", "parse", "evaluate", "variables", "to_text"]
 
@@ -32,39 +31,47 @@ _FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "sqrt": 1, "abs": 1, "pow": 2}
 _MAX_DEPTH = 256
 
 
-class Expr:
+class Expr(Record):
     """Base class for AST nodes; instances are immutable and shareable."""
 
-    __slots__ = ()
 
-
-@dataclass(frozen=True)
 class Num(Expr):
-    value: float
+    _fields = ("value",)
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str  # "t", "r", or "x<i>"
-    index: int = 0  # 1-based state index for x-variables, else 0
+    _fields = ("name", "index")
+
+    def __init__(self, name: str, index: int = 0):
+        _set(self, "name", name)  # "t", "r", or "x<i>"
+        _set(self, "index", index)  # 1-based state index for x-variables, else 0
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    operand: Expr
+    _fields = ("operand",)
+
+    def __init__(self, operand: Expr):
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
 class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    name: str
-    args: tuple[Expr, ...]
+    _fields = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[Expr, ...]):
+        _set(self, "name", name)
+        _set(self, "args", args)
 
 
 # --- lexer -----------------------------------------------------------------

@@ -23,9 +23,11 @@ from .errors import (
     DomainError,
     EnvelopeError,
     PreconditionError,
+    Record,
     ShapeError,
     SingularityError,
     UnknownCheckError,
+    _set,
     count,
     real,
 )
@@ -56,8 +58,7 @@ __all__ = [
 POWER_FLOOR = 1e-8
 
 
-@dataclass(frozen=True)
-class PowerTerm:
+class PowerTerm(Record):
     """One term c * phi(t)^p * x^beta of a composite candidate.
 
     beta as a Fraction must have an even numerator (in lowest terms), which
@@ -66,32 +67,30 @@ class PowerTerm:
     Fraction are stored as floats.
     """
 
-    c: float
-    beta: Fraction | float
-    p: float = 1.0
-    envelope: EnvelopeSpec | None = None
+    _fields = ("c", "beta", "p", "envelope")
 
-    def __post_init__(self):
-        c = real(self.c, "coefficient")
-        p = real(self.p, "envelope exponent p")
+    def __init__(self, c: float, beta: Fraction | float, p: float = 1.0, envelope: EnvelopeSpec | None = None):
+        c = real(c, "coefficient")
+        p = real(p, "envelope exponent p")
         if c < 0.0:
             raise DomainError(f"coefficient must be >= 0, got {c!r}")
         if p < 1.0:
             raise DomainError(f"envelope exponent p must be >= 1, got {p!r}")
-        if isinstance(self.beta, Fraction):
-            _validate_even_fraction(self.beta)
+        if isinstance(beta, Fraction):
+            _validate_even_fraction(beta)
         else:
-            beta = real(self.beta, "beta")
+            beta = real(beta, "beta")
             if beta < 1.0:
                 raise DomainError(f"beta must be >= 1, got {beta!r}")
-            object.__setattr__(self, "beta", beta)
-        if self.envelope is not None and self.envelope.kind not in (
+        if envelope is not None and envelope.kind not in (
             "nonneg_decreasing",
             "positive_decreasing",
         ):
             raise DomainError("composite envelopes must be non-negative decreasing")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "p", p)
+        _set(self, "c", c)
+        _set(self, "beta", beta)
+        _set(self, "p", p)
+        _set(self, "envelope", envelope)
 
     @property
     def signed_ok(self) -> bool:
@@ -275,16 +274,18 @@ def _decomposition_parts(pv: np.ndarray, xv: np.ndarray, beta: float, grid: Time
     return d_prod, d_pow, d_x, _power_slope(xv, beta)
 
 
-@dataclass(frozen=True)
-class IdentityResidual:
+class IdentityResidual(Record):
     """Max pointwise residual of an exact operator-linearity identity.
 
     verdict: the residual is at rounding level (<= 1e-10 * scale);
     max_violation: the relative residual, which a suite reports as its worst.
     """
 
-    max_residual: float
-    scale: float
+    _fields = ("max_residual", "scale")
+
+    def __init__(self, max_residual: float, scale: float):
+        _set(self, "max_residual", max_residual)
+        _set(self, "scale", scale)
 
     @property
     def relative(self) -> float:
@@ -531,15 +532,17 @@ MAX_INSTANCES = 10_000
 SUITE_NAMES = tuple(PROFILES) + _COMPOSITE_FLAVORS
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(Record):
     """Aggregate of one named suite run."""
 
-    name: str
-    instances: int
-    passes: int
-    max_violation: float
-    reports: tuple
+    _fields = ("name", "instances", "passes", "max_violation", "reports")
+
+    def __init__(self, name: str, instances: int, passes: int, max_violation: float, reports: tuple):
+        _set(self, "name", name)
+        _set(self, "instances", instances)
+        _set(self, "passes", passes)
+        _set(self, "max_violation", max_violation)
+        _set(self, "reports", reports)
 
     @property
     def all_passed(self) -> bool:

@@ -14,12 +14,11 @@ zero-padded real FFT product from there on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, RangeError, ShapeError, count, real, reals
+from .errors import DomainError, RangeError, Record, ShapeError, _set, count, real, reals
 from .special import gamma
 
 __all__ = [
@@ -43,26 +42,23 @@ _LOG_MAX = math.log(np.finfo(float).max)
 _MAX_STEPS = np.iinfo(np.intp).max - 1
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(Record):
     """Uniform grid t0 + j*h for j = 0..n_steps; t0 and h are stored as
     floats, n_steps as an int."""
 
-    t0: float
-    h: float
-    n_steps: int
+    _fields = ("t0", "h", "n_steps")
 
-    def __post_init__(self):
-        t0 = real(self.t0, "TimeGrid.t0")
-        h = real(self.h, "TimeGrid.h")
-        n_steps = count(self.n_steps, "TimeGrid.n_steps", 0, _MAX_STEPS)
+    def __init__(self, t0: float, h: float, n_steps: int):
+        t0 = real(t0, "TimeGrid.t0")
+        h = real(h, "TimeGrid.h")
+        n_steps = count(n_steps, "TimeGrid.n_steps", 0, _MAX_STEPS)
         if h <= 0.0:
             raise DomainError(f"TimeGrid requires h > 0, got {h!r}")
         if n_steps < 1:
             raise ShapeError(f"TimeGrid requires n_steps >= 1, got {n_steps}")
-        object.__setattr__(self, "t0", t0)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "n_steps", n_steps)
+        _set(self, "t0", t0)
+        _set(self, "h", h)
+        _set(self, "n_steps", n_steps)
 
     @property
     def n_nodes(self) -> int:
@@ -80,29 +76,32 @@ class TimeGrid:
         return TimeGrid(self.t0, self.h / 2.0, 2 * self.n_steps)
 
 
-@dataclass(frozen=True)
-class SampleSeries:
+class SampleSeries(Record):
     """Real samples of a scalar function on a TimeGrid.
 
     `source`, when present, is the vectorized t -> value map the samples came
-    from; it is what makes refinement under grid halving possible.
+    from; it is what makes refinement under grid halving possible.  It is
+    left out of `==`, `hash` and repr.
     """
 
-    grid: TimeGrid
-    values: np.ndarray
-    source: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, compare=False, repr=False
-    )
+    _fields = ("grid", "values")
 
-    def __post_init__(self):
-        vals = reals(self.values, "series values")
-        if vals.shape != (self.grid.n_nodes,):
+    def __init__(
+        self,
+        grid: TimeGrid,
+        values: np.ndarray,
+        source: Callable[[np.ndarray], np.ndarray] | None = None,
+    ):
+        vals = reals(values, "series values")
+        if vals.shape != (grid.n_nodes,):
             raise ShapeError(
-                f"series needs {self.grid.n_nodes} values, got shape {vals.shape}"
+                f"series needs {grid.n_nodes} values, got shape {vals.shape}"
             )
         vals = vals.copy()
         vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
+        _set(self, "grid", grid)
+        _set(self, "values", vals)
+        _set(self, "source", source)
 
     @classmethod
     def from_function(cls, grid: TimeGrid, fn: Callable[[np.ndarray], np.ndarray]) -> "SampleSeries":
@@ -114,17 +113,16 @@ class SampleSeries:
         return SampleSeries.from_function(grid, self.source)
 
 
-@dataclass(frozen=True)
-class FracOrder:
+class FracOrder(Record):
     """Fractional differentiation order restricted to (0, 1], stored as a float."""
 
-    alpha: float
+    _fields = ("alpha",)
 
-    def __post_init__(self):
-        alpha = real(self.alpha, "FracOrder.alpha")
+    def __init__(self, alpha: float):
+        alpha = real(alpha, "FracOrder.alpha")
         if not 0.0 < alpha <= 1.0:
             raise DomainError(f"FracOrder.alpha must be in (0, 1], got {alpha!r}")
-        object.__setattr__(self, "alpha", alpha)
+        _set(self, "alpha", alpha)
 
 
 # Output length from which `_lag_sum` convolves by FFT.  Timing sweep of
@@ -189,13 +187,15 @@ def rl_weights(mu: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
         raise RangeError(
             f"rl integral order {mu!r} on {n_steps} steps gives weights beyond the double range"
         )
+    j = np.arange(n_steps + 1, dtype=float)
+    # j^(mu+1) for j = 0..n_steps; every (mu + 1)-th power below is a slice of it
+    power = j ** (mu + 1.0)
     a0 = np.zeros(n_steps + 1)
-    k = np.arange(1, n_steps + 1, dtype=float)
-    km1 = k - 1.0
-    a0[1:] = km1 ** (mu + 1.0) - (km1 - mu) * k**mu
+    # a0[k] = (k-1)^(mu+1) - (k-1-mu) k^mu for k = 1..n_steps
+    a0[1:] = power[:-1] - (j[:-1] - mu) * j[1:] ** mu
     body = np.zeros(max(n_steps, 1))
-    m = np.arange(1, n_steps, dtype=float)
-    body[1:] = (m + 1.0) ** (mu + 1.0) + (m - 1.0) ** (mu + 1.0) - 2.0 * m ** (mu + 1.0)
+    # body[m] = (m+1)^(mu+1) + (m-1)^(mu+1) - 2 m^(mu+1) for m = 1..n_steps-1
+    body[1:] = power[2:] + power[:-2] - 2.0 * power[1:-1]
     return a0, body
 
 

@@ -12,11 +12,10 @@ directly.  The right-hand sides are compiled once per solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, EvalError, ShapeError, count, real, reals
+from .errors import DivergenceError, DomainError, EvalError, Record, ShapeError, _set, count, real, reals
 from .expressions import Expr, _compile, max_state_index, parse, to_text, variables
 from .operators import (
     _FFT_MIN_TERMS,
@@ -36,20 +35,15 @@ __all__ = ["SystemDef", "Trajectory", "solve", "ConvergenceStudy", "convergence_
 OVERFLOW_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class SystemDef:
+class SystemDef(Record):
     """A fractional-order system: dimension, order, RHS expressions, x0."""
 
-    dim: int
-    order: FracOrder
-    rhs: tuple[Expr, ...]
-    x0: np.ndarray
-    label: str = ""
+    _fields = ("dim", "order", "rhs", "x0", "label")
 
-    def __post_init__(self):
-        dim = count(self.dim, "dim", 1)
-        rhs = tuple(self.rhs)
-        x0 = reals(self.x0, "x0")
+    def __init__(self, dim: int, order: FracOrder, rhs: tuple[Expr, ...], x0: np.ndarray, label: str = ""):
+        dim = count(dim, "dim", 1)
+        rhs = tuple(rhs)
+        x0 = reals(x0, "x0")
         if len(rhs) != dim or x0.shape != (dim,):
             raise ShapeError(
                 f"need {dim} rhs expressions and initial values, "
@@ -62,22 +56,26 @@ class SystemDef:
                 raise ShapeError(f"rhs{i + 1} must not use the class-K variable 'r'")
         x0 = x0.copy()
         x0.flags.writeable = False
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "x0", x0)
+        _set(self, "dim", dim)
+        _set(self, "order", order)
+        _set(self, "rhs", rhs)
+        _set(self, "x0", x0)
+        _set(self, "label", label)
 
     @classmethod
     def from_strings(cls, dim, alpha, rhs_texts, x0, label="") -> "SystemDef":
         return cls(dim, FracOrder(alpha), tuple(parse(s) for s in rhs_texts), x0, label)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Solver output: one SampleSeries per component on a shared grid."""
 
-    grid: TimeGrid
-    states: tuple[SampleSeries, ...]
-    system: SystemDef
+    _fields = ("grid", "states", "system")
+
+    def __init__(self, grid: TimeGrid, states: tuple[SampleSeries, ...], system: SystemDef):
+        _set(self, "grid", grid)
+        _set(self, "states", states)
+        _set(self, "system", system)
 
     @property
     def dim(self) -> int:
@@ -199,12 +197,14 @@ def solve(system: SystemDef, grid: TimeGrid) -> Trajectory:
     return Trajectory(grid, series, system)
 
 
-@dataclass(frozen=True)
-class ConvergenceStudy:
+class ConvergenceStudy(Record):
     """Self-convergence errors against a reference at h_ref = min(h)/4."""
 
-    entries: tuple[tuple[float, float], ...]  # (h, max shared-node error)
-    fitted_order: float
+    _fields = ("entries", "fitted_order")
+
+    def __init__(self, entries: tuple[tuple[float, float], ...], fitted_order: float):
+        _set(self, "entries", entries)  # (h, max shared-node error)
+        _set(self, "fitted_order", fitted_order)
 
 
 def reference_grid(span: float, h_list) -> tuple[float, int | float]:

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RangeError, _float_array, real
+from .errors import DomainError, RangeError, Record, _float_array, _set, real
 
 __all__ = [
     "gamma",
@@ -112,26 +111,24 @@ def reciprocal_gamma(s: float) -> float:
         raise RangeError(f"1/gamma({s}) exceeds the double range") from None
 
 
-@dataclass(frozen=True)
-class MLParams:
+class MLParams(Record):
     """Parameters of the two-parameter Mittag-Leffler function E_{alpha,beta}.
 
     alpha must lie in (0, 1]; beta defaults to the one-parameter case.
     Both are stored as floats.
     """
 
-    alpha: float
-    beta: float = 1.0
+    _fields = ("alpha", "beta")
 
-    def __post_init__(self):
-        alpha = real(self.alpha, "MLParams.alpha")
-        beta = real(self.beta, "MLParams.beta")
+    def __init__(self, alpha: float, beta: float = 1.0):
+        alpha = real(alpha, "MLParams.alpha")
+        beta = real(beta, "MLParams.beta")
         if not 0.0 < alpha <= 1.0:
             raise DomainError(f"MLParams.alpha must be in (0, 1], got {alpha!r}")
         if not beta > 0.0:
             raise DomainError(f"MLParams.beta must be > 0, got {beta!r}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
 
 
 def _series_doomed(alpha: float, beta: float, z: float) -> bool:

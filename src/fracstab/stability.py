@@ -10,11 +10,9 @@ Mittag-Leffler decay envelope |x(t)|^2 <= amp * E_alpha(-rate t^alpha) *
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DomainError, EvalError, PreconditionError, real
+from .errors import DomainError, EvalError, PreconditionError, Record, _set, real
 from .expressions import Expr, _compile, evaluate, parse, sample_on, to_text, variables
 from .operators import FracOrder, SampleSeries, TimeGrid, caputo_l1
 from .solver import Trajectory, solve
@@ -53,52 +51,66 @@ def _validate_class_k(expr: Expr, label: str):
         raise DomainError(f"{label} must be strictly increasing in r")
 
 
-@dataclass(frozen=True)
-class LyapunovCandidate:
+class LyapunovCandidate(Record):
     """V(t, x) with optional class-K bounds and dissipation rate in r."""
 
-    expression: Expr
-    class_k_lower: Expr | None = None
-    class_k_upper: Expr | None = None
-    dissipation_rate: Expr | None = None
+    _fields = ("expression", "class_k_lower", "class_k_upper", "dissipation_rate")
 
-    def __post_init__(self):
-        for name in ("expression", "class_k_lower", "class_k_upper", "dissipation_rate"):
-            val = getattr(self, name)
-            if isinstance(val, str):
-                object.__setattr__(self, name, parse(val))
+    def __init__(
+        self,
+        expression: Expr,
+        class_k_lower: Expr | None = None,
+        class_k_upper: Expr | None = None,
+        dissipation_rate: Expr | None = None,
+    ):
+        given = (expression, class_k_lower, class_k_upper, dissipation_rate)
+        for name, e in zip(self._fields, given):
+            _set(self, name, parse(e) if isinstance(e, str) else e)
         if "r" in variables(self.expression):
             raise DomainError("V must be an expression in t and x1..xn, not r")
-        for label in ("class_k_lower", "class_k_upper", "dissipation_rate"):
+        for label in self._fields[1:]:
             e = getattr(self, label)
             if e is not None:
                 _validate_class_k(e, label)
 
 
-@dataclass(frozen=True)
-class SandwichResult:
-    ok: bool
-    worst_slack: float
-    worst_node: int
+class SandwichResult(Record):
+    _fields = ("ok", "worst_slack", "worst_node")
+
+    def __init__(self, ok: bool, worst_slack: float, worst_node: int):
+        _set(self, "ok", ok)
+        _set(self, "worst_slack", worst_slack)
+        _set(self, "worst_node", worst_node)
 
 
-@dataclass(frozen=True)
-class BallResult:
-    ok: bool
-    radius: float
-    max_norm: float
-    first_violation_node: int | None
+class BallResult(Record):
+    _fields = ("ok", "radius", "max_norm", "first_violation_node")
+
+    def __init__(self, ok: bool, radius: float, max_norm: float, first_violation_node: int | None):
+        _set(self, "ok", ok)
+        _set(self, "radius", radius)
+        _set(self, "max_norm", max_norm)
+        _set(self, "first_violation_node", first_violation_node)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Record):
     """Bundle of whichever certificate checks a preset runs."""
 
-    label: str
-    sandwich: SandwichResult | None = None
-    dissipation: IneqReport | None = None
-    envelope: IneqReport | None = None
-    ball: BallResult | None = None
+    _fields = ("label", "sandwich", "dissipation", "envelope", "ball")
+
+    def __init__(
+        self,
+        label: str,
+        sandwich: SandwichResult | None = None,
+        dissipation: IneqReport | None = None,
+        envelope: IneqReport | None = None,
+        ball: BallResult | None = None,
+    ):
+        _set(self, "label", label)
+        _set(self, "sandwich", sandwich)
+        _set(self, "dissipation", dissipation)
+        _set(self, "envelope", envelope)
+        _set(self, "ball", ball)
 
     @property
     def all_passed(self) -> bool:

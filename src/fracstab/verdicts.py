@@ -11,12 +11,11 @@ is sampled on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import EnvelopeError
+from .errors import EnvelopeError, Record, _set
 from .expressions import Expr, parse, sample_on, to_text
 from .operators import SampleSeries, TimeGrid
 
@@ -25,18 +24,16 @@ __all__ = ["ENVELOPE_KINDS", "EnvelopeSpec", "IneqReport", "make_report"]
 ENVELOPE_KINDS = ("mono_decreasing", "mono_increasing", "nonneg_decreasing", "positive_decreasing")
 
 
-@dataclass(frozen=True)
-class EnvelopeSpec:
+class EnvelopeSpec(Record):
     """A monotone multiplier phi(t), given as an expression in t only."""
 
-    kind: str
-    expression: Expr
+    _fields = ("kind", "expression")
 
-    def __post_init__(self):
-        if self.kind not in ENVELOPE_KINDS:
-            raise EnvelopeError(f"unknown envelope kind {self.kind!r}")
-        expr = self.expression if isinstance(self.expression, Expr) else parse(self.expression)
-        object.__setattr__(self, "expression", expr)
+    def __init__(self, kind: str, expression: Expr):
+        if kind not in ENVELOPE_KINDS:
+            raise EnvelopeError(f"unknown envelope kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "expression", expression if isinstance(expression, Expr) else parse(expression))
 
     def sample(self, grid: TimeGrid) -> np.ndarray:
         """Sample on the grid, checking the declared shape holds there."""
@@ -60,8 +57,7 @@ class EnvelopeSpec:
         return EnvelopeError(f"envelope '{to_text(self.expression)}' {what}")
 
 
-@dataclass(frozen=True)
-class IneqReport:
+class IneqReport(Record):
     """Outcome of one inequality check.
 
     slack holds RHS - LHS per node (oriented so that >= 0 means the
@@ -70,14 +66,27 @@ class IneqReport:
     and brings it under the halved grid's own tolerance.
     """
 
-    name: str
-    slack: SampleSeries
-    lhs: np.ndarray
-    rhs: np.ndarray
-    max_violation: float
-    tol: float
-    refinement_ratio: float
-    verdict: bool
+    _fields = ("name", "slack", "lhs", "rhs", "max_violation", "tol", "refinement_ratio", "verdict")
+
+    def __init__(
+        self,
+        name: str,
+        slack: SampleSeries,
+        lhs: np.ndarray,
+        rhs: np.ndarray,
+        max_violation: float,
+        tol: float,
+        refinement_ratio: float,
+        verdict: bool,
+    ):
+        _set(self, "name", name)
+        _set(self, "slack", slack)
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "max_violation", max_violation)
+        _set(self, "tol", tol)
+        _set(self, "refinement_ratio", refinement_ratio)
+        _set(self, "verdict", verdict)
 
 
 def _judge(

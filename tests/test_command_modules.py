@@ -1,7 +1,8 @@
 """Each subcommand, run in a fresh interpreter, loads exactly the fracstab
 modules it runs, and only `check` loads the standard modules the suites
-need; and a preset's system and the instance limit are each defined once,
-whichever path reads them.
+need; the only classes it loads that `@dataclass` built are those
+`dataclasses.replace` is applied to; and a preset's system and the instance
+limit are each defined once, whichever path reads them.
 
 In-process tests cannot see a missing deferred import: by the time they
 run, other tests have loaded every module.  Hence the fresh processes.
@@ -30,6 +31,10 @@ REPRODUCE = SOLVING - {"fracstab.config"} | {"fracstab.stability", "fracstab.ver
 SUITES = {"fracstab.inequalities", "fracstab.verdicts"}
 # loaded by `inequalities` alone (its even-numerator exponents are Fractions)
 SUITE_STDLIB = ("fractions", "decimal")
+# module: its one class built by @dataclass, kept so because callers apply
+# dataclasses.replace to it; every other record is an errors.Record, which
+# generates no code per class
+DATACLASSES = {"fracstab.presets": "ExamplePreset", "fracstab.inequalities": "InstanceProfile"}
 
 # argv (with {cfg}, {check_cfg}, {csv}, {out} filled in), exit code, modules loaded
 COMMANDS = {
@@ -45,8 +50,11 @@ COMMANDS = {
 }
 
 _LOADED = f"""\
-print(" ".join(m for m in sys.modules if m.split(".")[0] == "fracstab"))
+loaded = [m for m in sys.modules if m.split(".")[0] == "fracstab"]
+print(" ".join(loaded))
 print(" ".join(m for m in {SUITE_STDLIB!r} if m in sys.modules))
+print(" ".join({{c.__qualname__ for m in loaded for c in vars(sys.modules[m]).values()
+                if isinstance(c, type) and c.__module__ in loaded and hasattr(c, "__dataclass_fields__")}}))
 """
 
 _RUN = """\
@@ -64,13 +72,15 @@ for name in ("example1", "example2", "example3"):
 """ + _LOADED
 
 
-def _fresh(code: str, argv: list[str], cwd: Path) -> tuple[int, str, set[str], set[str]]:
-    """Exit code, stderr, and the fracstab and SUITE_STDLIB modules loaded by code in a fresh process."""
+def _fresh(code: str, argv: list[str], cwd: Path) -> tuple[int, str, set[str], set[str], set[str]]:
+    """Exit code, stderr, the fracstab and SUITE_STDLIB modules loaded by code in a fresh
+    process, and the names of the fracstab classes loaded that @dataclass built."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                           env=env, cwd=cwd, timeout=120)
-    *_, fracstab_line, stdlib_line = ["", "", *proc.stdout.splitlines()]
-    return proc.returncode, proc.stderr, set(fracstab_line.split()), set(stdlib_line.split())
+    *_, fracstab_line, stdlib_line, dataclass_line = ["", "", "", *proc.stdout.splitlines()]
+    return (proc.returncode, proc.stderr, set(fracstab_line.split()), set(stdlib_line.split()),
+            set(dataclass_line.split()))
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -87,19 +97,21 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
     paths["csv"].write_text("t,x1,x2\n0,1,2\n0.5,0.5,1\n")
     paths["out"].mkdir()
     argv = [arg.format(**paths) for arg in template]
-    code, stderr, loaded, stdlib = _fresh(_RUN, argv, tmp_path)
+    code, stderr, loaded, stdlib, dataclasses = _fresh(_RUN, argv, tmp_path)
     assert code == exit_code, stderr
     assert loaded == modules
     if "fracstab.inequalities" not in modules:
         assert stdlib == set()
+    assert dataclasses == {cls for module, cls in DATACLASSES.items() if module in modules}
 
 
 def test_preset_setup_loads_neither_the_suites_nor_fractions(tmp_path):
-    code, stderr, loaded, stdlib = _fresh(_SETUP, [], tmp_path)
+    code, stderr, loaded, stdlib, dataclasses = _fresh(_SETUP, [], tmp_path)
     assert code == 0, stderr
     assert "fracstab.inequalities" not in loaded
     assert "fracstab.verdicts" in loaded
     assert stdlib == set()
+    assert dataclasses == {"ExamplePreset"}
 
 
 def test_max_instances_is_defined_once():

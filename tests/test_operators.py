@@ -261,6 +261,26 @@ def test_weight_accessors():
     assert np.all(body[1:] == 2.0)
 
 
+def _rl_weights_by_index(mu, n_steps):
+    # the weights of rl_weights' docstring, each power taken on its own index array
+    a0 = np.zeros(n_steps + 1)
+    k = np.arange(1, n_steps + 1, dtype=float)
+    km1 = k - 1.0
+    a0[1:] = km1 ** (mu + 1.0) - (km1 - mu) * k**mu
+    body = np.zeros(max(n_steps, 1))
+    m = np.arange(1, n_steps, dtype=float)
+    body[1:] = (m + 1.0) ** (mu + 1.0) + (m - 1.0) ** (mu + 1.0) - 2.0 * m ** (mu + 1.0)
+    return a0, body
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.1, 0.35, 0.5, 0.9, 1.0, 1.3, 2.5])
+def test_rl_weights_are_bit_identical_to_the_indexed_formula(mu):
+    for n_steps in (0, 1, 2, 3, 7, 100, 1023, 1024, 5000, 50_000):
+        got, expect = rl_weights(mu, n_steps), _rl_weights_by_index(mu, n_steps)
+        for g, e in zip(got, expect):
+            assert g.shape == e.shape and g.tobytes() == e.tobytes(), (mu, n_steps)
+
+
 # --- power-rule oracle -----------------------------------------------------------
 
 

@@ -1,0 +1,181 @@
+"""The contract of the package's immutable record types (`errors.Record`).
+
+Each record keeps the constructor of the frozen dataclass it replaced: the
+same parameters, defaults and validation, immutable instances, `==` and
+`hash` over its compared fields in order, and a Name(field=value, ...) repr.
+"""
+
+import copy
+import inspect
+import pickle
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from fracstab.config import RunConfig, parse_config
+from fracstab.expressions import BinOp, Call, Neg, Num, Var, parse
+from fracstab.inequalities import IdentityResidual, PowerTerm, SuiteResult
+from fracstab.operators import FracOrder, SampleSeries, TimeGrid
+from fracstab.presets import get_preset
+from fracstab.solver import ConvergenceStudy, SystemDef, Trajectory, solve
+from fracstab.special import MLParams
+from fracstab.stability import BallResult, LyapunovCandidate, SandwichResult, StabilityReport
+from fracstab.verdicts import EnvelopeSpec, IneqReport
+
+_NO_DEFAULT = inspect.Parameter.empty
+_GRID = TimeGrid(0.0, 0.25, 4)
+_SERIES = SampleSeries(_GRID, [0.0, 1.0, 2.0, 3.0, 4.0])
+_SYSTEM = SystemDef.from_strings(2, 0.5, ("-x1", "x1 - x2"), (1.0, 2.0), label="s")
+_REPORT = IneqReport("nr1", _SERIES, np.zeros(5), np.ones(5), 0.0, 0.1, 2.0, True)
+_SANDWICH = SandwichResult(True, 0.5, 3)
+_RESIDUAL = IdentityResidual(1e-14, 2.0)
+
+# class: (an instance, [(constructor parameter, default)], compared fields in order)
+RECORDS = {
+    Num: (Num(1.5), [("value", _NO_DEFAULT)], ("value",)),
+    Var: (Var("x2", 2), [("name", _NO_DEFAULT), ("index", 0)], ("name", "index")),
+    Neg: (Neg(Num(2.0)), [("operand", _NO_DEFAULT)], ("operand",)),
+    BinOp: (
+        BinOp("+", Var("t"), Num(1.0)),
+        [("op", _NO_DEFAULT), ("left", _NO_DEFAULT), ("right", _NO_DEFAULT)],
+        ("op", "left", "right"),
+    ),
+    Call: (Call("sin", (Var("t"),)), [("name", _NO_DEFAULT), ("args", _NO_DEFAULT)], ("name", "args")),
+    TimeGrid: (_GRID, [("t0", _NO_DEFAULT), ("h", _NO_DEFAULT), ("n_steps", _NO_DEFAULT)], ("t0", "h", "n_steps")),
+    SampleSeries: (
+        SampleSeries(_GRID, [4.0, 3.0, 2.0, 1.0, 0.0], source=np.flip),
+        [("grid", _NO_DEFAULT), ("values", _NO_DEFAULT), ("source", None)],
+        ("grid", "values"),
+    ),
+    FracOrder: (FracOrder(0.5), [("alpha", _NO_DEFAULT)], ("alpha",)),
+    MLParams: (MLParams(0.5, 1.25), [("alpha", _NO_DEFAULT), ("beta", 1.0)], ("alpha", "beta")),
+    SystemDef: (
+        _SYSTEM,
+        [("dim", _NO_DEFAULT), ("order", _NO_DEFAULT), ("rhs", _NO_DEFAULT), ("x0", _NO_DEFAULT), ("label", "")],
+        ("dim", "order", "rhs", "x0", "label"),
+    ),
+    Trajectory: (
+        Trajectory(_GRID, (_SERIES, _SERIES), _SYSTEM),
+        [("grid", _NO_DEFAULT), ("states", _NO_DEFAULT), ("system", _NO_DEFAULT)],
+        ("grid", "states", "system"),
+    ),
+    ConvergenceStudy: (
+        ConvergenceStudy(((0.1, 1e-3), (0.05, 2.5e-4)), 2.0),
+        [("entries", _NO_DEFAULT), ("fitted_order", _NO_DEFAULT)],
+        ("entries", "fitted_order"),
+    ),
+    LyapunovCandidate: (
+        LyapunovCandidate("x1^2", "r^2", "2*r^2"),
+        [("expression", _NO_DEFAULT), ("class_k_lower", None), ("class_k_upper", None), ("dissipation_rate", None)],
+        ("expression", "class_k_lower", "class_k_upper", "dissipation_rate"),
+    ),
+    SandwichResult: (
+        _SANDWICH,
+        [("ok", _NO_DEFAULT), ("worst_slack", _NO_DEFAULT), ("worst_node", _NO_DEFAULT)],
+        ("ok", "worst_slack", "worst_node"),
+    ),
+    BallResult: (
+        BallResult(False, 0.5, 0.75, 7),
+        [("ok", _NO_DEFAULT), ("radius", _NO_DEFAULT), ("max_norm", _NO_DEFAULT), ("first_violation_node", _NO_DEFAULT)],
+        ("ok", "radius", "max_norm", "first_violation_node"),
+    ),
+    StabilityReport: (
+        StabilityReport("example", sandwich=_SANDWICH),
+        [("label", _NO_DEFAULT), ("sandwich", None), ("dissipation", None), ("envelope", None), ("ball", None)],
+        ("label", "sandwich", "dissipation", "envelope", "ball"),
+    ),
+    EnvelopeSpec: (
+        EnvelopeSpec("nonneg_decreasing", "exp(-t)"),
+        [("kind", _NO_DEFAULT), ("expression", _NO_DEFAULT)],
+        ("kind", "expression"),
+    ),
+    IneqReport: (
+        _REPORT,
+        [(name, _NO_DEFAULT) for name in
+         ("name", "slack", "lhs", "rhs", "max_violation", "tol", "refinement_ratio", "verdict")],
+        ("name", "slack", "lhs", "rhs", "max_violation", "tol", "refinement_ratio", "verdict"),
+    ),
+    RunConfig: (
+        RunConfig(_SYSTEM, _GRID, checks=(("nr1", 2),), h_list=(0.1, 0.05)),
+        [("system", _NO_DEFAULT), ("grid", _NO_DEFAULT), ("checks", ()), ("output", None), ("seed", 0), ("h_list", ())],
+        ("system", "grid", "checks", "output", "seed", "h_list"),
+    ),
+    PowerTerm: (
+        PowerTerm(1.5, Fraction(4, 3), 2.0),
+        [("c", _NO_DEFAULT), ("beta", _NO_DEFAULT), ("p", 1.0), ("envelope", None)],
+        ("c", "beta", "p", "envelope"),
+    ),
+    IdentityResidual: (_RESIDUAL, [("max_residual", _NO_DEFAULT), ("scale", _NO_DEFAULT)], ("max_residual", "scale")),
+    SuiteResult: (
+        SuiteResult("nr4_identity", 1, 1, 5e-15, (_RESIDUAL,)),
+        [("name", _NO_DEFAULT), ("instances", _NO_DEFAULT), ("passes", _NO_DEFAULT), ("max_violation", _NO_DEFAULT),
+         ("reports", _NO_DEFAULT)],
+        ("name", "instances", "passes", "max_violation", "reports"),
+    ),
+}
+
+
+def _replaced(record, name, value):
+    out = copy.copy(record)
+    object.__setattr__(out, name, value)
+    return out
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+def test_record_contract(cls):
+    record, params, fields = RECORDS[cls]
+    assert type(record) is cls
+    assert [(p.name, p.default) for p in inspect.signature(cls).parameters.values()] == params
+
+    for name in (*fields, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+    values = tuple(getattr(record, name) for name in fields)
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(fields, values))})"
+    try:
+        expected_hash = hash(values)
+    except TypeError:  # a numpy array among the fields
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected_hash
+
+    for other in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert type(other) is cls and other == record and not other != record
+        assert vars(other).keys() == vars(record).keys()
+    for name in fields:
+        assert _replaced(record, name, object()) != record
+    for name in vars(record).keys() - set(fields):
+        assert _replaced(record, name, object()) == record
+    assert record != values and record != object()
+
+
+def _config(x0: str) -> str:
+    return f"preset = example1\nx0 = [{x0}]\nt_end = 0.5\nh = 0.01\nchecks = [nr1:1]\nh_list = [0.1, 0.05]\n"
+
+
+def test_records_holding_arrays_compare_them_by_value():
+    assert parse_config(_config("1, 2")) == parse_config(_config("1, 2"))
+    assert parse_config(_config("1, 2")) != parse_config(_config("1, 3"))
+    assert get_preset("example1") == get_preset("example1")
+    assert get_preset("example1") != get_preset("example3")
+
+    system = SystemDef.from_strings(1, 0.5, ("-x1",), (1.0,))
+    other_x0 = SystemDef.from_strings(1, 0.5, ("-x1",), (2.0,))
+    assert solve(system, _GRID) == solve(system, _GRID)
+    assert solve(system, _GRID) != solve(other_x0, _GRID)
+    assert solve(system, _GRID) != solve(system, TimeGrid(0.0, 0.25, 3))
+
+    twin = IneqReport("nr1", _SERIES, np.zeros(5), np.ones(5), 0.0, 0.1, _REPORT.refinement_ratio, True)
+    assert twin == _REPORT
+    assert IneqReport("nr1", _SERIES, np.zeros(5), np.full(5, 2.0), 0.0, 0.1, _REPORT.refinement_ratio, True) != _REPORT
+    assert IneqReport("nr1", _SERIES, np.zeros(4), np.ones(5), 0.0, 0.1, _REPORT.refinement_ratio, True) != _REPORT
+    for record in (system, _SERIES, _REPORT, parse_config(_config("1, 2"))):
+        with pytest.raises(TypeError):
+            hash(record)
+    assert parse("x1^2 + sin(t)") == parse("x1^2 + sin(t)")
