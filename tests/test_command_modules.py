@@ -31,9 +31,9 @@ REPRODUCE = SOLVING - {"fracstab.config"} | {"fracstab.stability", "fracstab.ver
 SUITES = {"fracstab.inequalities", "fracstab.verdicts"}
 # loaded by `inequalities` alone (its even-numerator exponents are Fractions)
 SUITE_STDLIB = ("fractions", "decimal")
-# module: its one class built by @dataclass, kept so because callers apply
-# dataclasses.replace to it; every other record is an errors.Record, which
-# generates no code per class
+# module: the one class of it that @dataclass builds, kept a dataclass because
+# callers apply dataclasses.replace to it; every other record is an
+# errors.Record, which generates no code per class
 DATACLASSES = {"fracstab.presets": "ExamplePreset", "fracstab.inequalities": "InstanceProfile"}
 
 # argv (with {cfg}, {check_cfg}, {csv}, {out} filled in), exit code, modules loaded
