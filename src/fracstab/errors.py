@@ -178,16 +178,22 @@ def count(value, name: str, lo: int, hi: int | None = None) -> int:
 _set = object.__setattr__
 
 
+def _is_nan(value) -> bool:
+    return isinstance(value, float) and value != value
+
+
 class Record:
     """Base of the package's immutable value types.
 
     A subclass names its fields in `_fields` and stores each one once, from
     its own __init__, with `_set`.  Assigning or deleting an attribute
     raises AttributeError.  `==` compares the `_fields` of two instances of
-    the same class in order, numpy arrays by value; `hash` hashes them, so
-    it raises TypeError on a record that holds an array.  repr shows them as
-    Name(field=value, ...).  Instances keep a __dict__, so copy and pickle
-    work on them.
+    the same class in order, numpy arrays by value, and takes NaN as equal
+    to NaN in a float field or at the same place of two float arrays;
+    `hash` hashes them, so it raises TypeError on a record that holds an
+    array.  repr shows them as Name(field=value, ...).  Instances keep a
+    __dict__, so copy and pickle work on them, and each array in a copy
+    keeps the writeable flag it had in the original.
     """
 
     _fields: tuple[str, ...] = ()
@@ -206,14 +212,31 @@ class Record:
             if a is b:
                 continue
             if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                if not np.array_equal(a, b):
+                # isnan, behind equal_nan, refuses arrays that are not float
+                floats = all(isinstance(v, np.ndarray) and v.dtype.kind in "fc" for v in (a, b))
+                if not np.array_equal(a, b, equal_nan=floats):
                     return False
-            elif not a == b:
+            elif not (a == b or _is_nan(a) and _is_nan(b)):
                 return False
         return True
 
     def __hash__(self):
-        return hash(tuple([getattr(self, name) for name in self._fields]))
+        # a NaN hashes by identity, so every NaN is hashed as the one math.nan
+        values = [getattr(self, name) for name in self._fields]
+        return hash(tuple([math.nan if _is_nan(v) else v for v in values]))
+
+    def __getstate__(self):
+        # copy and pickle rebuild arrays writeable; the names of the
+        # read-only ones travel with the state
+        state = self.__dict__
+        read_only = [name for name, v in state.items() if isinstance(v, np.ndarray) and not v.flags.writeable]
+        return state, read_only
+
+    def __setstate__(self, state):
+        state, read_only = state
+        self.__dict__.update(state)
+        for name in read_only:
+            state[name].flags.writeable = False
 
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)

@@ -5,9 +5,9 @@ every argument until one certifies its result: the power series, which
 tracks its own cancellation budget; closed forms at alpha = 1 with integer
 beta; on the negative axis an inverse-Laplace quadrature on Garrappa's
 optimal parabolic contour that certifies its own error bound; and last a
-slow high-precision evaluation (mpmath).  On the negative axis a bound on
-the function rejects the series before it is summed where its cancellation
-test is sure to fail.  mittag_leffler_many shares the work that depends on
+slow high-precision evaluation (mpmath).  On the negative axis the series
+stops as soon as a bound on the function proves that its cancellation test
+will fail.  mittag_leffler_many shares the work that depends on
 (alpha, beta) only among the points of one call; nothing is cached across
 calls, so a cold process pays the same per call as a warm one.
 """
@@ -42,13 +42,6 @@ _BRANCH_TARGET = 1e-10
 _EPS = 2.220446049250313e-16
 _LOG_EPS = math.log(_EPS)
 _LOG_BRANCH_TARGET = math.log(_BRANCH_TARGET)
-
-# _series_doomed rejects the series when its cancellation estimate is sure
-# to exceed 4 * _BRANCH_TARGET, and when the Gamma argument at the series'
-# peak passes 171 (the series gives up past 170; the margin of 1 keeps
-# rounding in the peak's location from mattering).
-_LOG_DOOMED = math.log(4.0 * _BRANCH_TARGET)
-_LOG_SERIES_ARG_MAX = math.log(171.0)
 
 # Accuracy the double-precision contour quadrature is first balanced for
 # (Garrappa's default), and the node count past which the target is relaxed
@@ -129,41 +122,6 @@ class MLParams(Record):
             raise DomainError(f"MLParams.beta must be > 0, got {beta!r}")
         _set(self, "alpha", alpha)
         _set(self, "beta", beta)
-
-
-def _series_doomed(alpha: float, beta: float, z: float) -> bool:
-    """True when the power series at z is sure to fail its cancellation test.
-
-    Applies to z <= -0.25, 0 < alpha <= 1 and beta >= alpha, where
-    E_{alpha,beta}(-x) is completely monotone in x (Schneider, Expo. Math.
-    1996), so 0 < E <= B = 1/Gamma(beta); for beta = 1 the sharper
-    B = 1/(1 + x/Gamma(1 + alpha)) holds (Simon, Electron. J. Probab. 2014).
-    By Wendel's inequality the terms x^k / Gamma(alpha k + beta) do not
-    decrease up to k = ceil(k*), k* = (x^(1/alpha) - beta)/alpha, so the
-    series cannot stop before it; either it leaves the Gamma window first
-    (returns None) or it sums a term T at floor or ceil of k*, and then its
-    estimate (0.5 k + 10) eps sum|terms| / |sum| is at least
-    (0.5 k* + 10) eps T / B up to the rounding in the sum, which the
-    factor 4 on the target covers.  Everything is in logs, so no |z| can
-    overflow.
-    """
-    if not (z <= -0.25 and 0.0 < alpha <= 1.0 and beta >= alpha):
-        return False
-    x = -z
-    log_x = math.log(x)
-    log_peak = log_x / alpha  # log(alpha k* + beta)
-    if log_peak > _LOG_SERIES_ARG_MAX:
-        return True  # the series leaves the Gamma window before its peak
-    if beta == 1.0:
-        log_bound = -math.log1p(x * math.exp(-math.lgamma(1.0 + alpha)))
-    else:
-        log_bound = -math.lgamma(beta)
-    k_star = max(0.0, (math.exp(log_peak) - beta) / alpha)
-    log_term = max(
-        k * log_x - math.lgamma(alpha * k + beta)
-        for k in (math.floor(k_star), math.ceil(k_star))
-    )
-    return math.log(0.5 * k_star + 10.0) + _LOG_EPS + log_term - log_bound > _LOG_DOOMED
 
 
 def _contour_params(alpha: float, beta: float, log_target: float, log_eps: float):
@@ -346,6 +304,14 @@ class _MLTable:
         self.alpha = alpha
         self.beta = beta
         self.coeffs: list[float] = []
+        # series(-x) stops past stop_b / (1 + x stop_c), 4 _BRANCH_TARGET / eps
+        # times its bound B; beta < alpha has no bound, so no stop
+        self.stop_b = math.inf
+        self.stop_c = 0.0
+        if beta >= alpha:
+            self.stop_b = 4.0 * _BRANCH_TARGET / _EPS * reciprocal_gamma(beta)
+            if beta == 1.0:
+                self.stop_c = reciprocal_gamma(1.0 + alpha)
         self.nodes = None  # _contour_nodes, [] when no contour exists
         self.scale = 0.0  # h / (2 pi)
         self.err_scale = 0.0  # certificate's absolute error per sum|terms|
@@ -356,8 +322,18 @@ class _MLTable:
         Returns (value, estimated_relative_error) or None when the series
         cannot be summed reliably in double precision (cancellation,
         overflow, or Gamma range exhausted before convergence).
+
+        Also None, for z = -x < 0 and beta >= alpha, as soon as
+        (0.5 k + 10) eps sum|terms| exceeds 4 _BRANCH_TARGET B.  There
+        E_{alpha,beta}(-x) is completely monotone in x (Schneider, Expo.
+        Math. 1996), so 0 < E <= B = 1/Gamma(beta), and for beta = 1
+        B = 1/(1 + x/Gamma(1 + alpha)) (Simon, Electron. J. Probab. 2014).
+        k and sum|terms| only grow, so the final estimate
+        (0.5 k + 10) eps sum|terms| / |sum| is then sure to exceed
+        _BRANCH_TARGET; the factor 4 covers the rounding in the sum.
         """
         alpha, beta, coeffs = self.alpha, self.beta, self.coeffs
+        stop = self.stop_b / (1.0 - z * self.stop_c) if z < 0.0 else math.inf
         total = 0.0
         comp = 0.0
         abs_sum = 0.0
@@ -374,6 +350,8 @@ class _MLTable:
                 return None
             term = zk * coeffs[k]
             abs_sum += abs(term)
+            if (0.5 * k + 10.0) * abs_sum > stop:
+                return None
             y = term - comp
             t = total + y
             comp = (t - total) - y
@@ -428,10 +406,9 @@ class _MLTable:
             raise RangeError(f"mittag_leffler supports z <= {ML_Z_MAX}, got {z}")
         alpha, beta = self.alpha, self.beta
 
-        if not _series_doomed(alpha, beta, z):
-            out = self.series(z)
-            if out is not None and out[1] <= _BRANCH_TARGET:
-                return out[0]
+        out = self.series(z)
+        if out is not None and out[1] <= _BRANCH_TARGET:
+            return out[0]
 
         if alpha == 1.0:
             closed = _ml_alpha_one(beta, z)
@@ -467,8 +444,9 @@ def mittag_leffler(params: MLParams, z: float) -> float:
     as at (0.2, 1, 3.5), about 6.29e228.
 
     Branches, first certified wins: the power series when its cancellation
-    estimate is at most 1e-10 relative (skipped for z <= -0.25 where a bound
-    on the function proves that test would fail), the closed forms at
+    estimate is at most 1e-10 relative (stopped early for z < 0 and
+    beta >= alpha once a bound on the function proves that test will
+    fail), the closed forms at
     alpha = 1 with integer beta, for z < 0 the parabolic-contour quadrature
     (Garrappa, SIAM J. Numer. Anal. 2015) when its error bound is at most
     1e-10 relative, and the mpmath fallback.  Every z takes this one chain,

@@ -7,6 +7,7 @@ same parameters, defaults and validation, immutable instances, `==` and
 
 import copy
 import inspect
+import math
 import pickle
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import pytest
 
 from fracstab.config import RunConfig, parse_config
 from fracstab.expressions import BinOp, Call, Neg, Num, Var, parse
-from fracstab.inequalities import IdentityResidual, PowerTerm, SuiteResult
+from fracstab.inequalities import IdentityResidual, PowerTerm, SuiteResult, run_suite
 from fracstab.operators import FracOrder, SampleSeries, TimeGrid
 from fracstab.presets import get_preset
 from fracstab.solver import ConvergenceStudy, SystemDef, Trajectory, solve
@@ -179,3 +180,37 @@ def test_records_holding_arrays_compare_them_by_value():
         with pytest.raises(TypeError):
             hash(record)
     assert parse("x1^2 + sin(t)") == parse("x1^2 + sin(t)")
+
+
+def test_copies_keep_the_writeable_flag_of_each_array():
+    read_only = np.ones(5)
+    read_only.flags.writeable = False
+    report = IneqReport("nr1", _SERIES, np.arange(5.0), read_only, 0.0, 0.1, 2.0, True)
+    for record, names in ((_SERIES, ("values",)), (_SYSTEM, ("x0",)), (report, ("lhs", "rhs"))):
+        for other in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert other == record
+            for name in names:
+                assert getattr(other, name).flags.writeable == getattr(record, name).flags.writeable, name
+    assert report.lhs.flags.writeable and not report.rhs.flags.writeable
+    assert not _SERIES.values.flags.writeable and not _SYSTEM.x0.flags.writeable
+
+
+def test_nan_fields_compare_equal_in_copies_and_pickles():
+    suite = run_suite("nr1", 3, 5)
+    assert any(math.isnan(r.refinement_ratio) for r in suite.reports)
+    assert pickle.loads(pickle.dumps(suite)) == suite
+    assert copy.deepcopy(suite) == suite
+
+    sandwich = SandwichResult(True, float("nan"), 3)
+    twin = SandwichResult(True, float("nan"), 3)
+    assert sandwich == twin and hash(sandwich) == hash(twin)
+    assert sandwich != SandwichResult(True, 0.0, 3)
+    assert SuiteResult("s", 1, 1, 0.0, (sandwich,)) == SuiteResult("s", 1, 1, 0.0, (twin,))
+
+    def report(lhs):
+        return IneqReport("nr1", _SERIES, np.array(lhs), np.ones(2), 0.0, 0.1, 2.0, True)
+
+    assert report([1.0, math.nan]) == report([1.0, float("nan")])
+    assert report([1.0, math.nan]) != report([math.nan, 1.0])
+    assert report([1.0, math.nan]) != report([1.0, 2.0])
+    assert report(["a", "b"]) == report(["a", "b"]) and report(["a", "b"]) != report(["a", "c"])

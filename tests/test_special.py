@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fracstab.errors import DomainError, RangeError
 from fracstab.special import ML_Z_MAX, MLParams, gamma, mittag_leffler, mittag_leffler_many, reciprocal_gamma
-from fracstab.special import _BRANCH_TARGET, _MLTable, _ml_bigfloat, _series_doomed
+from fracstab.special import _BRANCH_TARGET, _MLTable, _ml_bigfloat
 from fracstab.special import _CONTOUR_DISC_FACTOR, _EPS, _LOG_CONTOUR_TARGET, _LOG_EPS, _contour_params
 
 from oracles import (
@@ -432,7 +432,7 @@ def test_ml_negative_axis_never_raises(alpha, beta, z):
     assert math.isfinite(mittag_leffler(MLParams(alpha, beta), z))
 
 
-# --- early rejection of the series -----------------------------------------------
+# --- the series' early stop ------------------------------------------------------
 
 
 @st.composite
@@ -449,33 +449,47 @@ def _doom_cases(draw):
     return alpha, beta, z
 
 
+def _series_against_transcription(alpha, beta, z):
+    """series(z) and _series_per_point(z), the series without a stop, checked:
+    bit-identical wherever series returns a value, and None only where the
+    transcription fails the target."""
+    out = _MLTable(alpha, beta).series(z)
+    ref = _series_per_point(alpha, beta, z)
+    if out is None:
+        assert ref is None or ref[1] > _BRANCH_TARGET, (alpha, beta, z, ref)
+    else:
+        assert out == ref, (alpha, beta, z)
+    return out, ref
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=_doom_cases())
 @example(case=(0.9, 0.9, -0.25))
 @example(case=(1.0, 1.0, -5.0))
 @example(case=(0.05, 0.05, -1.3))
-def test_series_doomed_only_rejects_what_the_series_rejects(case):
-    # Sound: whenever the early test fires, the series would not have served
+def test_series_stops_only_where_it_would_fail(case):
+    # Sound: the stop fires only where the whole sum would not have served
     # the point either, so no served value can change.
-    alpha, beta, z = case
-    if _series_doomed(alpha, beta, z):
-        out = _MLTable(alpha, beta).series(z)
-        assert out is None or out[1] > _BRANCH_TARGET, (alpha, beta, z, out)
+    _series_against_transcription(*case)
 
 
-def test_series_doomed_catches_most_series_rejections():
-    # Effective: on Example 1's order it spares at least 80% of the series
-    # attempts that fail (z in [-40, -0.25], step 0.01).
-    rejected = caught = 0
+def test_series_stop_catches_most_failing_attempts():
+    # Effective: on Example 1's order the stop ends at least 90% of the
+    # series attempts that fail (z in [-40, -0.25], step 0.01).
+    failing = stopped = 0
     for i in range(3976):
         z = -0.25 - 0.01 * i
-        out = _MLTable(0.9, 1.0).series(z)
-        if out is None or out[1] > _BRANCH_TARGET:
-            rejected += 1
-            caught += _series_doomed(0.9, 1.0, z)
-        else:
-            assert not _series_doomed(0.9, 1.0, z), z
-    assert rejected > 3000 and caught >= 0.8 * rejected, (caught, rejected)
+        out, ref = _series_against_transcription(0.9, 1.0, z)
+        if ref is None or ref[1] > _BRANCH_TARGET:
+            failing += 1
+            stopped += out is None
+    assert failing > 3000 and stopped >= 0.9 * failing, (stopped, failing)
+
+
+def test_series_stops_early_at_example_1s_order():
+    # The whole sum at (0.9, 1, -7) fails with an estimate of 2.7e-9, which
+    # a prediction from the series' peak term alone does not prove
+    assert _MLTable(0.9, 1.0).series(-7.0) is None
 
 
 # --- batched evaluation -------------------------------------------------------------
@@ -570,7 +584,7 @@ def test_ints_beyond_the_double_range_are_range_errors_in_both_entries(z):
 
 
 def _series_per_point(alpha, beta, z):
-    """The series with 1/Gamma computed at every term, no table."""
+    """The series with 1/Gamma computed at every term, no table and no stop."""
     total = comp = abs_sum = 0.0
     zk, tiny_streak, k = 1.0, 0, 0
     while True:
@@ -613,9 +627,13 @@ def _contour_per_point(alpha, beta, z):
 
 def test_tables_reproduce_the_per_point_arithmetic():
     # The shared 1/Gamma list and contour node factors change no bit of the
-    # series or the contour, nor of the certificates that pick the branch.
+    # series or the contour, nor of the certificates that pick the branch;
+    # the series' stop returns None only where the whole sum fails.
+    served = 0
     for alpha, beta in ((0.9, 1.0), (0.5, 1.5), (0.2, 0.7), (1.0, 2.0), (0.7, 3.0)):
         for z in (-0.3, -1.7, -4.0, -9.5, -17.0, -33.0, 0.2, 2.5):
-            assert _MLTable(alpha, beta).series(z) == _series_per_point(alpha, beta, z), (alpha, beta, z)
+            out, _ = _series_against_transcription(alpha, beta, z)
+            served += out is not None and out[1] <= _BRANCH_TARGET
             if z < 0.0:
                 assert _MLTable(alpha, beta).contour(z) == _contour_per_point(alpha, beta, z), (alpha, beta, z)
+    assert served == 21, served  # the other 19 points are left to the later branches
