@@ -158,7 +158,7 @@ def parse_config(text: str) -> RunConfig:
     phi = values.get("phi")
     if preset_name is not None:
         if preset_name not in PRESET_NAMES:
-            raise ConfigError(f"unknown preset {preset_name!r}")
+            raise ConfigError(f"unknown preset {preset_name!r}", lines["preset"])
         if phi is not None:  # example3's envelope; get_preset rejects it for the others
             with _at_line(lines, "phi"):
                 get_preset(str(preset_name), phi_text=str(phi))
@@ -191,8 +191,8 @@ def parse_config(text: str) -> RunConfig:
     x0 = settings["x0"]
     label = str(settings["label"])
 
-    if not isinstance(x0, list):
-        raise ConfigError("x0 must be a bracketed list")
+    if not isinstance(x0, list) or any(isinstance(v, list) for v in x0):
+        raise ConfigError("x0 must be a bracketed list of numbers", lines.get("x0"))
     if len(x0) != dim:
         raise ConfigError(f"dimension mismatch: dim = {dim} but x0 has {len(x0)} entries")
     for idx in rhs_lines:
@@ -209,7 +209,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"missing key 'rhs{i}'")
 
     if h <= 0:
-        raise ConfigError(f"h must be > 0, got {h}")
+        raise ConfigError(f"h must be > 0, got {h}", lines.get("h"))
     if t_end <= t0:
         raise ConfigError(f"t_end must exceed t0, got t_end={t_end}, t0={t0}")
     steps = (t_end - t0) / h
@@ -233,12 +233,12 @@ def parse_config(text: str) -> RunConfig:
         from . import inequalities
     for item in checks_raw:
         if not isinstance(item, str):
-            raise ConfigError(f"bad check entry {item!r}")
+            raise ConfigError(f"bad check entry {item!r}", lines["checks"])
         name, _, n_text = item.partition(":")
         try:
             n = int(n_text) if n_text else _DEFAULT_CHECK_COUNT
         except ValueError:
-            raise ConfigError(f"bad instance count in check entry {item!r}") from None
+            raise ConfigError(f"bad instance count in check entry {item!r}", lines["checks"]) from None
         with _at_line(lines, "checks"):  # run_suite's own bounds, checked before any run
             checks.append((name.strip(), count(n, "instance count", 1, inequalities.MAX_INSTANCES)))
 
@@ -247,12 +247,12 @@ def parse_config(text: str) -> RunConfig:
     output = values.get("output")
     h_list = values.get("h_list", [])
     if not isinstance(h_list, list):
-        raise ConfigError("h_list must be a bracketed list")
+        raise ConfigError("h_list must be a bracketed list", lines["h_list"])
     with _at_line(lines, "h_list"):
         h_list = tuple(real(v, "h_list") for v in h_list)
     if h_list:
         if not all(h > 0 for h in h_list):
-            raise ConfigError(f"h_list steps must be > 0, got {list(h_list)}")
+            raise ConfigError(f"h_list steps must be > 0, got {list(h_list)}", lines["h_list"])
         ref_nodes = reference_grid(grid.t_end - grid.t0, h_list)[1] + 1
         if ref_nodes > MAX_NODES:
             raise ConfigError(

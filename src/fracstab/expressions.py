@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -234,15 +235,16 @@ def parse(text: str) -> Expr:
 # --- evaluation ------------------------------------------------------------
 #
 # `_compile` turns a tree into nested closures f(t, x, r), built once per
-# expression and called once per point (or once per array of points).  With
-# scalar=True every value is a plain Python float and finiteness is checked
-# with math.isfinite; with scalar=False the values are numpy arrays or
-# scalars and the numpy operations below are used, and the caller (evaluate,
-# sample_on) turns numpy's floating-point warnings off once around the whole
-# call, since every node checks its own result.  Both modes raise the same
-# exception class at the same node, named by to_text of that node (built only
-# when it is raised).  exp, sin and cos stay numpy ufuncs in both modes, so a
-# scalar call gives the value the same ufunc gives on an array.
+# expression and called once per point (or once per array of points).  There
+# is one closure per operator; it binds its mode's primitives when it is
+# built, `math` functions and builtins on plain Python floats (`_SCALAR`) or
+# numpy's on arrays (`_ARRAY`, whose caller `_on_arrays` turns numpy's
+# floating-point warnings off around the whole call, since every node checks
+# its own result).  Both modes raise the same exception class at the same
+# node, named by to_text of that node (built only when it is raised).  exp,
+# sin and cos are numpy ufuncs in both modes, so their values agree; pow is
+# the one primitive whose value can differ between the modes, since numpy's
+# vectorized pow and the C library's behind Python's `**` may round apart.
 
 # np.exp cannot overflow at or below this argument, so a scalar call skips
 # np.errstate there (about 1.4 us per use, ten times the call itself); above
@@ -256,10 +258,31 @@ def _non_finite(node: Expr) -> EvalError:
     return EvalError("non-finite result", to_text(node))
 
 
-def _check_finite(value, node: Expr):
-    if not np.isfinite(value).all():
-        raise _non_finite(node)
-    return value
+def _float_ufunc(ufunc, a: float) -> float:
+    if a > _EXP_NO_OVERFLOW:
+        with np.errstate(over="ignore"):
+            return float(ufunc(a))
+    return float(ufunc(a))
+
+
+def _array_pow(a, b):
+    # two 0-d operands take Python's float pow, as in scalar mode
+    if np.ndim(a) or np.ndim(b):
+        return np.asarray(a, dtype=float) ** b
+    return float(a) ** float(b)
+
+
+# A negative base needs an integer exponent, b == floor(b) (inf counts, nan
+# does not); over arrays it is judged point by point.
+_SCALAR = SimpleNamespace(
+    finite=math.isfinite, any_true=bool, pow=operator.pow, sqrt=math.sqrt, abs=abs, call=_float_ufunc,
+    negative_base=lambda a, b: a < 0.0 and not (b.is_integer() or math.isinf(b)),
+)
+_ARRAY = SimpleNamespace(
+    finite=lambda v: np.isfinite(v).all(), any_true=np.any, pow=_array_pow, sqrt=np.sqrt, abs=np.abs,
+    call=lambda ufunc, a: ufunc(a),
+    negative_base=lambda a, b: np.any((np.asarray(a) < 0) & (np.asarray(b) != np.floor(b))),
+)
 
 
 def _compile(node: Expr, scalar: bool):
@@ -272,15 +295,16 @@ def _compile(node: Expr, scalar: bool):
     if isinstance(node, Neg):
         operand = _compile(node.operand, scalar)
         return lambda t, x, r: -operand(t, x, r)
+    mode = _SCALAR if scalar else _ARRAY
     if isinstance(node, BinOp):
         left, right = _compile(node.left, scalar), _compile(node.right, scalar)
         if node.op in "+-*/":
-            return _compile_arith(node, left, right, scalar)
-        return _compile_power(node, left, right, scalar)
+            return _compile_arith(node, left, right, mode)
+        return _compile_power(node, left, right, mode)
     if isinstance(node, Call):
         if node.name == "pow":
             return _compile(BinOp("^", node.args[0], node.args[1]), scalar)
-        return _compile_call(node, _compile(node.args[0], scalar), scalar)
+        return _compile_call(node, _compile(node.args[0], scalar), mode)
     raise TypeError(f"not an Expr node: {node!r}")
 
 
@@ -306,100 +330,64 @@ def _compile_var(node: Var):
     return var_x
 
 
-def _compile_arith(node: BinOp, left, right, scalar: bool):
+def _compile_arith(node: BinOp, left, right, mode: SimpleNamespace):
     op = _ARITH[node.op]
     divide = node.op == "/"
-    if scalar:
-        isfinite = math.isfinite
-
-        def arith(t, x, r):
-            a = left(t, x, r)
-            b = right(t, x, r)
-            if divide and b == 0.0:
-                raise EvalError("division by zero", to_text(node))
-            out = op(a, b)
-            if isfinite(out):
-                return out
-            raise _non_finite(node)
-
-        return arith
+    finite, any_true = mode.finite, mode.any_true
 
     def arith(t, x, r):
         a = left(t, x, r)
         b = right(t, x, r)
-        if divide and np.any(b == 0):
+        if divide and any_true(b == 0):
             raise EvalError("division by zero", to_text(node))
-        return _check_finite(op(a, b), node)
+        out = op(a, b)
+        if finite(out):
+            return out
+        raise _non_finite(node)
 
     return arith
 
 
-def _compile_power(node: BinOp, left, right, scalar: bool):
-    # A negative base requires an integer exponent (b == floor(b): inf
-    # counts, nan does not), judged point by point.
-    if scalar:
-        isfinite, isinf = math.isfinite, math.isinf
-
-        def power(t, x, r):
-            a = left(t, x, r)
-            b = right(t, x, r)
-            if a < 0.0 and not (b.is_integer() or isinf(b)):
-                raise EvalError("negative base with non-integer exponent", to_text(node))
-            try:
-                out = a**b
-            except (OverflowError, ZeroDivisionError) as exc:
-                raise EvalError(str(exc), to_text(node)) from None
-            if isfinite(out):
-                return out
-            raise _non_finite(node)
-
-        return power
+def _compile_power(node: BinOp, left, right, mode: SimpleNamespace):
+    finite, negative_base, pow_ = mode.finite, mode.negative_base, mode.pow
 
     def power(t, x, r):
         a = left(t, x, r)
         b = right(t, x, r)
-        if np.any((np.asarray(a) < 0) & (np.asarray(b) != np.floor(b))):
+        if negative_base(a, b):
             raise EvalError("negative base with non-integer exponent", to_text(node))
         try:
-            out = np.asarray(a, dtype=float) ** b if np.ndim(a) or np.ndim(b) else float(a) ** float(b)
+            out = pow_(a, b)
         except (OverflowError, ZeroDivisionError) as exc:
             raise EvalError(str(exc), to_text(node)) from None
-        return _check_finite(out, node)
+        if finite(out):
+            return out
+        raise _non_finite(node)
 
     return power
 
 
-def _compile_call(node: Call, arg, scalar: bool):
+def _compile_call(node: Call, arg, mode: SimpleNamespace):
     if node.name == "sqrt":
+        any_true, root = mode.any_true, mode.sqrt
 
         def sqrt(t, x, r):
             a = arg(t, x, r)
-            if (a < 0.0) if scalar else np.any(np.asarray(a) < 0):
+            if any_true(a < 0):
                 raise EvalError("sqrt of negative value", to_text(node))
-            return math.sqrt(a) if scalar else np.sqrt(a)
+            return root(a)
 
         return sqrt
     if node.name == "abs":
-        return (lambda t, x, r: abs(arg(t, x, r))) if scalar else (lambda t, x, r: np.abs(arg(t, x, r)))
-    ufunc = getattr(np, node.name)
-    if scalar:
-        isfinite = math.isfinite
-
-        def call(t, x, r):
-            a = arg(t, x, r)
-            if a > _EXP_NO_OVERFLOW:
-                with np.errstate(over="ignore"):
-                    out = float(ufunc(a))
-            else:
-                out = float(ufunc(a))
-            if isfinite(out):
-                return out
-            raise _non_finite(node)
-
-        return call
+        absolute = mode.abs
+        return lambda t, x, r: absolute(arg(t, x, r))
+    finite, apply, ufunc = mode.finite, mode.call, getattr(np, node.name)
 
     def call(t, x, r):
-        return _check_finite(ufunc(arg(t, x, r)), node)
+        out = apply(ufunc, arg(t, x, r))
+        if finite(out):
+            return out
+        raise _non_finite(node)
 
     return call
 
@@ -417,39 +405,50 @@ def _inputs(caller: str, t, x, r, scalar: bool):
         raise BindError(f"{caller} needs finite real t, x and r: {exc}") from None
 
 
+def _on_arrays(caller: str, node: Expr, t, x, r, within_t: bool = False) -> np.ndarray:
+    """The tree at t, x and r as float arrays, as a new float array of their
+    broadcast shape (with within_t, t's own); BindError unless they hold
+    finite real numbers only and broadcast."""
+    t, x, r = _inputs(caller, t, x, r, scalar=False)
+    shapes = [v.shape for v in (t, *x, *(() if r is None else (r,)))]
+    try:
+        shape = np.broadcast_shapes(*shapes)
+    except ValueError:
+        shape = None
+    if shape is None or (within_t and shape != t.shape):
+        target = "to the shape of ts" if within_t else "together"
+        raise BindError(f"{caller} needs t, x and r that broadcast {target}, got shapes {shapes}")
+    f = _compile(node, scalar=False)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = f(t, x, r)
+    return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
+
+
 def evaluate(node: Expr, t=0.0, x=(), r=None) -> float:
     """Evaluate at scalar or numpy-array arguments.
 
     Scalar inputs return float; array inputs (numpy arrays or nested
-    sequences of numbers) return an ndarray over the broadcast shape.
+    sequences of numbers) return a new ndarray over their broadcast shape.
     Faults raise EvalError/BindError, never silent NaN; so does input that
-    is not a finite real number.
+    is not a finite real number, and arrays that do not broadcast.
     """
     try:
         scalar = np.ndim(t) == 0 and np.ndim(r) == 0 and all(np.ndim(v) == 0 for v in x)
     except (TypeError, ValueError) as exc:  # x not iterable, or ragged nesting
         raise BindError(f"evaluate needs finite real t, x and r: {exc}") from None
-    t, x, r = _inputs("evaluate", t, x, r, scalar)
-    if scalar:
-        return _compile(node, scalar=True)(t, x, r)
-    f = _compile(node, scalar=False)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = f(t, x, r)
-    if np.ndim(out) == 0 and not isinstance(out, float):
-        return float(out)
-    return out
+    if not scalar:
+        return _on_arrays("evaluate", node, t, x, r)
+    t, x, r = _inputs("evaluate", t, x, r, scalar=True)
+    return _compile(node, scalar=True)(t, x, r)
 
 
 def sample_on(node: Expr, ts: np.ndarray, x=(), r=None) -> np.ndarray:
     """Evaluate over an array of times, broadcasting constants to ts.shape.
 
-    BindError unless ts, each x and r hold finite real numbers only.
+    BindError unless ts, each x and r hold finite real numbers only and x
+    and r broadcast to ts.shape.
     """
-    ts, x, r = _inputs("sample_on", ts, x, r, scalar=False)
-    f = _compile(node, scalar=False)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = np.asarray(f(ts, x, r), dtype=float)
-    return np.broadcast_to(out, np.shape(ts)).copy()
+    return _on_arrays("sample_on", node, ts, x, r, within_t=True)
 
 
 def variables(node: Expr) -> set[str]:

@@ -70,6 +70,13 @@ def test_dimension_mismatches():
         parse_config(SMALL_SYSTEM.replace("x0 = [1]", "x0 = [1, 2]"))
 
 
+@pytest.mark.parametrize("key, value", [("order", "0.5"), ("rhs1", '"-x1"')])
+def test_duplicate_keys_are_config_errors_at_the_second_line(key, value):
+    with pytest.raises(ConfigError, match=f"duplicate key '{key}'") as exc:
+        parse_config(SMALL_SYSTEM + f"{key} = {value}\n")
+    assert exc.value.line == 7
+
+
 def test_unknown_key_rejected_with_line():
     with pytest.raises(ConfigError) as exc:
         parse_config("preset = example1\nwibble = 3\n")
@@ -123,6 +130,14 @@ BAD_VALUE_LINES = {
     "x0_nan": ('preset = example1\nx0 = ["nan", 1]\n', 2),
     "rhs_beyond_dim": ('preset = example1\nrhs2 = "x3"\n', 2),
     "dim_zero": ("dim = 0\norder = 0.5\nx0 = []\nt_end = 1\nh = 0.01\n", 1),
+    "preset_unknown": ("# comment\npreset = example9\n", 2),
+    "x0_bare": ("preset = example1\nx0 = 1\n", 2),
+    "x0_nested": ("preset = example2\nx0 = [[1]]\n", 2),
+    "h_negative": ("preset = example1\nh = -0.1\n", 2),
+    "checks_number": ("preset = example1\nchecks = [5]\n", 2),
+    "checks_count": ("preset = example1\nchecks = [nr1:x]\n", 2),
+    "h_list_bare": ("preset = example1\nh_list = 0.01\n", 2),
+    "h_list_negative": ("preset = example1\nh_list = [0.01, -0.005]\n", 2),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,15 @@ def test_overflow_is_an_error():
         evaluate(parse("exp(t)*exp(t)"), t=500.0)
 
 
+@pytest.mark.parametrize("text, node", [("10^400", "10.0^400.0"), ("0^-1", "0.0^-1.0")])
+def test_power_of_two_constants_over_arrays_is_an_eval_error(text, node):
+    # two 0-d operands take Python's float pow, whose OverflowError and
+    # ZeroDivisionError become the EvalError scalar evaluation raises
+    for call in (lambda: sample_on(parse(text), np.linspace(0.0, 1.0, 3)), lambda: evaluate(parse(text))):
+        with pytest.raises(EvalError, match=re.escape(f"in '{node}'")):
+            call()
+
+
 def test_bind_errors():
     with pytest.raises(BindError):
         evaluate(parse("x3"), x=(1.0, 2.0))
@@ -162,6 +172,39 @@ def test_list_arguments_evaluate_like_arrays(text, want, v, kwargs):
 def test_non_numeric_arguments_are_bind_errors(kwargs):
     with pytest.raises(BindError):
         evaluate(parse("t + x1 + r"), **{"x": [1.0], "r": 0.0, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "text, kwargs, want",
+    [
+        ("7", {"t": [1, 2]}, [7.0, 7.0]),
+        ("2*r", {"t": [1, 2], "r": [[1], [2], [3]]}, [[2.0, 2.0], [4.0, 4.0], [6.0, 6.0]]),
+        ("x1", {"t": [[0], [1]], "x": ([1, 2, 3],)}, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]),
+    ],
+)
+def test_array_evaluation_has_the_broadcast_shape_of_all_arguments(text, kwargs, want):
+    # also where the expression does not read every argument (7 was the
+    # float 7.0, and the other two had the shape of the arguments they read)
+    got = evaluate(parse(text), **kwargs)
+    assert isinstance(got, np.ndarray) and got.dtype == float and got.shape == np.shape(want)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: evaluate(parse("t + x1"), t=[1, 2], x=([1, 2, 3],)),
+        lambda: evaluate(parse("x1"), t=[1, 2], x=([1, 2, 3],)),
+        lambda: sample_on(parse("x1"), np.array([0.0, 1.0]), x=(np.array([1.0, 2.0, 3.0]),)),
+        lambda: sample_on(parse("r"), np.array([0.0, 1.0]), r=np.array([[1.0], [2.0]])),
+    ],
+    ids=["evaluate_read", "evaluate_unread", "sample_on_x", "sample_on_r_beyond_ts"],
+)
+def test_arguments_that_do_not_broadcast_are_bind_errors(call):
+    # numpy's ValueError escaped, or the result took the arguments' shape;
+    # sample_on's arguments must broadcast to the shape of ts
+    with pytest.raises(BindError, match="broadcast"):
+        call()
 
 
 def test_variables_and_bounds():

@@ -326,6 +326,38 @@ def test_nr6_verdict_goes_through_refinement():
     assert (r2.max_violation, r2.tol) == (r.max_violation, r.tol)
 
 
+_POSITIVE = series(lambda t: 1.0 + t)
+_COARSE = series(lambda t: 1.0 + t, TimeGrid(0.0, 0.02, 250))
+_HALF = FracOrder(0.5)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: verify_product_increasing(env("mono_decreasing", "exp(-t)"), _POSITIVE, _HALF),
+         EnvelopeError, "needs an increasing envelope"),
+        (lambda: verify_odd_power_envelope(env("mono_decreasing", "1"), 0, _POSITIVE, -0.5, _HALF),
+         DomainError, "beta must be >= 0"),
+        (lambda: verify_odd_power_envelope(env("mono_increasing", "t"), 0, _POSITIVE, 1.0, _HALF),
+         EnvelopeError, "needs a decreasing envelope"),
+        (lambda: verify_composite([], [], _HALF), ShapeError, "at least one series"),
+        (lambda: verify_composite([[PowerTerm(1.0, 2.0)]] * 2, [_POSITIVE, _COARSE], _HALF),
+         ShapeError, "share one grid"),
+        (lambda: verify_decomposition_nr4(env("nonneg_decreasing", "1"), _POSITIVE, 0.5, _HALF),
+         DomainError, "beta must be >= 1"),
+        (lambda: verify_decomposition_nr6(env("positive_decreasing", "1"), _POSITIVE, -1.0, _HALF),
+         DomainError, "beta must be >= 0"),
+        (lambda: generate_instance(0, inequalities.InstanceProfile("mono_decreasing", "nonneg", "complex")),
+         DomainError, "unknown beta_kind"),
+    ],
+    ids=["product_increasing_envelope", "odd_power_beta", "odd_power_envelope", "composite_empty",
+         "composite_grids", "nr4_beta", "nr6_beta", "generator_beta_kind"],
+)
+def test_verifiers_refuse_inputs_outside_their_hypotheses(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 # --- generator and suites ---------------------------------------------------------------------
 
 

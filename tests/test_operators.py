@@ -152,6 +152,12 @@ def test_caputo_alpha_one_quadratic():
     assert abs(out.values[-1] - 2.0 * t[-1]) < 1e-9
 
 
+def test_caputo_alpha_one_on_a_one_step_grid():
+    # no interior node: both ends take the one forward difference
+    f = SampleSeries(TimeGrid(0.0, 0.5, 1), np.array([1.0, 2.0]))
+    assert caputo_l1(f, FracOrder(1.0)).values.tolist() == [2.0, 2.0]
+
+
 def test_caputo_convergence_order():
     for alpha in (0.3, 0.5, 0.8):
         errs = []

@@ -111,6 +111,13 @@ def test_divergence_error_carries_last_step():
     assert 0 <= exc.value.last_step < 400
 
 
+def test_predictor_leaving_the_finite_range_is_a_divergence():
+    system = SystemDef.from_strings(1, 1.0, ["1.5e308"], [0.0])
+    with pytest.raises(DivergenceError, match="predictor left the finite range at step 1") as exc:
+        solve(system, TimeGrid(0.0, 2.0, 1))
+    assert exc.value.last_step == 0
+
+
 def test_rhs_eval_error_carries_context():
     system = SystemDef.from_strings(1, 0.5, ["x1/(t - 0.05)"], [1.0])
     with pytest.raises(EvalError) as exc:
@@ -168,6 +175,14 @@ def test_convergence_study_reports_diverging_h():
     with pytest.raises(DivergenceError) as exc:
         convergence_study(system, 10.0, (0.1, 0.05))
     assert "h=" in str(exc.value)
+
+
+def test_convergence_study_reports_a_diverging_coarse_grid():
+    # the reference grid (h = 0.00625) is stable for x' = -300 x, h = 0.05 is not
+    system = SystemDef.from_strings(1, 1.0, ["-300*x1"], [1.0])
+    with pytest.raises(DivergenceError, match=r"^divergence at h=0\.05: state exceeded") as exc:
+        convergence_study(system, 1.0, (0.05, 0.025))
+    assert 0 < exc.value.last_step < 20
 
 
 def test_autonomous_solve_is_shift_invariant():

@@ -109,6 +109,12 @@ def test_dissipation_zero_trajectory():
     assert rep.max_violation == 0.0
 
 
+def test_dissipation_needs_a_rate(example2_run):
+    traj, _ = example2_run
+    with pytest.raises(DomainError, match="gamma3"):
+        check_dissipation(LyapunovCandidate("x1^6"), traj, traj.system.order)
+
+
 def test_dissipation_order_must_match(example2_run):
     traj, _ = example2_run
     v = LyapunovCandidate("x1^6", dissipation_rate="r^8")
