@@ -348,13 +348,22 @@ def _compile_arith(node: BinOp, left, right, mode: SimpleNamespace):
     return arith
 
 
+def _integer_constant(node: Expr) -> bool:
+    """Whether node is a Num, or Neg of one, whose value is an integer."""
+    if isinstance(node, Neg):
+        node = node.operand
+    return isinstance(node, Num) and isinstance(node.value, float) and node.value.is_integer()
+
+
 def _compile_power(node: BinOp, left, right, mode: SimpleNamespace):
     finite, negative_base, pow_ = mode.finite, mode.negative_base, mode.pow
+    # any base may meet an integer exponent: a constant one is judged here, once
+    checked = not _integer_constant(node.right)
 
     def power(t, x, r):
         a = left(t, x, r)
         b = right(t, x, r)
-        if negative_base(a, b):
+        if checked and negative_base(a, b):
             raise EvalError("negative base with non-integer exponent", to_text(node))
         try:
             out = pow_(a, b)

@@ -330,6 +330,11 @@ def _csv_line(values) -> str:
     return ",".join(fields) + "\n"
 
 
+def rows_csv_oracle(rows) -> str:
+    """The bytes of table rows, each a sequence of floats."""
+    return "".join(_csv_line(row) for row in rows)
+
+
 def report_csv_oracle(ts, lhs, rhs, slack, verdict, max_violation, tol, refinement_ratio) -> str:
     """The bytes of an inequality report CSV: node rows, then the verdict row."""
     out = "t,lhs,rhs,slack\n"

@@ -117,6 +117,30 @@ def test_negative_base_is_judged_per_point_over_arrays():
         evaluate(e, t=ts + 0.25, x=(x1,))
 
 
+@pytest.mark.parametrize(
+    "text, exponent", [("x1^2", 2.0), ("x1^3", 3.0), ("x1^-2", -2.0), ("x1^(-3)", -3.0), ("x1^0", 0.0), ("pow(x1, 5)", 5.0)]
+)
+def test_integer_constant_exponent_is_the_modes_own_pow(text, exponent):
+    # the negative-base test is settled when the closure is built; each value
+    # is still the scalar mode's Python pow and the array mode's numpy pow
+    bases = np.concatenate([np.random.default_rng(7).standard_normal(200) * 3.0, [-2.0, -0.5, 0.5, 2.0]])
+    node = parse(text)
+    scalar = np.array([evaluate(node, x=(b,)) for b in bases.tolist()])
+    expected = np.array([b**exponent for b in bases.tolist()])
+    assert np.array_equal(scalar.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(evaluate(node, x=(bases,)).view(np.uint64), (bases**exponent).view(np.uint64))
+
+
+@pytest.mark.parametrize("text", ["x1^2.5", "x1^-2.5", "x1^(0.5)", "x1^(1+0.5)", "x1^x2"])
+def test_negative_base_with_a_fractional_exponent_is_an_eval_error_in_both_modes(text):
+    node = parse(text)
+    with pytest.raises(EvalError, match="negative base"):
+        evaluate(node, x=(-2.0, 0.5))
+    with pytest.raises(EvalError, match="negative base"):
+        evaluate(node, x=(np.array([1.0, -2.0]), 0.5))
+    assert evaluate(node, x=(2.0, 2.5)) > 0.0
+
+
 def test_sqrt_negative():
     with pytest.raises(EvalError):
         evaluate(parse("sqrt(t-2)"), t=0.0)
