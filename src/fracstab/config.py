@@ -16,7 +16,7 @@ from .errors import ConfigError, DomainError, FracstabError, Record, _set, count
 from .expressions import parse
 from .operators import FracOrder, TimeGrid
 from .presets import PRESET_NAMES, get_preset, preset_system
-from .solver import SystemDef, reference_grid
+from .solver import SystemDef, finest_steps
 
 __all__ = ["RunConfig", "parse_config", "load_config", "MAX_NODES", "MAX_INSTANCES"]
 
@@ -24,7 +24,8 @@ _SCALAR_KEYS = {"preset", "order", "dim", "t0", "t_end", "h", "output", "seed", 
 _LIST_KEYS = {"x0", "checks", "h_list"}
 _DEFAULT_CHECK_COUNT = 100
 # Largest time grid a config may ask for, counted in nodes: the run grid and
-# the convergence study's reference grid (`solver.reference_grid`).  It bounds
+# the finest grid of the convergence study, the halving of the grid at
+# min(h_list) (`solver.finest_steps`).  It bounds
 # allocation (a few arrays of n floats per state component), not work: a
 # two-component solve at the limit takes about half a minute.
 MAX_NODES = 1_000_000
@@ -218,12 +219,13 @@ def parse_config(text: str) -> RunConfig:
     n_steps = round(steps)
     if n_steps + 1 > MAX_NODES:
         raise ConfigError(f"grid has {n_steps + 1} nodes; the limit is {MAX_NODES}")
-    if n_steps < 1 or abs(t0 + n_steps * h - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ConfigError(f"(t_end - t0) must be a multiple of h, got {t_end - t0} / {h}")
+    try:
+        grid = TimeGrid.between(t0, t_end, h)
+    except DomainError as exc:  # between t0, t_end and h: no one line to name
+        raise ConfigError(str(exc)) from None
 
     with _at_line(lines):  # SystemDef's messages begin with x0 or rhs<i>
         system = SystemDef(dim, order, tuple(rhs), x0, label)
-    grid = TimeGrid(t0, h, n_steps)
 
     checks_raw = values.get("checks", [])
     if not isinstance(checks_raw, list):
@@ -253,11 +255,16 @@ def parse_config(text: str) -> RunConfig:
     if h_list:
         if not all(h > 0 for h in h_list):
             raise ConfigError(f"h_list steps must be > 0, got {list(h_list)}", lines["h_list"])
-        ref_nodes = reference_grid(grid.t_end - grid.t0, h_list)[1] + 1
-        if ref_nodes > MAX_NODES:
+        nodes = finest_steps(grid.t_end - grid.t0, h_list) + 1
+        if nodes > MAX_NODES:
             raise ConfigError(
-                f"convergence reference grid has {ref_nodes} nodes; the limit is {MAX_NODES}"
+                f"the convergence study's finest grid, at min(h_list) / 2, has {nodes} nodes; "
+                f"the limit is {MAX_NODES}",
+                lines["h_list"],
             )
+        with _at_line(lines, "h_list"):
+            for step in h_list:
+                TimeGrid.between(grid.t0, grid.t_end, step, "h_list step")
 
     return RunConfig(
         system=system,

@@ -12,8 +12,10 @@ Grammar (whitespace insignificant, `#`-free single expressions):
 base, so `-x1^2` is -(x1^2) while `(-x1)^2` squares.  Known identifiers are
 the time variable `t`, state variables `x1`, `x2`, ..., the radius variable
 `r` (for class-K bounds), and the calls sin, cos, exp, sqrt, abs and the
-two-argument pow.  Faults (division by zero, domain errors, non-finite
-results) raise EvalError naming the offending subexpression.
+two-argument pow.  A NUMBER must be finite as a double: `1e999` is a
+ParseError at its offset, not inf.  Faults (division by zero, domain
+errors, non-finite results) raise EvalError naming the offending
+subexpression.
 """
 
 from __future__ import annotations
@@ -109,6 +111,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 value = float(lit)
             except ValueError:
                 raise ParseError(f"bad number literal '{lit}'", i) from None
+            if not math.isfinite(value):
+                raise ParseError(f"number literal '{lit}' is not finite", i)
             tokens.append(("num", value, i))
             i = j
             continue

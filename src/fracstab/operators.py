@@ -60,6 +60,21 @@ class TimeGrid(Record):
         _set(self, "h", h)
         _set(self, "n_steps", n_steps)
 
+    @classmethod
+    def between(cls, t0: float, t_end: float, h: float, name: str = "h") -> "TimeGrid":
+        """The grid from t0 to t_end at step h, which must divide t_end - t0.
+
+        It has round((t_end - t0) / h) steps, which must be at least one and
+        land on t_end to within 1e-9 max(1, |t_end|); otherwise DomainError,
+        which calls the step `name`.
+        """
+        t0, t_end, h = real(t0, "t0"), real(t_end, "t_end"), _positive_order(h, name)
+        steps = (t_end - t0) / h
+        n_steps = round(steps) if math.isfinite(steps) else 0
+        if n_steps < 1 or abs(t0 + n_steps * h - t_end) > 1e-9 * max(1.0, abs(t_end)):
+            raise DomainError(f"(t_end - t0) must be a multiple of {name}, got {t_end - t0} / {h}")
+        return cls(t0, h, n_steps)
+
     @property
     def n_nodes(self) -> int:
         return self.n_steps + 1

@@ -12,7 +12,7 @@ from fracstab.cli import main
 from fracstab.config import MAX_INSTANCES, MAX_NODES, RunConfig, parse_config
 from fracstab.errors import ConfigError
 from fracstab.reporting import read_trajectory_csv
-from fracstab.solver import reference_grid
+from fracstab.solver import finest_steps
 
 EX1_BLOCK = """\
 preset = example1
@@ -138,6 +138,8 @@ BAD_VALUE_LINES = {
     "checks_count": ("preset = example1\nchecks = [nr1:x]\n", 2),
     "h_list_bare": ("preset = example1\nh_list = 0.01\n", 2),
     "h_list_negative": ("preset = example1\nh_list = [0.01, -0.005]\n", 2),
+    "h_list_not_dividing": ("preset = example1\nt_end = 1\nh_list = [0.01, 0.0031]\n", 3),
+    "rhs_infinite_literal": ('preset = example1\nrhs1 = "1e999"\n', 2),
 }
 
 
@@ -224,6 +226,7 @@ def _cli_runs(draw):
 @example(("simulate", 'preset = example1\nx0 = ["nan", 1]\n'))
 @example(("simulate", DIVERGING.replace("t_end = 20", "t_end = 5")))
 @example(("convergence", SMALL_SYSTEM + "h_list = [0.1, 0.05]\n"))
+@example(("convergence", "preset = example1\nt_end = 1\nh_list = [0.01, 0.0031]\n"))
 @example(("check", SMALL_SYSTEM + "checks = [nr1:2, two]\n"))
 def test_main_exits_0_to_4_without_traceback(tmp_path, capsys, run):
     command, text = run
@@ -234,7 +237,7 @@ def test_main_exits_0_to_4_without_traceback(tmp_path, capsys, run):
     else:  # keep the runs small
         assume(cfg.grid.n_nodes <= _SMALL_RUN_NODES)
         if cfg.h_list:
-            assume(reference_grid(cfg.grid.t_end - cfg.grid.t0, cfg.h_list)[1] < _SMALL_RUN_NODES)
+            assume(finest_steps(cfg.grid.t_end - cfg.grid.t0, cfg.h_list) < _SMALL_RUN_NODES)
         assume(all(count <= 3 for _, count in cfg.checks))
     path = tmp_path / "run.cfg"
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
@@ -336,11 +339,12 @@ def test_bad_values_are_config_errors(tmp_path, text):
 
 
 # one past each documented limit: the run grid, the instance count of a check
-# suite and the convergence study's reference grid (a quarter of min(h_list))
+# suite and the convergence study's finest grid, the halving of the grid at
+# min(h_list), whose node count 2 n + 1 is odd: at h = 1 / 500000 it is one past
 OVER_LIMIT = {
     "grid": ("simulate", SMALL_SYSTEM.replace("t_end = 1", f"t_end = {MAX_NODES // 100}")),
     "instances": ("check", SMALL_SYSTEM + f"checks = [nr1:{MAX_INSTANCES + 1}]\n"),
-    "reference_grid": ("convergence", SMALL_SYSTEM + f"h_list = [0.01, {4.0 / MAX_NODES!r}]\n"),
+    "finest_grid": ("convergence", SMALL_SYSTEM + f"h_list = [0.01, {2.0 / MAX_NODES!r}]\n"),
     "tiny_h": ("simulate", SMALL_SYSTEM.replace("t_end = 1", "t_end = 100").replace("h = 0.01", "h = 1e-9")),
     "huge_count": ("check", SMALL_SYSTEM + "checks = [nr1:100000000000]\n"),
 }
@@ -350,7 +354,8 @@ def test_resource_limits_admit_the_limit_itself():
     at_grid = parse_config(SMALL_SYSTEM.replace("t_end = 1", f"t_end = {(MAX_NODES - 1) / 100!r}"))
     assert at_grid.grid.n_nodes == MAX_NODES
     assert parse_config(SMALL_SYSTEM + f"checks = [nr1:{MAX_INSTANCES}]\n").checks[0][1] == MAX_INSTANCES
-    parse_config(SMALL_SYSTEM + f"h_list = [0.01, {4.0 / (MAX_NODES - 1)!r}]\n")
+    at_finest = parse_config(SMALL_SYSTEM + f"h_list = [0.01, {2.0 / (MAX_NODES - 2)!r}]\n")
+    assert finest_steps(1.0, at_finest.h_list) + 1 == MAX_NODES - 1
     for _, text in OVER_LIMIT.values():
         with pytest.raises(ConfigError, match="limit|instance count"):
             parse_config(text)

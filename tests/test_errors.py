@@ -104,6 +104,9 @@ SLOTS = {
     "TimeGrid.t0": (lambda v: TimeGrid(v, 0.1, 10), FracstabError),
     "TimeGrid.h": (lambda v: TimeGrid(0.0, v, 10), FracstabError),
     "TimeGrid.n_steps": (lambda v: TimeGrid(0.0, 0.1, v), FracstabError),
+    "TimeGrid.between.t0": (lambda v: TimeGrid.between(v, 1.0, 0.1), FracstabError),
+    "TimeGrid.between.t_end": (lambda v: TimeGrid.between(0.0, v, 0.1), FracstabError),
+    "TimeGrid.between.h": (lambda v: TimeGrid.between(0.0, 1.0, v), FracstabError),
     "FracOrder.alpha": (lambda v: FracOrder(v), FracstabError),
     "SampleSeries.values": (lambda v: SampleSeries(GRID, v), FracstabError),
     "SampleSeries.values[10]": (lambda v: SampleSeries(GRID, [1.0] * 10 + [v]), FracstabError),

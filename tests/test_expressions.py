@@ -79,6 +79,8 @@ def test_parse_errors_carry_offsets():
         ("sin(1, 2)", 0),
         ("x0 + 1", 0),
         ("2 + @", 4),
+        ("1e999", 0),  # literals that overflow to inf
+        ("x1 + 2e400*t", 5),
     ]
     for text, offset in cases:
         with pytest.raises(ParseError) as exc:

@@ -43,6 +43,14 @@ def test_timegrid_validation():
         TimeGrid(0.0, 0.1, 0)
 
 
+def test_timegrid_between_needs_a_step_that_divides_the_span():
+    assert TimeGrid.between(5.0, 6.0, 0.01) == TimeGrid(5.0, 0.01, 100)
+    assert TimeGrid.between(0.0, 1.0, 1 / 3).n_steps == 3
+    for h in (0.0031, 0.3, 2.0, 0.0, -0.01):
+        with pytest.raises(DomainError):
+            TimeGrid.between(0.0, 1.0, h)
+
+
 def test_sampleseries_validation():
     g = TimeGrid(0.0, 0.1, 3)
     SampleSeries(g, [1.0, 2.0, 3.0, 4.0])

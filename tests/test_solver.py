@@ -11,7 +11,7 @@ from fracstab.presets import get_preset
 from fracstab.solver import SystemDef, convergence_study, solve
 from fracstab.special import MLParams, mittag_leffler
 
-from oracles import classical_pece_trapezoid, pece_direct
+from oracles import classical_pece_trapezoid, fit_order, ml_series_oracle, pece_direct
 
 
 def linear_decay(alpha):
@@ -157,7 +157,7 @@ def test_convergence_study_validates_h_list():
         convergence_study(linear_decay(0.5), 1.0, (5e-3, 1e-2))
 
 
-def test_convergence_study_runs_on_t0_to_t_end(monkeypatch):
+def _recorded_solves(monkeypatch):
     grids = []
 
     def recording_solve(system, grid):
@@ -165,9 +165,53 @@ def test_convergence_study_runs_on_t0_to_t_end(monkeypatch):
         return solve(system, grid)
 
     monkeypatch.setattr(fracstab.solver, "solve", recording_solve)
+    return grids
+
+
+def test_convergence_study_runs_on_t0_to_t_end(monkeypatch):
+    grids = _recorded_solves(monkeypatch)
     study = convergence_study(example1_system(0.9), 6.0, (0.01, 0.005), t0=5.0)
-    assert [(g.t0, g.n_steps) for g in grids] == [(5.0, 800), (5.0, 100), (5.0, 200)]
+    assert [(g.t0, g.n_steps) for g in grids] == [(5.0, 100), (5.0, 200), (5.0, 400)]
     assert all(err > 0.0 for _, err in study.entries)
+
+
+def test_a_halving_list_solves_each_grid_once(monkeypatch):
+    # each step is compared with its halving, which is the next entry's grid
+    grids = _recorded_solves(monkeypatch)
+    system = example1_system(0.9)
+    study = convergence_study(system, 1.0, (0.01, 0.005, 0.0025))
+    assert [g.n_steps for g in grids] == [100, 200, 400, 800]
+    trajs = [solve(system, g).matrix() for g in grids]
+    for (_, err), grid, coarse, fine in zip(study.entries, grids, trajs, trajs[1:]):
+        keep = grid.nodes() >= 0.1
+        assert err == np.max(np.abs(coarse[keep] - fine[::2][keep]))
+
+
+def test_a_list_that_does_not_halve_solves_each_step_and_its_halving(monkeypatch):
+    grids = _recorded_solves(monkeypatch)
+    convergence_study(linear_decay(0.5), 1.0, (0.01, 0.004))
+    assert [g.n_steps for g in grids] == [100, 200, 250, 500]
+
+
+@pytest.mark.parametrize("h_list", [(0.01, 0.0031), (0.3, 0.1), (0.01, 0.0)])
+def test_convergence_study_refuses_steps_that_do_not_divide_the_span(h_list):
+    with pytest.raises(DomainError, match="h_list step"):
+        convergence_study(linear_decay(0.5), 1.0, h_list)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_fitted_order_matches_the_order_against_the_mittag_leffler_oracle(alpha):
+    # D^alpha x = -x, x(0) = 1 is E_alpha(-t^alpha); the oracle's order is
+    # fitted on the errors at every 5th node of the 0.01 grid from t = 0.2
+    h_list = (0.01, 0.005, 0.0025)
+    study = convergence_study(linear_decay(alpha), 2.0, h_list)
+    ts = np.arange(20, 201, 5) * 0.01
+    exact = np.array([ml_series_oracle(alpha, 1.0, -(t**alpha)) for t in ts])
+    errs = []
+    for h in h_list:
+        values = solve(linear_decay(alpha), TimeGrid(0.0, h, round(2.0 / h))).states[0].values
+        errs.append(np.max(np.abs(values[np.round(ts / h).astype(int)] - exact)))
+    assert abs(study.fitted_order - fit_order(h_list, errs)) <= 0.04
 
 
 def test_convergence_study_reports_diverging_h():
@@ -178,7 +222,7 @@ def test_convergence_study_reports_diverging_h():
 
 
 def test_convergence_study_reports_a_diverging_coarse_grid():
-    # the reference grid (h = 0.00625) is stable for x' = -300 x, h = 0.05 is not
+    # the first grid solved, h = 0.05, is unstable for x' = -300 x
     system = SystemDef.from_strings(1, 1.0, ["-300*x1"], [1.0])
     with pytest.raises(DivergenceError, match=r"^divergence at h=0\.05: state exceeded") as exc:
         convergence_study(system, 1.0, (0.05, 0.025))
