@@ -65,9 +65,7 @@ _EXPORTS = {
             "reciprocal_gamma",
         ),
         "stability": (
-            "BallResult",
             "LyapunovCandidate",
-            "SandwichResult",
             "StabilityReport",
             "check_dissipation",
             "check_local_ball",

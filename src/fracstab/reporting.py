@@ -255,9 +255,10 @@ def stability_summary_text(report: StabilityReport) -> str:
     lines = [f"stability report: {report.label}"]
     if report.sandwich is not None:
         s = report.sandwich
+        worst = int(np.argmin(s.slack.values))
         lines.append(
-            f"sandwich: {'pass' if s.ok else 'FAIL'} "
-            f"worst_slack={fmt(s.worst_slack)} worst_node={s.worst_node}"
+            f"sandwich: {'pass' if s.verdict else 'FAIL'} "
+            f"worst_slack={fmt(s.slack.values[worst])} worst_node={worst}"
         )
     if report.dissipation is not None:
         d = report.dissipation
@@ -273,7 +274,7 @@ def stability_summary_text(report: StabilityReport) -> str:
     if report.ball is not None:
         b = report.ball
         lines.append(
-            f"ball: {'pass' if b.ok else 'FAIL'} radius={fmt(b.radius)} max_norm={fmt(b.max_norm)}"
+            f"ball: {'pass' if b.verdict else 'FAIL'} radius={fmt(b.rhs[0])} max_norm={fmt(np.max(b.lhs))}"
         )
     lines.append(f"all_checks: {'pass' if report.all_passed else 'FAIL'}")
     return "\n".join(lines) + "\n"

@@ -1,18 +1,21 @@
 """Lyapunov-certificate checks along solved trajectories.
 
-Three certificate ingredients are checked numerically: the class-K sandwich
-gamma1(|x|) <= V(t,x) <= gamma2(|x|) (exact pointwise, no tolerance), the
-fractional dissipation D^alpha V(t, x(t)) <= -gamma3(|x|) (discretized with
-the L1 operator under the step-size tolerance and refinement rule), and the
-Mittag-Leffler decay envelope |x(t)|^2 <= amp * E_alpha(-rate t^alpha) *
-|x(0)|^2 with a fixed 5% slack allowance.
+Four certificate ingredients are checked, each into an `IneqReport` judged
+by `verdicts._judge`.  The class-K sandwich gamma1(|x|) <= V(t,x) <=
+gamma2(|x|), the local ball |x(t)| <= r and the Mittag-Leffler decay
+envelope |x(t)|^2 <= amp * E_alpha(-rate t^alpha) * |x(0)|^2 (with a fixed
+5% slack allowance) are exact: tol 0, no refinement.  The fractional
+dissipation D^alpha V(t, x(t)) <= -gamma3(|x|) is discretized with the L1
+operator under the step-size tolerance and refinement rule.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from .errors import DomainError, EvalError, PreconditionError, Record, _set, real
+from .errors import DomainError, EvalError, PreconditionError, RangeError, Record, _set, real
 from .expressions import Expr, _compile, evaluate, parse, sample_on, to_text, variables
 from .operators import FracOrder, SampleSeries, TimeGrid, caputo_l1
 from .solver import Trajectory, solve
@@ -21,8 +24,6 @@ from .verdicts import IneqReport, _judge, make_report
 
 __all__ = [
     "LyapunovCandidate",
-    "SandwichResult",
-    "BallResult",
     "StabilityReport",
     "evaluate_candidate",
     "check_sandwich",
@@ -74,25 +75,6 @@ class LyapunovCandidate(Record):
                 _validate_class_k(e, label)
 
 
-class SandwichResult(Record):
-    _fields = ("ok", "worst_slack", "worst_node")
-
-    def __init__(self, ok: bool, worst_slack: float, worst_node: int):
-        _set(self, "ok", ok)
-        _set(self, "worst_slack", worst_slack)
-        _set(self, "worst_node", worst_node)
-
-
-class BallResult(Record):
-    _fields = ("ok", "radius", "max_norm", "first_violation_node")
-
-    def __init__(self, ok: bool, radius: float, max_norm: float, first_violation_node: int | None):
-        _set(self, "ok", ok)
-        _set(self, "radius", radius)
-        _set(self, "max_norm", max_norm)
-        _set(self, "first_violation_node", first_violation_node)
-
-
 class StabilityReport(Record):
     """Bundle of whichever certificate checks a preset runs."""
 
@@ -101,10 +83,10 @@ class StabilityReport(Record):
     def __init__(
         self,
         label: str,
-        sandwich: SandwichResult | None = None,
+        sandwich: IneqReport | None = None,
         dissipation: IneqReport | None = None,
         envelope: IneqReport | None = None,
-        ball: BallResult | None = None,
+        ball: IneqReport | None = None,
     ):
         _set(self, "label", label)
         _set(self, "sandwich", sandwich)
@@ -114,13 +96,8 @@ class StabilityReport(Record):
 
     @property
     def all_passed(self) -> bool:
-        checks = [
-            self.sandwich.ok if self.sandwich else None,
-            self.dissipation.verdict if self.dissipation else None,
-            self.envelope.verdict if self.envelope else None,
-            self.ball.ok if self.ball else None,
-        ]
-        done = [c for c in checks if c is not None]
+        checks = (self.sandwich, self.dissipation, self.envelope, self.ball)
+        done = [c.verdict for c in checks if c is not None]
         return bool(done) and all(done)
 
 
@@ -145,17 +122,29 @@ def evaluate_candidate(V: LyapunovCandidate, traj: Trajectory) -> SampleSeries:
     return SampleSeries(traj.grid, _candidate_values(V, traj))
 
 
-def check_sandwich(V: LyapunovCandidate, traj: Trajectory) -> SandwichResult:
-    """gamma1(|x|) <= V <= gamma2(|x|) at every node, zero tolerance."""
+def _exact_report(name: str, traj: Trajectory, sides: Callable) -> IneqReport:
+    """sides() -> (lhs, rhs, slack) on the trajectory's grid, judged at scale 0
+    (tol 0) and not refined; RangeError, not a numpy warning, names the first
+    node where a side or the slack leaves the double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, rhs, slack = sides()
+    finite = np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(slack)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise RangeError(f"{name} check leaves the double range at node {j} (t={traj.grid.nodes()[j]:.17g})")
+    return _judge(name, traj.grid, lambda grid: (lhs, rhs, slack, 0.0), refinable=False)
+
+
+def check_sandwich(V: LyapunovCandidate, traj: Trajectory) -> IneqReport:
+    """gamma1(|x|) <= V <= gamma2(|x|) at every node, exact: lhs = V - gamma1(|x|),
+    rhs = gamma2(|x|) - V, slack = min(lhs, rhs)."""
     if V.class_k_lower is None or V.class_k_upper is None:
         raise DomainError("sandwich check needs both class-K bounds on the candidate")
     vals = _candidate_values(V, traj)
     norms = traj.norms()
     lo = sample_on(V.class_k_lower, norms, r=norms)
     hi = sample_on(V.class_k_upper, norms, r=norms)
-    slack = np.minimum(vals - lo, hi - vals)
-    worst = int(np.argmin(slack))
-    return SandwichResult(bool(slack[worst] >= 0.0), float(slack[worst]), worst)
+    return _exact_report("sandwich", traj, lambda: (vals - lo, hi - vals, np.minimum(vals - lo, hi - vals)))
 
 
 def check_dissipation(V: LyapunovCandidate, traj: Trajectory, order: FracOrder) -> IneqReport:
@@ -201,27 +190,25 @@ def check_ml_envelope(
     alpha = order.alpha
     ts = traj.grid.nodes()
     t0 = ts[0]
-    norms_sq = traj.norms() ** 2
     decay = mittag_leffler_many(MLParams(alpha), [-rate * (t - t0) ** alpha for t in ts])
-    rhs = amplification * decay * norms_sq[0] * (1.0 + ENVELOPE_SLACK_ALLOWANCE)
 
-    def measure(grid: TimeGrid):
-        return norms_sq, rhs, rhs - norms_sq, 0.0
+    def sides():
+        norms_sq = traj.norms() ** 2
+        rhs = amplification * decay * norms_sq[0] * (1.0 + ENVELOPE_SLACK_ALLOWANCE)
+        return norms_sq, rhs, rhs - norms_sq
 
-    # scale 0: the policy's tolerance is 0, and the envelope is not refined
-    return _judge("ml_envelope", traj.grid, measure, refinable=False)
+    return _exact_report("ml_envelope", traj, sides)
 
 
-def check_local_ball(traj: Trajectory, r: float) -> BallResult:
-    """|x(t_j)| <= r at every node (domain of the local dissipation estimate)."""
+def check_local_ball(traj: Trajectory, r: float) -> IneqReport:
+    """|x(t_j)| <= r at every node (domain of the local dissipation estimate),
+    exact: lhs = |x|, rhs = r at every node, slack = r - |x|."""
     r = real(r, "ball radius")
     if not 0.0 < r < 1.0:
         raise DomainError(f"ball radius must be in (0, 1), got {r!r}")
-    norms = traj.norms()
-    bad = np.nonzero(norms > r)[0]
-    return BallResult(
-        ok=bad.size == 0,
-        radius=r,
-        max_norm=float(np.max(norms)),
-        first_violation_node=int(bad[0]) if bad.size else None,
-    )
+
+    def sides():
+        norms = traj.norms()
+        return norms, np.full_like(norms, r), r - norms
+
+    return _exact_report("ball", traj, sides)

@@ -1,11 +1,12 @@
-"""The verdict policy every verifier shares, and the envelope it may sample.
+"""The verdict policy the verifiers share, and the envelope it may sample.
 
 `_judge` applies one tolerance-and-refinement rule and builds the
 `IneqReport`; `make_report` is its entry for checks that compare an LHS
-with an RHS.  The inequality suites (`inequalities`) and the Lyapunov
-certificates (`stability`) both judge through it.  `EnvelopeSpec` is a
-monotone multiplier phi(t), checked for its declared shape on the grid it
-is sampled on.
+with an RHS.  The inequality suites (`inequalities`) and all four Lyapunov
+certificates (`stability`, the exact ones at scale 0) judge through it;
+only nr4's identity residual keeps its own rounding-level rule.
+`EnvelopeSpec` is a monotone multiplier phi(t), checked for its declared
+shape on the grid it is sampled on.
 """
 
 from __future__ import annotations

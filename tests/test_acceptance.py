@@ -136,7 +136,7 @@ def test_criterion_5_inequality_suites():
 
 def test_criterion_6_example1_reproduction(example1_run):
     traj, report = example1_run
-    sandwich_ok = report.sandwich.ok
+    sandwich_ok = report.sandwich.verdict
     diss_ok = report.dissipation.verdict
     env_ok = report.envelope.verdict
     # the envelope inequality asserted directly from its definition
@@ -166,14 +166,14 @@ def test_criterion_7_example2_reproduction(example2_run):
 
 def test_criterion_8_example3_reproduction(example3_run):
     traj, report = example3_run
-    ball_ok = report.ball.ok
+    ball_ok = report.ball.verdict
     diss_ok = report.dissipation.verdict
     final_norm = float(traj.norms()[-1])
     ok = ball_ok and diss_ok and final_norm < 1e-2
     _verdict(
         8,
         ok,
-        f"ball(0.5)={ball_ok} (max norm {report.ball.max_norm:.3f}), "
+        f"ball(0.5)={ball_ok} (max norm {max(report.ball.lhs):.3f}), "
         f"dissipation={diss_ok}, |x(40)|={final_norm:.2e} (<1e-2)",
     )
 

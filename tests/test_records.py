@@ -21,7 +21,7 @@ from fracstab.operators import FracOrder, SampleSeries, TimeGrid
 from fracstab.presets import get_preset
 from fracstab.solver import ConvergenceStudy, SystemDef, Trajectory, solve
 from fracstab.special import MLParams
-from fracstab.stability import BallResult, LyapunovCandidate, SandwichResult, StabilityReport
+from fracstab.stability import LyapunovCandidate, StabilityReport
 from fracstab.verdicts import EnvelopeSpec, IneqReport
 
 _NO_DEFAULT = inspect.Parameter.empty
@@ -29,7 +29,6 @@ _GRID = TimeGrid(0.0, 0.25, 4)
 _SERIES = SampleSeries(_GRID, [0.0, 1.0, 2.0, 3.0, 4.0])
 _SYSTEM = SystemDef.from_strings(2, 0.5, ("-x1", "x1 - x2"), (1.0, 2.0), label="s")
 _REPORT = IneqReport("nr1", _SERIES, np.zeros(5), np.ones(5), 0.0, 0.1, 2.0, True)
-_SANDWICH = SandwichResult(True, 0.5, 3)
 _RESIDUAL = IdentityResidual(1e-14, 2.0)
 
 # class: (an instance, [(constructor parameter, default)], compared fields in order)
@@ -71,18 +70,8 @@ RECORDS = {
         [("expression", _NO_DEFAULT), ("class_k_lower", None), ("class_k_upper", None), ("dissipation_rate", None)],
         ("expression", "class_k_lower", "class_k_upper", "dissipation_rate"),
     ),
-    SandwichResult: (
-        _SANDWICH,
-        [("ok", _NO_DEFAULT), ("worst_slack", _NO_DEFAULT), ("worst_node", _NO_DEFAULT)],
-        ("ok", "worst_slack", "worst_node"),
-    ),
-    BallResult: (
-        BallResult(False, 0.5, 0.75, 7),
-        [("ok", _NO_DEFAULT), ("radius", _NO_DEFAULT), ("max_norm", _NO_DEFAULT), ("first_violation_node", _NO_DEFAULT)],
-        ("ok", "radius", "max_norm", "first_violation_node"),
-    ),
     StabilityReport: (
-        StabilityReport("example", sandwich=_SANDWICH),
+        StabilityReport("example", sandwich=_REPORT),
         [("label", _NO_DEFAULT), ("sandwich", None), ("dissipation", None), ("envelope", None), ("ball", None)],
         ("label", "sandwich", "dissipation", "envelope", "ball"),
     ),
@@ -201,11 +190,11 @@ def test_nan_fields_compare_equal_in_copies_and_pickles():
     assert pickle.loads(pickle.dumps(suite)) == suite
     assert copy.deepcopy(suite) == suite
 
-    sandwich = SandwichResult(True, float("nan"), 3)
-    twin = SandwichResult(True, float("nan"), 3)
-    assert sandwich == twin and hash(sandwich) == hash(twin)
-    assert sandwich != SandwichResult(True, 0.0, 3)
-    assert SuiteResult("s", 1, 1, 0.0, (sandwich,)) == SuiteResult("s", 1, 1, 0.0, (twin,))
+    residual = IdentityResidual(math.nan, 2.0)
+    twin = IdentityResidual(float("nan"), 2.0)
+    assert residual == twin and hash(residual) == hash(twin)
+    assert residual != IdentityResidual(0.0, 2.0)
+    assert SuiteResult("s", 1, 1, 0.0, (residual,)) == SuiteResult("s", 1, 1, 0.0, (twin,))
 
     def report(lhs):
         return IneqReport("nr1", _SERIES, np.array(lhs), np.ones(2), 0.0, 0.1, 2.0, True)

@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from fracstab.errors import DomainError, EvalError, PreconditionError
+from fracstab.errors import DomainError, EvalError, PreconditionError, RangeError
 from fracstab.expressions import parse
 from fracstab.operators import FracOrder, SampleSeries, TimeGrid, caputo_l1
 from fracstab.presets import get_preset, run_preset
-from fracstab.solver import SystemDef, solve
+from fracstab.reporting import stability_summary_text
+from fracstab.solver import SystemDef, Trajectory, solve
 from fracstab.stability import (
     LyapunovCandidate,
+    StabilityReport,
     check_dissipation,
     check_local_ball,
     check_ml_envelope,
@@ -19,6 +23,18 @@ from fracstab.stability import (
 def zero_trajectory(dim=2, alpha=0.8, n=200):
     system = SystemDef.from_strings(dim, alpha, ["0"] * dim, [0.0] * dim)
     return solve(system, TimeGrid(0.0, 0.01, n))
+
+
+def hand_trajectory(*columns):
+    # a Trajectory with the given state columns on t = 0, 0.1, 0.2, ...
+    grid = TimeGrid(0.0, 0.1, len(columns[0]) - 1)
+    system = SystemDef.from_strings(len(columns), 0.5, ["0"] * len(columns), [c[0] for c in columns])
+    return Trajectory(grid, tuple(SampleSeries(grid, c) for c in columns), system)
+
+
+def summary_line(report, prefix):
+    lines = stability_summary_text(report).splitlines()
+    return next(line for line in lines if line.startswith(prefix))
 
 
 # --- candidate validation ----------------------------------------------------------
@@ -72,18 +88,46 @@ def test_candidate_fault_names_its_node():
 
 def test_sandwich_example_bounds(example1_run, example2_run):
     traj1, rep1 = example1_run
-    assert rep1.sandwich.ok and rep1.sandwich.worst_slack >= 0.0
+    assert rep1.sandwich.verdict and np.min(rep1.sandwich.slack.values) >= 0.0
+    assert rep1.sandwich.tol == 0.0 and rep1.sandwich.max_violation == 0.0
     traj2, rep2 = example2_run
-    assert rep2.sandwich.ok
+    assert rep2.sandwich.verdict
 
 
 def test_sandwich_forced_failure(example1_run):
     traj, _ = example1_run
     v = LyapunovCandidate("x1^2", class_k_lower="2*r^2", class_k_upper="3*r^2")
     out = check_sandwich(v, traj)
-    assert not out.ok
-    assert out.worst_slack < 0.0
-    assert 0 <= out.worst_node < traj.grid.n_nodes
+    assert not out.verdict
+    assert np.min(out.slack.values) < 0.0
+    assert out.max_violation == -np.min(out.slack.values)
+    # the summary line against the sides computed here from the trajectory
+    x1, r = traj.states[0].values, traj.norms()
+    slack = np.minimum(x1**2 - 2.0 * r**2, 3.0 * r**2 - x1**2)
+    worst = int(np.argmin(slack))
+    expected = f"sandwich: FAIL worst_slack={format(np.min(slack), '.17g')} worst_node={worst}"
+    assert summary_line(StabilityReport("probe", sandwich=out), "sandwich:") == expected
+
+
+def test_sandwich_upper_bound_touching_v_passes():
+    # V = x1^2 (1 - t) meets its upper bound r^2 = x1^2 at t = 0 only
+    traj = hand_trajectory([0.5, -0.25, 0.75, 0.125, -1.0])
+    out = check_sandwich(LyapunovCandidate("x1^2*(1 - t)", "0.5*r^2", "r^2"), traj)
+    assert out.verdict and out.max_violation == 0.0 and out.tol == 0.0
+    assert np.min(out.slack.values) == 0.0 and np.argmin(out.slack.values) == 0
+    assert np.all(out.slack.values[1:] > 0.0)
+    line = summary_line(StabilityReport("probe", sandwich=out), "sandwich:")
+    assert line == "sandwich: pass worst_slack=0 worst_node=0"
+
+
+def test_sandwich_out_of_double_range_raises_without_warning():
+    # V - gamma1(|x|) = -1.7e308 - 2.5e307 overflows first at node 2, where |x| = 5
+    traj = hand_trajectory([1.0, 2.0, 5.0, 5.0, 1.0])
+    V = LyapunovCandidate("-1.7e308 + 0*x1", "1e306*r^2", "1e306*r^2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match=r"sandwich check .* node 2 \(t=0\.2"):
+            check_sandwich(V, traj)
 
 
 def test_sandwich_needs_bounds(example2_run):
@@ -188,25 +232,58 @@ def test_envelope_rate_validation(example2_run):
         check_ml_envelope(traj, traj.system.order, rate=0.5, amplification=0.0)
 
 
+def test_envelope_out_of_double_range_raises_without_warning(example1_run):
+    traj, _ = example1_run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match=r"ml_envelope check .* node 0 \(t=0\)"):
+            check_ml_envelope(traj, FracOrder(0.9), 0.5, 1e307)
+
+
 # --- local ball -------------------------------------------------------------------------------
 
 
 def test_ball_example3(example3_run):
     traj, rep = example3_run
-    assert rep.ball.ok
-    assert rep.ball.max_norm < 0.5
+    assert rep.ball.verdict and rep.ball.tol == 0.0
+    assert np.max(rep.ball.lhs) < 0.5
+    assert np.all(rep.ball.rhs == 0.5)
 
 
 def test_ball_too_small_fails_at_origin(example3_run):
     traj, _ = example3_run
     out = check_local_ball(traj, 0.1)
-    assert not out.ok
-    assert out.first_violation_node == 0  # |x0| ~ 0.36 > 0.1
+    assert not out.verdict
+    assert np.flatnonzero(out.slack.values < 0.0)[0] == 0  # |x0| ~ 0.36 > 0.1
+    expected = f"ball: FAIL radius={format(0.1, '.17g')} max_norm={format(np.max(traj.norms()), '.17g')}"
+    assert summary_line(StabilityReport("probe", ball=out), "ball:") == expected
+
+
+def test_ball_boundary_on_a_hand_built_trajectory():
+    x1, x2 = np.array([0.3, 0.5, 0.7, 0.2, 0.1]), np.array([0.1, -0.2, 0.3, 0.0, 0.05])
+    traj = hand_trajectory(x1, x2)
+    norms = np.sqrt(x1**2 + x2**2)
+    top = np.max(norms)
+    at_max = check_local_ball(traj, top)
+    assert at_max.verdict and at_max.max_violation == 0.0
+    assert np.array_equal(at_max.slack.values, top - norms)
+    below = check_local_ball(traj, np.nextafter(top, 0.0))
+    assert not below.verdict and below.max_violation > 0.0
+    assert np.flatnonzero(below.slack.values < 0.0)[0] == np.argmax(norms) == 2
+
+
+def test_ball_out_of_double_range_raises_without_warning():
+    # |x| = sqrt(x1^2) overflows at node 1, where x1 = 1e200
+    traj = hand_trajectory([0.25, 1e200, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match=r"ball check .* node 1 \(t=0\.1"):
+            check_local_ball(traj, 0.5)
 
 
 def test_ball_zero_trajectory():
     traj = zero_trajectory()
-    assert check_local_ball(traj, 0.5).ok
+    assert check_local_ball(traj, 0.5).verdict
 
 
 def test_ball_radius_validation(example3_run):
