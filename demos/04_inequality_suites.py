@@ -20,13 +20,18 @@ for name in SUITE_NAMES:
     print(f"{name:<16} {res.passes}/{res.instances:<6}  {res.max_violation:.3e}")
 
 print("\nA single instance in detail:")
-from fracstab import generate_instance, verify_product_decreasing
-from fracstab.inequalities import PROFILES
-from fracstab.expressions import to_text
+import numpy as np
 
-envelope, x, _, order = generate_instance(0, PROFILES["nr1"])
+from fracstab import EnvelopeSpec, FracOrder, SampleSeries, TimeGrid, parse, to_text, verify_product_decreasing
+
+envelope = EnvelopeSpec("mono_decreasing", parse("0.27 + 0.13*exp(-1.6*t)"))
+x = SampleSeries.from_function(
+    TimeGrid(0.0, 0.01, 500), lambda t: (0.5 + 0.4 * np.cos(t) - 0.3 * np.sin(2 * t)) ** 2 + 0.1
+)
+order = FracOrder(0.94)
 report = verify_product_decreasing(envelope, x, order)
 print(f"  envelope phi(t) = {to_text(envelope.expression)}")
+print("  x(t)            = (0.5 + 0.4 cos t - 0.3 sin 2t)^2 + 0.1")
 print(f"  order alpha     = {order.alpha:.4f}")
 print(f"  checking  D(phi x) <= phi D(x)  on {x.grid.n_nodes} nodes")
 print(f"  verdict {report.verdict}, max violation {report.max_violation:.3e}, tol {report.tol:.3e}")

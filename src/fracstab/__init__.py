@@ -33,10 +33,8 @@ _EXPORTS = {
         "expressions": ("evaluate", "parse", "to_text"),
         "inequalities": (
             "IdentityResidual",
-            "InstanceProfile",
             "PowerTerm",
             "SuiteResult",
-            "generate_instance",
             "run_suite",
             "verify_composite",
             "verify_decomposition_nr4",

@@ -15,12 +15,12 @@ from pathlib import Path
 from .errors import ConfigError, DomainError, FracstabError, Record, _set, count, real
 from .expressions import parse
 from .operators import FracOrder, TimeGrid
-from .presets import PRESET_NAMES, get_preset, preset_system
+from .presets import PRESET_NAMES, preset_system
 from .solver import SystemDef, finest_steps
 
 __all__ = ["RunConfig", "parse_config", "load_config", "MAX_NODES", "MAX_INSTANCES"]
 
-_SCALAR_KEYS = {"preset", "order", "dim", "t0", "t_end", "h", "output", "seed", "label", "phi"}
+_SCALAR_KEYS = {"preset", "order", "dim", "t0", "t_end", "h", "output", "seed", "label"}
 _LIST_KEYS = {"x0", "checks", "h_list"}
 _DEFAULT_CHECK_COUNT = 100
 # Largest time grid a config may ask for, counted in nodes: the run grid and
@@ -123,7 +123,7 @@ def parse_config(text: str) -> RunConfig:
 
     An error that one key causes carries that key's line number, also when
     it comes from the value's own parsing or validation (an expression that
-    does not parse, an order outside (0, 1], a bad example-3 envelope).
+    does not parse, an order outside (0, 1]).
     """
     values: dict[str, object] = {}
     rhs_lines: dict[int, str] = {}
@@ -156,13 +156,9 @@ def parse_config(text: str) -> RunConfig:
         lines[key] = lineno
 
     preset_name = values.get("preset")
-    phi = values.get("phi")
     if preset_name is not None:
         if preset_name not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {preset_name!r}", lines["preset"])
-        if phi is not None:  # example3's envelope; get_preset rejects it for the others
-            with _at_line(lines, "phi"):
-                get_preset(str(preset_name), phi_text=str(phi))
         system, grid = preset_system(str(preset_name))
         settings = {
             "dim": system.dim,
@@ -175,8 +171,6 @@ def parse_config(text: str) -> RunConfig:
         }
         preset_rhs = system.rhs
     else:
-        if phi is not None:
-            raise ConfigError("phi is a plug-in envelope of preset example3 only", lines["phi"])
         for key in ("dim", "order", "x0", "t_end", "h"):
             if key not in values:
                 raise ConfigError(f"missing key {key!r}")

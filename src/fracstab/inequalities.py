@@ -10,10 +10,8 @@ under grid halving are attributed to discretization.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -45,8 +43,6 @@ __all__ = [
     "verify_composite",
     "verify_decomposition_nr4",
     "verify_decomposition_nr6",
-    "InstanceProfile",
-    "generate_instance",
     "SuiteResult",
     "run_suite",
     "SUITE_NAMES",
@@ -368,17 +364,6 @@ _DEFAULT_GRID = TimeGrid(0.0, 0.01, 500)
 _ALPHA_RANGE = (0.1, 1.0)
 
 
-@dataclass(frozen=True)
-class InstanceProfile:
-    """What generate_instance should draw: envelope family, x family, ranges."""
-
-    envelope_kind: str
-    x_kind: str  # 'nonneg' | 'positive' | 'signed'
-    beta_kind: str = "none"  # 'none' | 'real' | 'nonneg_real' | 'even_rational'
-    beta_range: tuple[float, float] = (1.0, 4.0)
-    grid: TimeGrid = _DEFAULT_GRID
-
-
 _T = Var("t")
 
 
@@ -460,76 +445,88 @@ def _draw_even_fraction(rng) -> Fraction:
             return Fraction(u, v)
 
 
-def generate_instance(seed: int, profile: InstanceProfile):
-    """Deterministic (envelope, x series, beta, order) draw for a profile; seed is an int >= 0."""
-    rng = np.random.default_rng(count(seed, "seed", 0))
-    if profile.envelope_kind == "mono_increasing":
-        env_expr = _draw_increasing(rng)
-    else:
-        env_expr = _draw_decreasing(rng, profile.envelope_kind)
-    envelope = EnvelopeSpec(profile.envelope_kind, env_expr)
-    x = SampleSeries.from_function(profile.grid, functools.partial(sample_on, _draw_x(rng, profile.x_kind)))
-    if profile.beta_kind == "none":
-        beta = 1.0
-    elif profile.beta_kind == "real":
-        beta = float(rng.uniform(*profile.beta_range))
-    elif profile.beta_kind == "nonneg_real":
-        beta = float(rng.uniform(0.0, profile.beta_range[1]))
-        if beta < 1.0 and rng.random() < 0.3:
-            beta = 0.0  # exercise the degenerate exponent explicitly
-    elif profile.beta_kind == "even_rational":
-        beta = _draw_even_fraction(rng)
-    else:
-        raise DomainError(f"unknown beta_kind {profile.beta_kind!r}")
-    order = FracOrder(float(rng.uniform(*_ALPHA_RANGE)))
-    return envelope, x, beta, order
+def _draw_envelope(rng, kind: str) -> EnvelopeSpec:
+    expr = _draw_increasing(rng) if kind == "mono_increasing" else _draw_decreasing(rng, kind)
+    return EnvelopeSpec(kind, expr)
 
 
-PROFILES = {
-    "nr1": InstanceProfile("mono_decreasing", "nonneg"),
-    "nr1_increasing": InstanceProfile("mono_increasing", "nonneg"),
-    "nr2": InstanceProfile("mono_decreasing", "positive", beta_kind="nonneg_real", beta_range=(0.0, 3.0)),
-    "lemma3": InstanceProfile("nonneg_decreasing", "nonneg", beta_kind="real", beta_range=(1.0, 4.0)),
-    "lemma4": InstanceProfile("nonneg_decreasing", "signed", beta_kind="even_rational"),
-    "nr4_identity": InstanceProfile("nonneg_decreasing", "nonneg", beta_kind="real", beta_range=(1.0, 4.0)),
-    "nr6": InstanceProfile("positive_decreasing", "positive", beta_kind="real", beta_range=(1.0, 3.0)),
-}
+def _draw_series(rng, x_kind: str, grid: TimeGrid) -> SampleSeries:
+    return SampleSeries.from_function(grid, functools.partial(sample_on, _draw_x(rng, x_kind)))
 
 
-def _composite_instance(seed: int, flavor: str, grid: TimeGrid):
-    """Terms and series for the composite suites (nr7..nr12)."""
-    rng = np.random.default_rng(seed)
-    order = FracOrder(float(rng.uniform(*_ALPHA_RANGE)))
-    if flavor in ("nr7", "nr8"):
-        n_vars = 1
-    else:
-        n_vars = int(rng.integers(2, 4))
-    signed = flavor in ("nr7", "nr10", "nr11", "nr12")
-    x_kind = "signed" if signed else "nonneg"
+def _draw_order(rng) -> FracOrder:
+    return FracOrder(float(rng.uniform(*_ALPHA_RANGE)))
+
+
+def _draw_terms(rng, name: str, grid: TimeGrid):
+    """Term groups and series of a composite suite (nr7..nr12)."""
+    n_vars = 1 if name in ("nr7", "nr8") else int(rng.integers(2, 4))
+    signed = name in ("nr7", "nr10", "nr11", "nr12")
+
+    def exponent():
+        return _draw_even_fraction(rng) if signed else float(rng.uniform(1.0, 4.0))
+
     series = []
     groups = []
     for _ in range(n_vars):
-        series.append(SampleSeries.from_function(grid, functools.partial(sample_on, _draw_x(rng, x_kind))))
-        env = EnvelopeSpec("nonneg_decreasing", _draw_decreasing(rng, "nonneg_decreasing"))
-        beta = _draw_even_fraction(rng) if signed else float(rng.uniform(1.0, 4.0))
-        p = 1.0 if flavor == "nr7" else float(rng.uniform(1.0, 3.0))
+        series.append(_draw_series(rng, "signed" if signed else "nonneg", grid))
+        env = _draw_envelope(rng, "nonneg_decreasing")
+        beta = exponent()
+        p = 1.0 if name == "nr7" else float(rng.uniform(1.0, 3.0))
         group = [PowerTerm(c=float(rng.uniform(0.1, 2.0)), beta=beta, p=p, envelope=env)]
-        if flavor in ("nr11", "nr12"):
+        if name in ("nr11", "nr12"):
             group.append(PowerTerm(c=float(rng.uniform(0.1, 2.0)), beta=beta))
-        if flavor == "nr12":
-            gamma_exp = _draw_even_fraction(rng) if signed else float(rng.uniform(1.0, 4.0))
+        if name == "nr12":
+            gamma_exp = exponent()
             group.append(PowerTerm(c=float(rng.uniform(0.1, 2.0)), beta=gamma_exp))
         groups.append(group)
-    return groups, series, order
+    return groups, series
 
 
-_COMPOSITE_FLAVORS = ("nr7", "nr8", "nr9", "nr10", "nr11", "nr12")
+def _instance(name: str, seed: int, grid: TimeGrid) -> functools.partial:
+    """The verifier call of suite name's instance drawn from default_rng(seed), unevaluated.
+
+    A one-series suite draws its envelope, x, exponent and order, in that
+    order (the power-rule suites draw an envelope they do not use); a
+    composite suite draws its order first.
+    """
+    rng = np.random.default_rng(seed)
+    if name == "nr1":
+        phi, x = _draw_envelope(rng, "mono_decreasing"), _draw_series(rng, "nonneg", grid)
+        return functools.partial(verify_product_decreasing, phi, x, _draw_order(rng))
+    if name == "nr1_increasing":
+        phi, x = _draw_envelope(rng, "mono_increasing"), _draw_series(rng, "nonneg", grid)
+        return functools.partial(verify_product_increasing, phi, x, _draw_order(rng))
+    if name == "nr2":
+        phi, x = _draw_envelope(rng, "mono_decreasing"), _draw_series(rng, "positive", grid)
+        beta = float(rng.uniform(0.0, 3.0))
+        if beta < 1.0 and rng.random() < 0.3:
+            beta = 0.0  # exercise the degenerate exponent explicitly
+        return functools.partial(verify_odd_power_envelope, phi, seed % 3, x, beta, _draw_order(rng))
+    if name == "lemma3":
+        _, x = _draw_envelope(rng, "nonneg_decreasing"), _draw_series(rng, "nonneg", grid)
+        return functools.partial(verify_power_rule, x, float(rng.uniform(1.0, 4.0)), _draw_order(rng))
+    if name == "lemma4":
+        _, x = _draw_envelope(rng, "nonneg_decreasing"), _draw_series(rng, "signed", grid)
+        return functools.partial(verify_power_rule, x, _draw_even_fraction(rng), _draw_order(rng))
+    if name == "nr4_identity":
+        phi, x = _draw_envelope(rng, "nonneg_decreasing"), _draw_series(rng, "nonneg", grid)
+        beta = float(rng.uniform(1.0, 4.0))
+        return functools.partial(verify_decomposition_nr4, phi, x, beta, _draw_order(rng))
+    if name == "nr6":
+        phi, x = _draw_envelope(rng, "positive_decreasing"), _draw_series(rng, "positive", grid)
+        beta = float(rng.uniform(1.0, 3.0))
+        return functools.partial(verify_decomposition_nr6, phi, x, beta, _draw_order(rng))
+    order = _draw_order(rng)  # nr7..nr12
+    return functools.partial(verify_composite, *_draw_terms(rng, name, grid), order)
+
 
 # Largest instance count of one suite run; every instance keeps its report
 # (about 16 KiB) until the suite's files are written.
 MAX_INSTANCES = 10_000
 
-SUITE_NAMES = tuple(PROFILES) + _COMPOSITE_FLAVORS
+SUITE_NAMES = ("nr1", "nr1_increasing", "nr2", "lemma3", "lemma4", "nr4_identity", "nr6",
+               "nr7", "nr8", "nr9", "nr10", "nr11", "nr12")
 
 
 class SuiteResult(Record):
@@ -549,28 +546,6 @@ class SuiteResult(Record):
         return self.passes == self.instances
 
 
-def _run_one(name: str, seed: int, grid: TimeGrid):
-    if name in _COMPOSITE_FLAVORS:
-        groups, series, order = _composite_instance(seed, name, grid)
-        return verify_composite(groups, series, order)
-    profile = dataclasses.replace(PROFILES[name], grid=grid)
-    envelope, x, beta, order = generate_instance(seed, profile)
-    if name == "nr1":
-        return verify_product_decreasing(envelope, x, order)
-    if name == "nr1_increasing":
-        return verify_product_increasing(envelope, x, order)
-    if name == "nr2":
-        n = seed % 3
-        return verify_odd_power_envelope(envelope, n, x, beta, order)
-    if name in ("lemma3", "lemma4"):
-        return verify_power_rule(x, beta, order)
-    if name == "nr4_identity":
-        return verify_decomposition_nr4(envelope, x, beta, order)
-    if name == "nr6":
-        return verify_decomposition_nr6(envelope, x, beta, order)
-    raise DomainError(f"unknown suite {name!r}")
-
-
 def run_suite(name: str, instances: int, seed: int, grid: TimeGrid | None = None) -> SuiteResult:
     """Run a named suite of seeded instances; deterministic in (name, instances, seed)."""
     if name not in SUITE_NAMES:
@@ -583,7 +558,7 @@ def run_suite(name: str, instances: int, seed: int, grid: TimeGrid | None = None
     passes = 0
     worst = 0.0
     for child in child_seeds:
-        out = _run_one(name, int(child), grid)
+        out = _instance(name, int(child), grid)()
         reports.append(out)
         passes += int(out.verdict)
         worst = max(worst, out.max_violation)

@@ -123,12 +123,16 @@ def evaluate_candidate(V: LyapunovCandidate, traj: Trajectory) -> SampleSeries:
 
 
 def _exact_report(name: str, traj: Trajectory, sides: Callable) -> IneqReport:
-    """sides() -> (lhs, rhs, slack) on the trajectory's grid, judged at scale 0
-    (tol 0) and not refined; RangeError, not a numpy warning, names the first
-    node where a side or the slack leaves the double range."""
+    """sides(norms) -> (lhs, rhs, slack) on the trajectory's grid, judged at
+    scale 0 (tol 0) and not refined; norms holds |x| at each node.  RangeError,
+    not a numpy warning, names the first node where the norm, a side or the
+    slack leaves the double range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs, rhs, slack = sides()
-    finite = np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(slack)
+        norms = traj.norms()
+        finite = np.isfinite(norms)
+        if finite.all():
+            lhs, rhs, slack = sides(norms)
+            finite = np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(slack)
     if not finite.all():
         j = int(np.argmin(finite))
         raise RangeError(f"{name} check leaves the double range at node {j} (t={traj.grid.nodes()[j]:.17g})")
@@ -141,10 +145,13 @@ def check_sandwich(V: LyapunovCandidate, traj: Trajectory) -> IneqReport:
     if V.class_k_lower is None or V.class_k_upper is None:
         raise DomainError("sandwich check needs both class-K bounds on the candidate")
     vals = _candidate_values(V, traj)
-    norms = traj.norms()
-    lo = sample_on(V.class_k_lower, norms, r=norms)
-    hi = sample_on(V.class_k_upper, norms, r=norms)
-    return _exact_report("sandwich", traj, lambda: (vals - lo, hi - vals, np.minimum(vals - lo, hi - vals)))
+
+    def sides(norms):
+        lo = sample_on(V.class_k_lower, norms, r=norms)
+        hi = sample_on(V.class_k_upper, norms, r=norms)
+        return vals - lo, hi - vals, np.minimum(vals - lo, hi - vals)
+
+    return _exact_report("sandwich", traj, sides)
 
 
 def check_dissipation(V: LyapunovCandidate, traj: Trajectory, order: FracOrder) -> IneqReport:
@@ -192,8 +199,8 @@ def check_ml_envelope(
     t0 = ts[0]
     decay = mittag_leffler_many(MLParams(alpha), [-rate * (t - t0) ** alpha for t in ts])
 
-    def sides():
-        norms_sq = traj.norms() ** 2
+    def sides(norms):
+        norms_sq = norms**2
         rhs = amplification * decay * norms_sq[0] * (1.0 + ENVELOPE_SLACK_ALLOWANCE)
         return norms_sq, rhs, rhs - norms_sq
 
@@ -207,8 +214,4 @@ def check_local_ball(traj: Trajectory, r: float) -> IneqReport:
     if not 0.0 < r < 1.0:
         raise DomainError(f"ball radius must be in (0, 1), got {r!r}")
 
-    def sides():
-        norms = traj.norms()
-        return norms, np.full_like(norms, r), r - norms
-
-    return _exact_report("ball", traj, sides)
+    return _exact_report("ball", traj, lambda norms: (norms, np.full_like(norms, r), r - norms))

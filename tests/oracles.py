@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -362,9 +363,10 @@ def trajectory_csv_oracle(ts, states) -> str:
 #
 # The random suite instances as text: the form in which the generators once
 # wrote them, to be read back by parse.  Every coefficient has 12 significant
-# digits and a negative one is parenthesized.  The draws follow the order of
-# inequalities.generate_instance and _composite_instance, so one seed gives
-# the same instance here and there.
+# digits and a negative one is parenthesized.  Each function here draws a
+# whole instance, envelope and x texts with every exponent, coefficient and
+# order, in the order the suites draw them, so one seed gives the same
+# instance here and in `run_suite`.
 
 
 def _fmt(v: float) -> str:
@@ -420,45 +422,74 @@ def x_text(rng, x_kind: str) -> str:
     return f"({q})^2 + {_fmt(shift)}"
 
 
-def _even_fraction_draw(rng) -> None:
+def even_fraction(rng) -> Fraction:
     while True:
         u = 2 * int(rng.integers(1, 5))
         v = int(rng.choice([1, 3, 5]))
         if u >= v:
-            return
+            return Fraction(u, v)
 
 
-def profile_texts(seed: int, envelope_kind: str, x_kind: str) -> tuple[str, str]:
-    """(envelope, x) texts of generate_instance(seed, profile)."""
+# one-series suite: (envelope kind, x kind)
+SUITE_KINDS = {
+    "nr1": ("mono_decreasing", "nonneg"),
+    "nr1_increasing": ("mono_increasing", "nonneg"),
+    "nr2": ("mono_decreasing", "positive"),
+    "lemma3": ("nonneg_decreasing", "nonneg"),
+    "lemma4": ("nonneg_decreasing", "signed"),
+    "nr4_identity": ("nonneg_decreasing", "nonneg"),
+    "nr6": ("positive_decreasing", "positive"),
+}
+
+
+def profile_texts(seed: int, name: str) -> tuple[str, str, float | Fraction | None, float]:
+    """(envelope, x, beta, alpha) of one-series suite name's instance at seed.
+
+    beta is None for the product rules, which draw none, and a Fraction for
+    lemma4; the power-rule suites draw an envelope they do not use.
+    """
     rng = np.random.default_rng(seed)
+    envelope_kind, x_kind = SUITE_KINDS[name]
     env = increasing_text(rng) if envelope_kind == "mono_increasing" else decreasing_text(rng, envelope_kind)
-    return env, x_text(rng, x_kind)
+    x = x_text(rng, x_kind)
+    if name in ("nr1", "nr1_increasing"):
+        beta = None
+    elif name == "nr2":
+        beta = float(rng.uniform(0.0, 3.0))
+        if beta < 1.0 and rng.random() < 0.3:
+            beta = 0.0
+    elif name == "lemma4":
+        beta = even_fraction(rng)
+    else:
+        beta = float(rng.uniform(1.0, 3.0 if name == "nr6" else 4.0))
+    return env, x, beta, float(rng.uniform(0.1, 1.0))
 
 
-def composite_texts(seed: int, flavor: str) -> list[tuple[str, str]]:
-    """(envelope, x) texts of each series of a composite instance (nr7..nr12)."""
+def composite_texts(seed: int, flavor: str) -> tuple[float, list[tuple[str, str, list[tuple]]]]:
+    """alpha, and (envelope, x, terms) of each series of a composite instance (nr7..nr12).
+
+    terms lists the (c, beta, p) of each term on that series; the first term
+    is the one the envelope multiplies, and the others have p = 1.
+    """
     rng = np.random.default_rng(seed)
-    rng.uniform(0.1, 1.0)  # the order
+    alpha = float(rng.uniform(0.1, 1.0))
     n_vars = 1 if flavor in ("nr7", "nr8") else int(rng.integers(2, 4))
     signed = flavor in ("nr7", "nr10", "nr11", "nr12")
 
     def exponent():
-        if signed:
-            _even_fraction_draw(rng)
-        else:
-            rng.uniform(1.0, 4.0)
+        return even_fraction(rng) if signed else float(rng.uniform(1.0, 4.0))
 
     out = []
     for _ in range(n_vars):
         x = x_text(rng, "signed" if signed else "nonneg")
-        out.append((decreasing_text(rng, "nonneg_decreasing"), x))
-        exponent()  # beta
-        if flavor != "nr7":
-            rng.uniform(1.0, 3.0)  # p
-        rng.uniform(0.1, 2.0)  # c of the enveloped term
+        env = decreasing_text(rng, "nonneg_decreasing")
+        beta = exponent()
+        p = 1.0 if flavor == "nr7" else float(rng.uniform(1.0, 3.0))
+        terms = [(float(rng.uniform(0.1, 2.0)), beta, p)]
         if flavor in ("nr11", "nr12"):
-            rng.uniform(0.1, 2.0)
+            terms.append((float(rng.uniform(0.1, 2.0)), beta, 1.0))
         if flavor == "nr12":
-            exponent()
-            rng.uniform(0.1, 2.0)
-    return out
+            gamma_exp = exponent()
+            terms.append((float(rng.uniform(0.1, 2.0)), gamma_exp, 1.0))
+        out.append((env, x, terms))
+    return alpha, out

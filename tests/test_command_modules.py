@@ -1,8 +1,8 @@
 """Each subcommand, run in a fresh interpreter, loads exactly the fracstab
 modules it runs, and only `check` loads the standard modules the suites
-need; the only classes it loads that `@dataclass` built are those
-`dataclasses.replace` is applied to; and a preset's system and the instance
-limit are each defined once, whichever path reads them.
+need; the only class it loads that `@dataclass` built is `ExamplePreset`,
+which `dataclasses.replace` is applied to; and a preset's system and the
+instance limit are each defined once, whichever path reads them.
 
 In-process tests cannot see a missing deferred import: by the time they
 run, other tests have loaded every module.  Hence the fresh processes.
@@ -31,10 +31,10 @@ REPRODUCE = SOLVING - {"fracstab.config"} | {"fracstab.stability", "fracstab.ver
 SUITES = {"fracstab.inequalities", "fracstab.verdicts"}
 # loaded by `inequalities` alone (its even-numerator exponents are Fractions)
 SUITE_STDLIB = ("fractions", "decimal")
-# module: the one class of it that @dataclass builds, kept a dataclass because
-# callers apply dataclasses.replace to it; every other record is an
+# module: the one class that @dataclass builds, ExamplePreset, kept a dataclass
+# because callers apply dataclasses.replace to it; every other record is an
 # errors.Record, which generates no code per class
-DATACLASSES = {"fracstab.presets": "ExamplePreset", "fracstab.inequalities": "InstanceProfile"}
+DATACLASSES = {"fracstab.presets": "ExamplePreset"}
 
 # argv (with {cfg}, {check_cfg}, {csv}, {out} filled in), exit code, modules loaded
 COMMANDS = {
@@ -123,14 +123,11 @@ def test_max_instances_is_defined_once():
 @pytest.mark.parametrize("name", presets.PRESET_NAMES)
 def test_a_preset_config_is_the_presets_system(name):
     preset = presets.get_preset(name)
-    texts = [f"preset = {name}\n"]
-    if name == "example3":  # the one example that reads phi
-        texts.append(f'preset = {name}\nphi = "exp(-2*t)"\n')
-    for resolved in map(parse_config, texts):
-        system = resolved.system
-        assert system.rhs == preset.system.rhs
-        assert np.array_equal(system.x0, preset.system.x0)
-        assert system.order == preset.system.order
-        assert system.label == preset.system.label == name
-        assert resolved.grid == preset.grid
+    resolved = parse_config(f"preset = {name}\n")
+    system = resolved.system
+    assert system.rhs == preset.system.rhs
+    assert np.array_equal(system.x0, preset.system.x0)
+    assert system.order == preset.system.order
+    assert system.label == preset.system.label == name
+    assert resolved.grid == preset.grid
     assert presets.preset_system(name)[0].rhs == preset.system.rhs

@@ -81,6 +81,10 @@ def test_unknown_key_rejected_with_line():
     with pytest.raises(ConfigError) as exc:
         parse_config("preset = example1\nwibble = 3\n")
     assert "line 2" in str(exc.value)
+    # example 3's envelope is the `reproduce --phi` flag; no config run reads one
+    with pytest.raises(ConfigError, match="unknown key 'phi'") as exc:
+        parse_config('preset = example3\nphi = "exp(-2*t)"\n')
+    assert exc.value.line == 2
 
 
 def test_comments_and_quoted_hash():

@@ -1,4 +1,4 @@
-import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -17,16 +17,13 @@ from fracstab.errors import (
     SingularityError,
     UnknownCheckError,
 )
-from fracstab.expressions import parse
+from fracstab.expressions import parse, sample_on
 from fracstab.inequalities import (
-    _COMPOSITE_FLAVORS,
     MAX_INSTANCES,
-    PROFILES,
     SUITE_NAMES,
     EnvelopeSpec,
     PowerTerm,
-    _composite_instance,
-    generate_instance,
+    _instance,
     make_report,
     run_suite,
     verify_composite,
@@ -39,7 +36,7 @@ from fracstab.inequalities import (
 )
 from fracstab.operators import FracOrder, SampleSeries, TimeGrid
 
-from oracles import composite_texts, profile_texts
+from oracles import SUITE_KINDS, composite_texts, profile_texts
 
 
 GRID = TimeGrid(0.0, 0.01, 500)
@@ -253,9 +250,7 @@ def test_composite_validation():
 def test_nr4_identity_random_inputs():
     rng = np.random.default_rng(17)
     for _ in range(20):
-        profile = PROFILES["nr4_identity"]
-        envelope, x, beta, order = generate_instance(int(rng.integers(0, 2**31)), profile)
-        res = verify_decomposition_nr4(envelope, x, beta, order)
+        res = _instance("nr4_identity", int(rng.integers(0, 2**31)), GRID)()
         assert res.max_residual <= 1e-10 * res.scale
 
 
@@ -347,11 +342,9 @@ _HALF = FracOrder(0.5)
          DomainError, "beta must be >= 1"),
         (lambda: verify_decomposition_nr6(env("positive_decreasing", "1"), _POSITIVE, -1.0, _HALF),
          DomainError, "beta must be >= 0"),
-        (lambda: generate_instance(0, inequalities.InstanceProfile("mono_decreasing", "nonneg", "complex")),
-         DomainError, "unknown beta_kind"),
     ],
     ids=["product_increasing_envelope", "odd_power_beta", "odd_power_envelope", "composite_empty",
-         "composite_grids", "nr4_beta", "nr6_beta", "generator_beta_kind"],
+         "composite_grids", "nr4_beta", "nr6_beta"],
 )
 def test_verifiers_refuse_inputs_outside_their_hypotheses(call, error, message):
     with pytest.raises(error, match=message):
@@ -362,28 +355,28 @@ def test_verifiers_refuse_inputs_outside_their_hypotheses(call, error, message):
 
 
 def test_generate_instance_deterministic():
-    profile = PROFILES["nr1"]
-    a1 = generate_instance(0, profile)
-    a2 = generate_instance(0, profile)
-    assert a1[0].expression == a2[0].expression
-    assert np.array_equal(a1[1].values, a2[1].values)
-    assert a1[2] == a2[2] and a1[3] == a2[3]
-    b = generate_instance(1, profile)
-    assert b[0].expression != a1[0].expression or not np.array_equal(b[1].values, a1[1].values)
+    a1 = _instance("nr1", 0, GRID)
+    a2 = _instance("nr1", 0, GRID)
+    assert a1.func is a2.func is verify_product_decreasing
+    assert a1.args[0].expression == a2.args[0].expression
+    assert np.array_equal(a1.args[1].values, a2.args[1].values)
+    assert a1.args[2] == a2.args[2]
+    b = _instance("nr1", 1, GRID)
+    assert (b.args[0].expression != a1.args[0].expression
+            or not np.array_equal(b.args[1].values, a1.args[1].values))
 
 
 def test_generate_instance_seed0_golden():
     from fracstab.expressions import to_text
 
-    envelope, x, _, order = generate_instance(0, PROFILES["nr1"])
+    envelope, x, order = _instance("nr1", 0, GRID).args
     assert to_text(envelope.expression) == "0.273923374643 + 0.131402507504*exp(-1.63587696644*t)"
     assert order.alpha == pytest.approx(0.9415651814089914, abs=0.0)
     assert x.values[0] == pytest.approx(1.3508820062025857, abs=1e-15)
 
 
 def test_generated_increasing_envelope_rejected_by_decreasing_verifier():
-    profile = PROFILES["nr1_increasing"]
-    envelope, x, _, order = generate_instance(3, profile)
+    envelope, x, order = _instance("nr1_increasing", 3, GRID).args
     with pytest.raises(EnvelopeError):
         verify_product_decreasing(envelope, x, order)
 
@@ -443,16 +436,59 @@ def test_instance_trees_match_parsed_oracle_text(name):
     # The generators build the tree that parse gives for the text they once
     # wrote, draw for draw, so the suites' instances did not change.
     for seed in range(200):
-        if name in _COMPOSITE_FLAVORS:
-            groups, series, _ = _composite_instance(seed, name, GRID)
-            built = [(g[0].envelope.expression, s.source.args[0]) for g, s in zip(groups, series)]
-            texts = composite_texts(seed, name)
+        call = _instance(name, seed, GRID)
+        if name in SUITE_KINDS:
+            built = [a.expression if isinstance(a, EnvelopeSpec) else a.source.args[0]
+                     for a in call.args if isinstance(a, (EnvelopeSpec, SampleSeries))]
+            env, xt, _, _ = profile_texts(seed, name)
+            texts = [xt] if name.startswith("lemma") else [env, xt]  # the power rule takes no envelope
         else:
-            profile = PROFILES[name]
-            envelope, x, _, _ = generate_instance(seed, profile)
-            built = [(envelope.expression, x.source.args[0])]
-            texts = [profile_texts(seed, profile.envelope_kind, profile.x_kind)]
-        assert built == [(parse(env), parse(xt)) for env, xt in texts], (name, seed)
+            groups, series, _ = call.args
+            built = [tree for g, x in zip(groups, series) for tree in (g[0].envelope.expression, x.source.args[0])]
+            texts = [text for env, xt, _ in composite_texts(seed, name)[1] for text in (env, xt)]
+        assert built == [parse(text) for text in texts], (name, seed)
+
+
+def _oracle_call(name, seed, grid):
+    """Suite name's verifier on the instance that the oracle draws at seed."""
+
+    def x_series(text):
+        return SampleSeries.from_function(grid, functools.partial(sample_on, parse(text)))
+
+    if name not in SUITE_KINDS:
+        alpha, drawn = composite_texts(seed, name)
+        groups = [
+            [PowerTerm(c, beta, p, EnvelopeSpec("nonneg_decreasing", parse(env)) if i == 0 else None)
+             for i, (c, beta, p) in enumerate(terms)]
+            for env, _, terms in drawn
+        ]
+        return verify_composite(groups, [x_series(xt) for _, xt, _ in drawn], FracOrder(alpha))
+    env, xt, beta, alpha = profile_texts(seed, name)
+    phi, x, order = EnvelopeSpec(SUITE_KINDS[name][0], parse(env)), x_series(xt), FracOrder(alpha)
+    if name == "nr1":
+        return verify_product_decreasing(phi, x, order)
+    if name == "nr1_increasing":
+        return verify_product_increasing(phi, x, order)
+    if name == "nr2":
+        return verify_odd_power_envelope(phi, seed % 3, x, beta, order)
+    if name == "nr4_identity":
+        return verify_decomposition_nr4(phi, x, beta, order)
+    if name == "nr6":
+        return verify_decomposition_nr6(phi, x, beta, order)
+    return verify_power_rule(x, beta, order)
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_each_suite_report_is_its_verifier_on_the_oracle_instance(name):
+    # Instance k of run_suite(name, n, seed) is drawn at the child seed
+    # SeedSequence(seed).generate_state(n)[k]: every draw (envelope, x,
+    # exponents, coefficients, order) is pinned by the oracle's.
+    grid = TimeGrid(0.0, 0.02, 100)
+    for seed in (0, 1, 2024):
+        result = run_suite(name, 3, seed, grid)
+        children = np.random.SeedSequence(seed).generate_state(3)
+        for report, child in zip(result.reports, children):
+            assert report == _oracle_call(name, int(child), grid), (name, seed, int(child))
 
 
 def test_duality_of_product_verifiers():
@@ -561,15 +597,13 @@ def _instance_check(suite, seed):
     nr1 and nr2 go through the `_envelope_product` kernel, lemma3, nr8 and
     nr11 through `_power_sum`.
     """
-    if suite in _COMPOSITE_FLAVORS:
-        groups, xs, order = _composite_instance(seed, suite, _SMALL)
-        return lambda: verify_composite(groups, [_plain(x) for x in xs], order)
-    envelope, x, beta, order = generate_instance(seed, dataclasses.replace(PROFILES[suite], grid=_SMALL))
-    if suite == "nr1":
-        return lambda: verify_product_decreasing(envelope, _plain(x), order)
-    if suite == "nr2":
-        return lambda: verify_odd_power_envelope(envelope, seed % 3, _plain(x), beta, order)
-    return lambda: verify_power_rule(_plain(x), beta, order)
+    call = _instance(suite, seed, _SMALL)
+    if suite in SUITE_KINDS:
+        args = [_plain(a) if isinstance(a, SampleSeries) else a for a in call.args]
+    else:
+        groups, xs, order = call.args
+        args = [groups, [_plain(x) for x in xs], order]
+    return lambda: call.func(*args)
 
 
 def _lowering(node, amount):

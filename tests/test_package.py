@@ -35,7 +35,7 @@ def test_imports_load_only_the_modules_their_names_need():
 
 
 def test_every_export_is_its_defining_modules_object():
-    assert len(set(fracstab.__all__)) == len(fracstab.__all__) == 58
+    assert len(set(fracstab.__all__)) == len(fracstab.__all__) == 56
     for name in fracstab.__all__:
         module = importlib.import_module(f"fracstab.{fracstab._EXPORTS[name]}")
         obj = getattr(fracstab, name)

@@ -130,6 +130,16 @@ def test_sandwich_out_of_double_range_raises_without_warning():
             check_sandwich(V, traj)
 
 
+def test_sandwich_on_an_overflowing_norm_raises_without_warning():
+    # |x| = 1e200 squares past the double range at node 0: the norm, not
+    # the bound it feeds, is named, as a RangeError rather than a BindError
+    traj = hand_trajectory([1e200, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match=r"sandwich check .* node 0 \(t=0\)"):
+            check_sandwich(LyapunovCandidate("0*x1", "r^2", "r^2"), traj)
+
+
 def test_sandwich_needs_bounds(example2_run):
     traj, _ = example2_run
     with pytest.raises(DomainError):
