@@ -13,7 +13,7 @@ from fracstab import MLParams, SystemDef, TimeGrid, convergence_study, mittag_le
 from fracstab.reporting import write_trajectory_csv
 
 alpha = 0.9
-system = SystemDef.from_strings(1, alpha, ["-x1"], [1.0], label="relaxation")
+system = SystemDef.from_strings(1, alpha, ["-x1"], [1.0])
 traj = solve(system, TimeGrid(0.0, 1e-3, 5000))
 ts = traj.grid.nodes()
 params = MLParams(alpha)
@@ -27,9 +27,7 @@ for h, err in study.entries:
     print(f"  h = {h:<7g} max |x_h - x_h/2| {err:.3e}")
 print(f"  fitted order {study.fitted_order:.2f} (expectation about min(2, 1 + alpha))")
 
-two_dim = SystemDef.from_strings(
-    2, 0.9, ["-x1 - x2/(1+t)", "x1 - x2"], [-10.0, 10.0], label="coupled"
-)
+two_dim = SystemDef.from_strings(2, 0.9, ["-x1 - x2/(1+t)", "x1 - x2"], [-10.0, 10.0])
 traj2 = solve(two_dim, TimeGrid(0.0, 0.01, 5000))
 out = Path("demo_trajectory.csv")
 write_trajectory_csv(out, traj2)

@@ -23,11 +23,11 @@ for name in ("example1", "example2", "example3"):
 
 print("The second example's certificate holds for every order in (0, 1];")
 print("re-run with a different alpha:")
-from fracstab import FracOrder, LyapunovCandidate, SystemDef, TimeGrid, check_dissipation, solve
+from fracstab import LyapunovCandidate, SystemDef, TimeGrid, check_dissipation, solve
 
 for alpha in (0.5, 1.0):
     system = SystemDef.from_strings(1, alpha, ["-x1^3 - exp(t/2)*x1^3"], [0.1])
     traj = solve(system, TimeGrid(0.0, 0.01, 2000))
     V = LyapunovCandidate("x1^6 + exp(-t/2)*x1^6", dissipation_rate="12*r^8")
-    rep = check_dissipation(V, traj, FracOrder(alpha))
+    rep = check_dissipation(V, traj)
     print(f"  alpha = {alpha}: dissipation {'pass' if rep.verdict else 'FAIL'}")

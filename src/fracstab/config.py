@@ -1,9 +1,10 @@
 """Line-oriented run configuration: `key = value`, strict about unknown keys.
 
 Lists are bracketed and comma-separated, expressions are quoted strings,
-`#` starts a comment.  A `preset` line pulls in one of the built-in
-examples; explicit keys then override its fields.  Sizes are bounded before
-anything is allocated by them: see MAX_NODES and MAX_INSTANCES.
+`#` starts a comment.  A `preset` line starts from the keys of one of the
+built-in examples (`presets.PRESET_KEYS`); explicit keys then override
+them.  Sizes are bounded before anything is allocated by them: see
+MAX_NODES and MAX_INSTANCES.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from pathlib import Path
 from .errors import ConfigError, DomainError, FracstabError, Record, _set, count, real
 from .expressions import parse
 from .operators import FracOrder, TimeGrid
-from .presets import PRESET_NAMES, preset_system
+from .presets import PRESET_KEYS, PRESET_NAMES
 from .solver import SystemDef, finest_steps
 
 __all__ = ["RunConfig", "parse_config", "load_config", "MAX_NODES", "MAX_INSTANCES"]
 
-_SCALAR_KEYS = {"preset", "order", "dim", "t0", "t_end", "h", "output", "seed", "label"}
+_SCALAR_KEYS = {"preset", "order", "dim", "t0", "t_end", "h", "output", "seed"}
 _LIST_KEYS = {"x0", "checks", "h_list"}
 _DEFAULT_CHECK_COUNT = 100
 # Largest time grid a config may ask for, counted in nodes: the run grid and
@@ -159,23 +160,12 @@ def parse_config(text: str) -> RunConfig:
     if preset_name is not None:
         if preset_name not in PRESET_NAMES:
             raise ConfigError(f"unknown preset {preset_name!r}", lines["preset"])
-        system, grid = preset_system(str(preset_name))
-        settings = {
-            "dim": system.dim,
-            "order": system.order.alpha,
-            "x0": list(system.x0),
-            "t0": grid.t0,
-            "t_end": grid.t_end,
-            "h": grid.h,
-            "label": preset_name,
-        }
-        preset_rhs = system.rhs
+        settings = dict(PRESET_KEYS[preset_name])
     else:
         for key in ("dim", "order", "x0", "t_end", "h"):
             if key not in values:
                 raise ConfigError(f"missing key {key!r}")
-        settings = {"t0": 0.0, "label": "custom"}
-        preset_rhs = ()
+        settings = {"t0": 0.0, "rhs": ()}
     settings.update(values)
 
     with _at_line(lines, "dim"):
@@ -184,7 +174,6 @@ def parse_config(text: str) -> RunConfig:
         order = FracOrder(settings["order"])
     t0, t_end, h = (_real(settings, key, lines) for key in ("t0", "t_end", "h"))
     x0 = settings["x0"]
-    label = str(settings["label"])
 
     if not isinstance(x0, list) or any(isinstance(v, list) for v in x0):
         raise ConfigError("x0 must be a bracketed list of numbers", lines.get("x0"))
@@ -193,15 +182,13 @@ def parse_config(text: str) -> RunConfig:
     for idx in rhs_lines:
         if idx > dim:
             raise ConfigError(f"dimension mismatch: rhs{idx} present with dim = {dim}")
+    rhs_texts = dict(enumerate(settings["rhs"], start=1)) | rhs_lines
     rhs = []
     for i in range(1, dim + 1):
-        if i in rhs_lines:
-            with _at_line(lines, f"rhs{i}"):
-                rhs.append(parse(rhs_lines[i]))
-        elif i <= len(preset_rhs):
-            rhs.append(preset_rhs[i - 1])
-        else:
+        if i not in rhs_texts:
             raise ConfigError(f"missing key 'rhs{i}'")
+        with _at_line(lines, f"rhs{i}"):
+            rhs.append(parse(rhs_texts[i]))
 
     if h <= 0:
         raise ConfigError(f"h must be > 0, got {h}", lines.get("h"))
@@ -219,7 +206,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
     with _at_line(lines):  # SystemDef's messages begin with x0 or rhs<i>
-        system = SystemDef(dim, order, tuple(rhs), x0, label)
+        system = SystemDef(dim, order, tuple(rhs), x0)
 
     checks_raw = values.get("checks", [])
     if not isinstance(checks_raw, list):
@@ -241,6 +228,8 @@ def parse_config(text: str) -> RunConfig:
     with _at_line(lines, "seed"):
         seed = count(values.get("seed", 0), "seed", 0)
     output = values.get("output")
+    if isinstance(output, list):
+        raise ConfigError("output must be a directory name, not a list", lines["output"])
     h_list = values.get("h_list", [])
     if not isinstance(h_list, list):
         raise ConfigError("h_list must be a bracketed list", lines["h_list"])

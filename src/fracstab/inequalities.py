@@ -284,16 +284,12 @@ class IdentityResidual(Record):
         _set(self, "scale", scale)
 
     @property
-    def relative(self) -> float:
-        return self.max_residual / self.scale if self.scale else 0.0
-
-    @property
     def verdict(self) -> bool:
         return self.max_residual <= 1e-10 * self.scale
 
     @property
     def max_violation(self) -> float:
-        return self.relative
+        return self.max_residual / self.scale if self.scale else 0.0
 
 
 def verify_decomposition_nr4(
@@ -530,16 +526,27 @@ SUITE_NAMES = ("nr1", "nr1_increasing", "nr2", "lemma3", "lemma4", "nr4_identity
 
 
 class SuiteResult(Record):
-    """Aggregate of one named suite run."""
+    """The reports of one named suite run, one per instance, in order."""
 
-    _fields = ("name", "instances", "passes", "max_violation", "reports")
+    _fields = ("name", "reports")
 
-    def __init__(self, name: str, instances: int, passes: int, max_violation: float, reports: tuple):
+    def __init__(self, name: str, reports: tuple):
         _set(self, "name", name)
-        _set(self, "instances", instances)
-        _set(self, "passes", passes)
-        _set(self, "max_violation", max_violation)
         _set(self, "reports", reports)
+
+    @property
+    def instances(self) -> int:
+        return len(self.reports)
+
+    @property
+    def passes(self) -> int:
+        return sum(r.verdict for r in self.reports)
+
+    @property
+    def max_violation(self) -> float:
+        """The largest report's max_violation, 0.0 for none; a NaN never wins
+        (the left fold max(0.0, v1, v2, ...))."""
+        return max([0.0, *(r.max_violation for r in self.reports)])
 
     @property
     def all_passed(self) -> bool:
@@ -554,12 +561,4 @@ def run_suite(name: str, instances: int, seed: int, grid: TimeGrid | None = None
     seed = count(seed, "seed", 0)
     grid = grid or _DEFAULT_GRID
     child_seeds = np.random.SeedSequence(seed).generate_state(instances)
-    reports = []
-    passes = 0
-    worst = 0.0
-    for child in child_seeds:
-        out = _instance(name, int(child), grid)()
-        reports.append(out)
-        passes += int(out.verdict)
-        worst = max(worst, out.max_violation)
-    return SuiteResult(name, instances, passes, worst, tuple(reports))
+    return SuiteResult(name, tuple(_instance(name, int(child), grid)() for child in child_seeds))

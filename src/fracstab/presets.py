@@ -7,6 +7,10 @@ system with trigonometric quadratic terms analysed locally inside the unit
 ball (order 0.85, started at (-0.2, 0.3)).  Horizons and steps are frozen
 here; they are chosen so the decay is visible and a run stays under a
 second.
+
+Each example's system and grid are written once, as config keys in
+`PRESET_KEYS`; both a `preset = NAME` config line and `get_preset` start
+from them.
 """
 
 from __future__ import annotations
@@ -24,12 +28,28 @@ if TYPE_CHECKING:
 
 # The certificate layers (`stability`, `verdicts`) are imported by the code
 # that builds candidates and runs checks, so a config that only names a
-# preset's system (`preset_system`) does not load them.
+# preset (`PRESET_KEYS`) does not load them.
 
-__all__ = ["ExamplePreset", "get_preset", "preset_system", "run_preset", "PRESET_NAMES", "DEFAULT_EX3_PHI"]
+__all__ = ["ExamplePreset", "get_preset", "run_preset", "PRESET_KEYS", "PRESET_NAMES", "DEFAULT_EX3_PHI"]
 
 DEFAULT_EX3_PHI = "exp(-t)"
-PRESET_NAMES = ("example1", "example2", "example3")
+
+# name -> the config keys of its system and run grid; rhs holds rhs1, rhs2, ...
+PRESET_KEYS = {
+    "example1": {
+        "order": 0.9, "dim": 2, "x0": [-10.0, 10.0], "t0": 0.0, "t_end": 50.0, "h": 0.01,
+        "rhs": ("-x1 - x2/(1+t)", "x1 - x2"),
+    },
+    "example2": {
+        "order": 0.8, "dim": 1, "x0": [0.1], "t0": 0.0, "t_end": 20.0, "h": 0.01,
+        "rhs": ("-x1^3 - exp(t/2)*x1^3",),
+    },
+    "example3": {
+        "order": 0.85, "dim": 2, "x0": [-0.2, 0.3], "t0": 0.0, "t_end": 40.0, "h": 0.01,
+        "rhs": ("-x1 - x2 + sin(t)*(x1^2 + x2^2)", "x1 - x2 + cos(t)*(x1^2 + x2^2)"),
+    },
+}
+PRESET_NAMES = tuple(PRESET_KEYS)
 
 
 @dataclass(frozen=True)
@@ -43,41 +63,6 @@ class ExamplePreset:
     ball_radius: float | None = None
 
 
-def preset_system(name: str) -> tuple[SystemDef, TimeGrid]:
-    """The system and run grid of the built-in example `name`."""
-    if name == "example1":
-        system = SystemDef.from_strings(
-            dim=2,
-            alpha=0.9,
-            rhs_texts=("-x1 - x2/(1+t)", "x1 - x2"),
-            x0=(-10.0, 10.0),
-            label="example1",
-        )
-        return system, TimeGrid(0.0, 0.01, 5000)
-    if name == "example2":
-        system = SystemDef.from_strings(
-            dim=1,
-            alpha=0.8,
-            rhs_texts=("-x1^3 - exp(t/2)*x1^3",),
-            x0=(0.1,),
-            label="example2",
-        )
-        return system, TimeGrid(0.0, 0.01, 2000)
-    if name == "example3":
-        system = SystemDef.from_strings(
-            dim=2,
-            alpha=0.85,
-            rhs_texts=(
-                "-x1 - x2 + sin(t)*(x1^2 + x2^2)",
-                "x1 - x2 + cos(t)*(x1^2 + x2^2)",
-            ),
-            x0=(-0.2, 0.3),
-            label="example3",
-        )
-        return system, TimeGrid(0.0, 0.01, 4000)
-    raise DomainError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
-
-
 def get_preset(name: str, phi_text: str | None = None) -> ExamplePreset:
     """Look up a preset; example3 accepts a plug-in envelope expression.
 
@@ -86,7 +71,11 @@ def get_preset(name: str, phi_text: str | None = None) -> ExamplePreset:
     """
     from . import stability
 
-    system, grid = preset_system(name)
+    if name not in PRESET_NAMES:
+        raise DomainError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
+    keys = PRESET_KEYS[name]
+    system = SystemDef.from_strings(keys["dim"], keys["order"], keys["rhs"], keys["x0"])
+    grid = TimeGrid.between(keys["t0"], keys["t_end"], keys["h"])
     if phi_text is not None and name != "example3":
         raise DomainError(f"phi is a plug-in envelope of example3 only, not of {name}")
     if name == "example1":
@@ -129,13 +118,12 @@ def run_preset(preset: ExamplePreset) -> tuple[Trajectory, StabilityReport]:
     from . import stability
 
     traj = solve(preset.system, preset.grid)
-    order = preset.system.order
     V = preset.candidate
     has_bounds = V.class_k_lower is not None and V.class_k_upper is not None
     sandwich = stability.check_sandwich(V, traj) if has_bounds else None
-    dissipation = stability.check_dissipation(V, traj, order) if V.dissipation_rate is not None else None
+    dissipation = stability.check_dissipation(V, traj) if V.dissipation_rate is not None else None
     envelope = (
-        stability.check_ml_envelope(traj, order, preset.ml_rate, preset.ml_amplification)
+        stability.check_ml_envelope(traj, preset.ml_rate, preset.ml_amplification)
         if preset.ml_rate is not None
         else None
     )

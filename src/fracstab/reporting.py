@@ -222,7 +222,7 @@ def write_report_csv(path: Path, report: IneqReport) -> None:
 def write_residual_csv(path: Path, residual: IdentityResidual) -> None:
     Path(path).write_text(
         "max_residual,scale,relative\n"
-        f"{fmt(residual.max_residual)},{fmt(residual.scale)},{fmt(residual.relative)}\n"
+        f"{fmt(residual.max_residual)},{fmt(residual.scale)},{fmt(residual.max_violation)}\n"
     )
 
 

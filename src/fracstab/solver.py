@@ -38,9 +38,9 @@ OVERFLOW_LIMIT = 1e12
 class SystemDef(Record):
     """A fractional-order system: dimension, order, RHS expressions, x0."""
 
-    _fields = ("dim", "order", "rhs", "x0", "label")
+    _fields = ("dim", "order", "rhs", "x0")
 
-    def __init__(self, dim: int, order: FracOrder, rhs: tuple[Expr, ...], x0: np.ndarray, label: str = ""):
+    def __init__(self, dim: int, order: FracOrder, rhs: tuple[Expr, ...], x0: np.ndarray):
         dim = count(dim, "dim", 1)
         rhs = tuple(rhs)
         x0 = reals(x0, "x0")
@@ -60,11 +60,10 @@ class SystemDef(Record):
         _set(self, "order", order)
         _set(self, "rhs", rhs)
         _set(self, "x0", x0)
-        _set(self, "label", label)
 
     @classmethod
-    def from_strings(cls, dim, alpha, rhs_texts, x0, label="") -> "SystemDef":
-        return cls(dim, FracOrder(alpha), tuple(parse(s) for s in rhs_texts), x0, label)
+    def from_strings(cls, dim, alpha, rhs_texts, x0) -> "SystemDef":
+        return cls(dim, FracOrder(alpha), tuple(parse(s) for s in rhs_texts), x0)
 
 
 class Trajectory(Record):

@@ -151,7 +151,11 @@ def _contour_params(alpha: float, beta: float, log_target: float, log_eps: float
             n = math.ceil(phibar / math.pi * (1.0 - 1.5 * lt + math.sqrt(1.0 - 2.0 * lt)))
             a = math.pi * n / phibar
             sq_mu = sq_phibar * abs(4.0 - a) / abs(7.0 - math.sqrt(1.0 + 12.0 * a))
-            if p < 1e-14 or 1.0 < (sq_phibar / sq_mu) ** -p < 10.0:
+            try:
+                amplification = (sq_phibar / sq_mu) ** -p
+            except OverflowError:  # large beta: far outside (1, 10), so move on
+                amplification = math.inf
+            if p < 1e-14 or 1.0 < amplification < 10.0:
                 break
             sq_phibar = 5.0 ** (-1.0 / p) * sq_mu
         else:
@@ -271,22 +275,39 @@ def _ml_bigfloat(alpha: float, beta: float, z: float) -> float:
         return float(total)
 
 
-def _ml_alpha_one(beta: float, z: float) -> float | None:
-    """Closed forms at alpha = 1 for integer beta; None if not applicable."""
-    if beta != math.floor(beta):
+def _ml_alpha_one(beta: float, z: float):
+    """Closed forms at alpha = 1 for integer beta.
+
+    Returns (value, estimated_relative_error), or None if beta is not an
+    integer, or the head needs a factorial past the double range (beta > 172),
+    or the form leaves the double range.
+    """
+    if beta != math.floor(beta) or beta > 172.0:
         return None
     m = int(beta)
     if m == 1:
-        return math.exp(z)
+        return math.exp(z), _EPS
     # E_{1,m}(z) = (e^z - sum_{k<m-1} z^k/k!) / z^{m-1} cancels where the
-    # head nearly equals e^z (moderate |z|, large m), so mittag_leffler
-    # tries the certified series first and uses this form only past it
+    # head nearly equals e^z (moderate |z|, large m); as for the series, the
+    # estimate weighs the rounding of every term, sum|terms|, against the
+    # difference left
+    exp_z = math.exp(z)
     head = 0.0
+    abs_sum = exp_z
     zk = 1.0
     for k in range(m - 1):
-        head += zk / math.factorial(k)
+        term = zk / math.factorial(k)
+        head += term
+        abs_sum += abs(term)
         zk *= z
-    return (math.exp(z) - head) / z ** (m - 1)
+    diff = exp_z - head
+    if diff == 0.0 or not math.isfinite(abs_sum):
+        return None
+    try:
+        value = diff / z ** (m - 1)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return value, (0.5 * (m - 1) + 10.0) * _EPS * abs_sum / abs(diff)
 
 
 class _MLTable:
@@ -411,9 +432,9 @@ class _MLTable:
             return out[0]
 
         if alpha == 1.0:
-            closed = _ml_alpha_one(beta, z)
-            if closed is not None:
-                return closed
+            out = _ml_alpha_one(beta, z)
+            if out is not None and out[1] <= _BRANCH_TARGET:
+                return out[0]
 
         if z < 0.0:
             out = self.contour(z)
@@ -441,13 +462,16 @@ def mittag_leffler(params: MLParams, z: float) -> float:
     serves only while z^(1/alpha) stays below about 64-74; past that the
     mpmath series serves (up to about 2 s a call), and where
     z^(1/alpha) > 500 it raises RangeError although the value is finite,
-    as at (0.2, 1, 3.5), about 6.29e228.
+    as at (0.2, 1, 3.5), about 6.29e228.  Past beta of about 117 the contour
+    finds no parameters, so the fallback serves the negative axis or raises
+    RangeError, as at (0.5, 120, -30).
 
     Branches, first certified wins: the power series when its cancellation
     estimate is at most 1e-10 relative (stopped early for z < 0 and
     beta >= alpha once a bound on the function proves that test will
     fail), the closed forms at
-    alpha = 1 with integer beta, for z < 0 the parabolic-contour quadrature
+    alpha = 1 with integer beta when their cancellation estimate is at most
+    1e-10 relative, for z < 0 the parabolic-contour quadrature
     (Garrappa, SIAM J. Numer. Anal. 2015) when its error bound is at most
     1e-10 relative, and the mpmath fallback.  Every z takes this one chain,
     so near a zero of E_{alpha,beta} (possible for beta < alpha) the

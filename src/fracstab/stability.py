@@ -15,9 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EvalError, PreconditionError, RangeError, Record, _set, real
+from .errors import DomainError, EvalError, RangeError, Record, _set, real
 from .expressions import Expr, _compile, evaluate, parse, sample_on, to_text, variables
-from .operators import FracOrder, SampleSeries, TimeGrid, caputo_l1
+from .operators import SampleSeries, TimeGrid, caputo_l1
 from .solver import Trajectory, solve
 from .special import MLParams, mittag_leffler_many
 from .verdicts import IneqReport, _judge, make_report
@@ -154,18 +154,16 @@ def check_sandwich(V: LyapunovCandidate, traj: Trajectory) -> IneqReport:
     return _exact_report("sandwich", traj, sides)
 
 
-def check_dissipation(V: LyapunovCandidate, traj: Trajectory, order: FracOrder) -> IneqReport:
-    """D^alpha V(t, x(t)) <= -gamma3(|x(t)|) under the tolerance/refinement rule.
+def check_dissipation(V: LyapunovCandidate, traj: Trajectory) -> IneqReport:
+    """D^alpha V(t, x(t)) <= -gamma3(|x(t)|) under the tolerance/refinement rule,
+    at the system's own order alpha.
 
     The composite V(t, x(t)) is discretized directly from trajectory samples;
     refinement re-solves the system at half the step.
     """
     if V.dissipation_rate is None:
         raise DomainError("dissipation check needs the candidate's gamma3 rate")
-    if order.alpha != traj.system.order.alpha:
-        raise PreconditionError(
-            f"order {order.alpha} does not match the system order {traj.system.order.alpha}"
-        )
+    order = traj.system.order
 
     def compute(grid: TimeGrid):
         tr = traj if grid == traj.grid else solve(traj.system, grid)
@@ -180,10 +178,9 @@ def check_dissipation(V: LyapunovCandidate, traj: Trajectory, order: FracOrder) 
     return make_report("dissipation", traj.grid, compute, refinable=True, skip_nodes=1)
 
 
-def check_ml_envelope(
-    traj: Trajectory, order: FracOrder, rate: float, amplification: float
-) -> IneqReport:
-    """|x(t_j)|^2 <= amplification * E_alpha(-rate t_j^alpha) * |x(0)|^2 * 1.05.
+def check_ml_envelope(traj: Trajectory, rate: float, amplification: float) -> IneqReport:
+    """|x(t_j)|^2 <= amplification * E_alpha(-rate t_j^alpha) * |x(0)|^2 * 1.05,
+    alpha the system's own order.
 
     Exact pointwise check (tol = 0); amplification below 1 is accepted so
     sharpness probes can drive the check to fail at t = 0.
@@ -194,7 +191,7 @@ def check_ml_envelope(
         raise DomainError(f"envelope rate must be > 0, got {rate!r}")
     if amplification <= 0.0:
         raise DomainError(f"amplification must be > 0, got {amplification!r}")
-    alpha = order.alpha
+    alpha = traj.system.order.alpha
     ts = traj.grid.nodes()
     t0 = ts[0]
     decay = mittag_leffler_many(MLParams(alpha), [-rate * (t - t0) ** alpha for t in ts])

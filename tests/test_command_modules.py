@@ -13,11 +13,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from fracstab import config, inequalities, presets
 from fracstab.config import parse_config
+from fracstab.solver import SystemDef
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -124,10 +124,22 @@ def test_max_instances_is_defined_once():
 def test_a_preset_config_is_the_presets_system(name):
     preset = presets.get_preset(name)
     resolved = parse_config(f"preset = {name}\n")
-    system = resolved.system
-    assert system.rhs == preset.system.rhs
-    assert np.array_equal(system.x0, preset.system.x0)
-    assert system.order == preset.system.order
-    assert system.label == preset.system.label == name
+    assert resolved.system == preset.system
     assert resolved.grid == preset.grid
-    assert presets.preset_system(name)[0].rhs == preset.system.rhs
+
+
+@pytest.mark.parametrize("name", presets.PRESET_NAMES)
+def test_preset_overrides_replace_only_their_keys(name):
+    keys = presets.PRESET_KEYS[name]
+    grid = presets.get_preset(name).grid
+    # a smaller dim with its own rhs1 takes no preset rhs
+    smaller = parse_config(f'preset = {name}\ndim = 1\nx0 = [0.5]\nrhs1 = "-x1 + sin(t)"\n')
+    assert smaller.system == SystemDef.from_strings(1, keys["order"], ["-x1 + sin(t)"], [0.5])
+    assert smaller.grid == grid
+    if keys["dim"] < 2:
+        return
+    # a replaced rhs2 keeps the preset's rhs1, order and x0
+    replaced = parse_config(f'preset = {name}\nrhs2 = "x1 - 2*x2"\n')
+    assert replaced.system == SystemDef.from_strings(2, keys["order"], [keys["rhs"][0], "x1 - 2*x2"], keys["x0"])
+    assert replaced.system != presets.get_preset(name).system
+    assert replaced.grid == grid

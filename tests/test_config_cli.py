@@ -46,7 +46,6 @@ def test_parse_example1_block():
     assert cfg.system.order.alpha == 0.9
     assert cfg.grid.n_steps == 5000
     assert list(cfg.system.x0) == [-10.0, 10.0]
-    assert cfg.system.label == "example1"
 
 
 def test_parse_preset_defaults_fill_in():
@@ -85,11 +84,15 @@ def test_unknown_key_rejected_with_line():
     with pytest.raises(ConfigError, match="unknown key 'phi'") as exc:
         parse_config('preset = example3\nphi = "exp(-2*t)"\n')
     assert exc.value.line == 2
+    # no output reads a label; the preset's name labels a `reproduce` report
+    with pytest.raises(ConfigError, match="unknown key 'label'") as exc:
+        parse_config('preset = example1\nseed = 1\nlabel = "x"\n')
+    assert exc.value.line == 3
 
 
 def test_comments_and_quoted_hash():
-    cfg = parse_config(SMALL_SYSTEM + '# full-line comment\nlabel = "a#b"  # trailing\n')
-    assert cfg.system.label == "a#b"
+    cfg = parse_config(SMALL_SYSTEM + '# full-line comment\noutput = "a#b"  # trailing\n')
+    assert cfg.output == "a#b"
 
 
 def test_checks_parsing():
@@ -144,6 +147,7 @@ BAD_VALUE_LINES = {
     "h_list_negative": ("preset = example1\nh_list = [0.01, -0.005]\n", 2),
     "h_list_not_dividing": ("preset = example1\nt_end = 1\nh_list = [0.01, 0.0031]\n", 3),
     "rhs_infinite_literal": ('preset = example1\nrhs1 = "1e999"\n', 2),
+    "output_list": ("preset = example1\noutput = [a]\n", 2),
 }
 
 

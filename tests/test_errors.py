@@ -142,8 +142,8 @@ SLOTS = {
     "convergence_study.t0": (lambda v: convergence_study(SYSTEM, 1.0, [0.1, 0.05], t0=v), FracstabError),
     "convergence_study.h_list": (lambda v: convergence_study(SYSTEM, 1.0, v), FracstabError),
     "convergence_study.h_list[1]": (lambda v: convergence_study(SYSTEM, 1.0, [0.1, v]), FracstabError),
-    "check_ml_envelope.rate": (lambda v: check_ml_envelope(TRAJ, ORDER, v, 1.0), FracstabError),
-    "check_ml_envelope.amplification": (lambda v: check_ml_envelope(TRAJ, ORDER, 0.5, v), FracstabError),
+    "check_ml_envelope.rate": (lambda v: check_ml_envelope(TRAJ, v, 1.0), FracstabError),
+    "check_ml_envelope.amplification": (lambda v: check_ml_envelope(TRAJ, 0.5, v), FracstabError),
     "check_local_ball.radius": (lambda v: check_local_ball(TRAJ, v), FracstabError),
     "evaluate.t": (lambda v: evaluate(EXPR, t=v, x=[1.0], r=0.0), BindError),
     "evaluate.x[0]": (lambda v: evaluate(EXPR, t=0.5, x=[v], r=0.0), BindError),

@@ -27,7 +27,7 @@ from fracstab.verdicts import EnvelopeSpec, IneqReport
 _NO_DEFAULT = inspect.Parameter.empty
 _GRID = TimeGrid(0.0, 0.25, 4)
 _SERIES = SampleSeries(_GRID, [0.0, 1.0, 2.0, 3.0, 4.0])
-_SYSTEM = SystemDef.from_strings(2, 0.5, ("-x1", "x1 - x2"), (1.0, 2.0), label="s")
+_SYSTEM = SystemDef.from_strings(2, 0.5, ("-x1", "x1 - x2"), (1.0, 2.0))
 _REPORT = IneqReport("nr1", _SERIES, np.zeros(5), np.ones(5), 0.0, 0.1, 2.0, True)
 _RESIDUAL = IdentityResidual(1e-14, 2.0)
 
@@ -52,8 +52,8 @@ RECORDS = {
     MLParams: (MLParams(0.5, 1.25), [("alpha", _NO_DEFAULT), ("beta", 1.0)], ("alpha", "beta")),
     SystemDef: (
         _SYSTEM,
-        [("dim", _NO_DEFAULT), ("order", _NO_DEFAULT), ("rhs", _NO_DEFAULT), ("x0", _NO_DEFAULT), ("label", "")],
-        ("dim", "order", "rhs", "x0", "label"),
+        [("dim", _NO_DEFAULT), ("order", _NO_DEFAULT), ("rhs", _NO_DEFAULT), ("x0", _NO_DEFAULT)],
+        ("dim", "order", "rhs", "x0"),
     ),
     Trajectory: (
         Trajectory(_GRID, (_SERIES, _SERIES), _SYSTEM),
@@ -98,10 +98,9 @@ RECORDS = {
     ),
     IdentityResidual: (_RESIDUAL, [("max_residual", _NO_DEFAULT), ("scale", _NO_DEFAULT)], ("max_residual", "scale")),
     SuiteResult: (
-        SuiteResult("nr4_identity", 1, 1, 5e-15, (_RESIDUAL,)),
-        [("name", _NO_DEFAULT), ("instances", _NO_DEFAULT), ("passes", _NO_DEFAULT), ("max_violation", _NO_DEFAULT),
-         ("reports", _NO_DEFAULT)],
-        ("name", "instances", "passes", "max_violation", "reports"),
+        SuiteResult("nr4_identity", (_RESIDUAL,)),
+        [("name", _NO_DEFAULT), ("reports", _NO_DEFAULT)],
+        ("name", "reports"),
     ),
 }
 
@@ -194,7 +193,7 @@ def test_nan_fields_compare_equal_in_copies_and_pickles():
     twin = IdentityResidual(float("nan"), 2.0)
     assert residual == twin and hash(residual) == hash(twin)
     assert residual != IdentityResidual(0.0, 2.0)
-    assert SuiteResult("s", 1, 1, 0.0, (residual,)) == SuiteResult("s", 1, 1, 0.0, (twin,))
+    assert SuiteResult("s", (residual,)) == SuiteResult("s", (twin,))
 
     def report(lhs):
         return IneqReport("nr1", _SERIES, np.array(lhs), np.ones(2), 0.0, 0.1, 2.0, True)
@@ -203,3 +202,15 @@ def test_nan_fields_compare_equal_in_copies_and_pickles():
     assert report([1.0, math.nan]) != report([math.nan, 1.0])
     assert report([1.0, math.nan]) != report([1.0, 2.0])
     assert report(["a", "b"]) == report(["a", "b"]) and report(["a", "b"]) != report(["a", "c"])
+
+
+def test_suite_result_tallies_its_reports():
+    def report(violation, verdict):
+        return IneqReport("nr1", _SERIES, np.zeros(5), np.ones(5), violation, 0.1, 2.0, verdict)
+
+    suite = SuiteResult("nr1", (report(math.nan, False), report(0.5, True), _RESIDUAL, report(math.nan, True)))
+    assert (suite.instances, suite.passes, suite.all_passed) == (4, 3, False)
+    # the left fold max(0.0, v1, v2, ...): a NaN never replaces the running maximum
+    assert suite.max_violation == 0.5
+    assert SuiteResult("nr1", (report(math.nan, True),)).max_violation == 0.0
+    assert SuiteResult("nr1", ()).max_violation == 0.0

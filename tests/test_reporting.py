@@ -89,7 +89,7 @@ def test_suite_reports_match_oracle_per_file(grid_a, grid_b, kinds, data):
             reports.append(IdentityResidual(data.draw(FINITE), data.draw(FINITE)))
         else:
             reports.append(_report(data, grid_a if kind == "a" else grid_b))
-    result = SuiteResult("s", len(reports), 0, 0.0, tuple(reports))
+    result = SuiteResult("s", tuple(reports))
     with tempfile.TemporaryDirectory() as d:
         write_suite_reports(Path(d), result)
         names = sorted(p.name for p in Path(d).iterdir())
@@ -106,7 +106,7 @@ def test_suite_reports_of_mixed_suite_runs_match_oracle():
     reports = tuple(r for run in runs for r in run.reports)
     assert {r.slack.grid for r in reports if isinstance(r, IneqReport)} == {coarse, fine}
     with tempfile.TemporaryDirectory() as d:
-        write_suite_reports(Path(d), SuiteResult("mixed", len(reports), 0, 0.0, reports))
+        write_suite_reports(Path(d), SuiteResult("mixed", reports))
         for i, rep in enumerate(reports):
             assert (Path(d) / f"instance_{i:04d}.csv").read_text() == instance_oracle(rep)
 

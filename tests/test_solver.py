@@ -19,9 +19,7 @@ def linear_decay(alpha):
 
 
 def example1_system(alpha):
-    return SystemDef.from_strings(
-        2, alpha, ["-x1 - x2/(1+t)", "x1 - x2"], [-10.0, 10.0], label="example1"
-    )
+    return SystemDef.from_strings(2, alpha, ["-x1 - x2/(1+t)", "x1 - x2"], [-10.0, 10.0])
 
 
 # --- SystemDef validation ----------------------------------------------------

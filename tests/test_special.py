@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracstab.errors import DomainError, RangeError
+from fracstab.errors import DomainError, FracstabError, RangeError
 from fracstab.special import ML_Z_MAX, MLParams, gamma, mittag_leffler, mittag_leffler_many, reciprocal_gamma
 from fracstab.special import _BRANCH_TARGET, _MLTable, _ml_bigfloat
 from fracstab.special import _CONTOUR_DISC_FACTOR, _EPS, _LOG_CONTOUR_TARGET, _LOG_EPS, _contour_params
@@ -339,6 +339,16 @@ def test_alpha_one_integer_beta_sweep():
     assert not bad, f"{len(bad)} of {14 * zs.size} points off by > 1e-9, first: {bad[:3]}"
 
 
+@pytest.mark.parametrize("beta, z", [(136.0, -50.0), (150.0, -30.0), (171.0, -0.5), (173.0, -1.0), (170.0, 0.0)])
+def test_alpha_one_closed_form_at_large_beta_against_mpmath(beta, z):
+    # past the series' reach the closed form's head cancels below its own
+    # rounding: it gave -1.98e-225, -9.4e-225 and 1.66e35 at the first three
+    # points, factorial(171) overflowed at beta = 173, and at z = 0 it divided
+    # by z^(m-1); its estimate now sends such points on
+    ref = ml_alpha_one_oracle(beta, z)
+    assert abs(mittag_leffler(MLParams(1.0, beta), z) - ref) <= 1e-9 * abs(ref)
+
+
 # --- negative axis: the contour branch and its fallback -------------------------
 
 
@@ -408,6 +418,20 @@ def test_contour_rejects_exponentially_small_values():
     value, cert = _MLTable(1.0, 1.0).contour(-50.0)
     assert cert > _BRANCH_TARGET
     assert mittag_leffler(MLParams(1.0), -50.0) == pytest.approx(math.exp(-50.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("z", [-1.0, -10.0, -30.0])
+@pytest.mark.parametrize("beta", [117.5, 120.0, 150.0])
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+def test_ml_at_large_beta_is_a_value_or_a_package_error(alpha, beta, z):
+    # the contour's amplification (sq_phibar / sq_mu)^-p overflowed a double
+    # from beta of about 117 on, and the call ended in an OverflowError
+    try:
+        got = mittag_leffler(MLParams(alpha, beta), z)
+    except FracstabError:
+        return
+    ref = ml_series_oracle(alpha, beta, z)
+    assert abs(got - ref) <= 1e-9 * abs(ref)
 
 
 def test_ml_near_a_zero_beyond_series_reach():

@@ -3,9 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from fracstab.errors import DomainError, EvalError, PreconditionError, RangeError
+from fracstab.errors import DomainError, EvalError, RangeError
 from fracstab.expressions import parse
-from fracstab.operators import FracOrder, SampleSeries, TimeGrid, caputo_l1
+from fracstab.operators import SampleSeries, TimeGrid, caputo_l1
 from fracstab.presets import get_preset, run_preset
 from fracstab.reporting import stability_summary_text
 from fracstab.solver import SystemDef, Trajectory, solve
@@ -158,7 +158,7 @@ def test_dissipation_example1(example1_run):
 def test_dissipation_zero_trajectory():
     traj = zero_trajectory(alpha=0.7)
     v = LyapunovCandidate("x1^2 + x2^2", dissipation_rate="r^2")
-    rep = check_dissipation(v, traj, FracOrder(0.7))
+    rep = check_dissipation(v, traj)
     assert rep.verdict
     assert rep.max_violation == 0.0
 
@@ -166,14 +166,7 @@ def test_dissipation_zero_trajectory():
 def test_dissipation_needs_a_rate(example2_run):
     traj, _ = example2_run
     with pytest.raises(DomainError, match="gamma3"):
-        check_dissipation(LyapunovCandidate("x1^6"), traj, traj.system.order)
-
-
-def test_dissipation_order_must_match(example2_run):
-    traj, _ = example2_run
-    v = LyapunovCandidate("x1^6", dissipation_rate="r^8")
-    with pytest.raises(PreconditionError):
-        check_dissipation(v, traj, FracOrder(0.5))
+        check_dissipation(LyapunovCandidate("x1^6"), traj)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
@@ -182,7 +175,7 @@ def test_dissipation_example2_all_orders(alpha):
     system = SystemDef.from_strings(1, alpha, ["-x1^3 - exp(t/2)*x1^3"], [0.1])
     traj = solve(system, TimeGrid(0.0, 0.01, 2000))
     v = LyapunovCandidate("x1^6 + exp(-t/2)*x1^6", dissipation_rate="12*r^8")
-    rep = check_dissipation(v, traj, FracOrder(alpha))
+    rep = check_dissipation(v, traj)
     assert rep.verdict, (alpha, rep.max_violation, rep.tol)
 
 
@@ -216,7 +209,7 @@ def test_envelope_example1(example1_run):
 
 def test_envelope_sharpness_probe(example1_run):
     traj, _ = example1_run
-    tight = check_ml_envelope(traj, traj.system.order, rate=0.5, amplification=0.95)
+    tight = check_ml_envelope(traj, rate=0.5, amplification=0.95)
     assert not tight.verdict
     # 0.95 * 1.05 < 1, so the very first node already violates
     assert tight.slack.values[0] < 0.0
@@ -224,22 +217,22 @@ def test_envelope_sharpness_probe(example1_run):
 
 def test_envelope_fast_rate_fails(example1_run):
     traj, _ = example1_run
-    rep = check_ml_envelope(traj, traj.system.order, rate=50.0, amplification=2.0)
+    rep = check_ml_envelope(traj, rate=50.0, amplification=2.0)
     assert not rep.verdict
 
 
 def test_envelope_zero_trajectory():
     traj = zero_trajectory(alpha=0.9)
-    rep = check_ml_envelope(traj, FracOrder(0.9), rate=0.5, amplification=2.0)
+    rep = check_ml_envelope(traj, rate=0.5, amplification=2.0)
     assert rep.verdict
 
 
 def test_envelope_rate_validation(example2_run):
     traj, _ = example2_run
     with pytest.raises(DomainError):
-        check_ml_envelope(traj, traj.system.order, rate=0.0, amplification=2.0)
+        check_ml_envelope(traj, rate=0.0, amplification=2.0)
     with pytest.raises(DomainError):
-        check_ml_envelope(traj, traj.system.order, rate=0.5, amplification=0.0)
+        check_ml_envelope(traj, rate=0.5, amplification=0.0)
 
 
 def test_envelope_out_of_double_range_raises_without_warning(example1_run):
@@ -247,7 +240,7 @@ def test_envelope_out_of_double_range_raises_without_warning(example1_run):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RangeError, match=r"ml_envelope check .* node 0 \(t=0\)"):
-            check_ml_envelope(traj, FracOrder(0.9), 0.5, 1e307)
+            check_ml_envelope(traj, 0.5, 1e307)
 
 
 # --- local ball -------------------------------------------------------------------------------
