@@ -1,10 +1,10 @@
 """Discrete fractional operators on uniform grids.
 
 The Riemann-Liouville integral uses the product-trapezoidal rule (exact for
-piecewise-linear integrands); the Caputo derivative of order alpha < 1 uses
-the L1 scheme, with an exact switch to second-order finite differences at
-alpha = 1.  Node 0 is the empty integral and is returned as 0 for the
-fractional branches.
+piecewise-linear integrands); the Caputo derivative uses the L1 scheme for
+every order alpha in (0, 1]; at alpha = 1 that is the backward difference,
+the L1 scheme's own limit.  Node 0 is the empty integral and is returned
+as 0 by both.
 
 Both fractional operators reduce to one history sum, `_lag_sum`: a direct
 O(n^2) convolution below `_FFT_MIN_TERMS` output terms and an O(n log n)
@@ -92,21 +92,11 @@ class TimeGrid(Record):
 
 
 class SampleSeries(Record):
-    """Real samples of a scalar function on a TimeGrid.
-
-    `source`, when present, is the vectorized t -> value map the samples came
-    from; it is what makes refinement under grid halving possible.  It is
-    left out of `==`, `hash` and repr.
-    """
+    """Real samples of a scalar function on a TimeGrid."""
 
     _fields = ("grid", "values")
 
-    def __init__(
-        self,
-        grid: TimeGrid,
-        values: np.ndarray,
-        source: Callable[[np.ndarray], np.ndarray] | None = None,
-    ):
+    def __init__(self, grid: TimeGrid, values: np.ndarray):
         vals = reals(values, "series values")
         if vals.shape != (grid.n_nodes,):
             raise ShapeError(
@@ -116,16 +106,11 @@ class SampleSeries(Record):
         vals.flags.writeable = False
         _set(self, "grid", grid)
         _set(self, "values", vals)
-        _set(self, "source", source)
 
     @classmethod
     def from_function(cls, grid: TimeGrid, fn: Callable[[np.ndarray], np.ndarray]) -> "SampleSeries":
-        return cls(grid, np.asarray(fn(grid.nodes()), dtype=float), source=fn)
-
-    def resampled(self, grid: TimeGrid) -> "SampleSeries":
-        if self.source is None:
-            raise ShapeError("series has no source function; cannot resample")
-        return SampleSeries.from_function(grid, self.source)
+        """The vectorized t -> value map fn sampled at the grid's nodes."""
+        return cls(grid, np.asarray(fn(grid.nodes()), dtype=float))
 
 
 class FracOrder(Record):
@@ -145,9 +130,9 @@ class FracOrder(Record):
 # best of 5): 256 terms 21 vs 24 us, 512 39 vs 36 us, 1000 171 vs 87 us,
 # 1024 136 vs 53 us, 2000 597 vs 153 us, 5000 4.3 ms vs 0.35 ms, 5e4 586 ms
 # vs 8.8 ms.  The two break even near 500; the crossover sits just above
-# 1000 so that grids of up to 1001 nodes (the CLI's suites on 501 nodes and
-# their one refinement) keep the direct sum's exact rounding, at a cost of
-# at most about 80 us per call between 500 and 1024 terms.
+# 1000 so that grids of up to 1001 nodes (the CLI's suites run on 501) keep
+# the direct sum's exact rounding, at a cost of at most about 80 us per call
+# between 500 and 1024 terms.
 _FFT_MIN_TERMS = 1024
 
 
@@ -176,8 +161,13 @@ def _positive_order(mu, name: str) -> float:
 
 
 def _power_steps(p: float, n_steps: int) -> np.ndarray:
-    """[0, 1^p - 0^p, ..., n_steps^p - (n_steps - 1)^p] for checked arguments."""
+    """[0, 1^p - 0^p, ..., n_steps^p - (n_steps - 1)^p] for checked arguments.
+
+    0^p is taken as 0 also at p = 0, the limit from p > 0, so that p = 0
+    gives [0, 1, 0, ..., 0].
+    """
     w = np.arange(n_steps + 1, dtype=float) ** p
+    w[0] = 0.0
     out = np.empty_like(w)
     out[0] = 0.0
     out[1:] = w[1:] - w[:-1]
@@ -258,8 +248,8 @@ def l1_weights(alpha: float, n_steps: int) -> np.ndarray:
     """L1 kernel W[m] = m^(1-alpha) - (m-1)^(1-alpha) for m = 1..n_steps.
 
     Entry 0 is unused (set to 0); scale sums by h^(-alpha) / Gamma(2 - alpha).
-    alpha must be in (0, 1] and n_steps an integer >= 0 (DomainError
-    otherwise).
+    At alpha = 1 it is the limit [0, 1, 0, ..., 0].  alpha must be in (0, 1]
+    and n_steps an integer >= 0 (DomainError otherwise).
     """
     alpha = real(alpha, "L1 order")
     if not 0.0 < alpha <= 1.0:
@@ -270,29 +260,17 @@ def l1_weights(alpha: float, n_steps: int) -> np.ndarray:
 def caputo_l1(f: SampleSeries, order: FracOrder) -> SampleSeries:
     """Caputo fractional derivative of f on its grid.
 
-    For alpha < 1 this is the L1 discretization (node 0 defined as 0); at
-    alpha = 1 exactly it returns centered differences at interior nodes and
-    one-sided second-order differences at the two ends.  The L1 history sum
-    has n terms for n steps; `_lag_sum` takes it by FFT in O(n log n) from
-    `_FFT_MIN_TERMS` terms on (1024 steps) and directly in O(n^2) below.
+    This is the L1 discretization for every alpha in (0, 1], node 0 defined
+    as 0; at alpha = 1 it is the backward difference, so the result is
+    continuous in alpha.  The L1 history sum has n terms for n steps;
+    `_lag_sum` takes it by FFT in O(n log n) from `_FFT_MIN_TERMS` terms on
+    (1024 steps) and directly in O(n^2) below.
     """
     grid = f.grid
     n = grid.n_steps
-    vals = f.values
     alpha = order.alpha
-    if alpha == 1.0:
-        out = np.empty(n + 1)
-        h = grid.h
-        if n == 1:
-            out[0] = (vals[1] - vals[0]) / h
-            out[1] = out[0]
-        else:
-            out[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
-            out[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
-            out[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
-        return SampleSeries(grid, out)
     w = l1_weights(alpha, n)
-    d = np.diff(vals)
+    d = np.diff(f.values)
     scale = grid.h ** (-alpha) / gamma(2.0 - alpha)
     out = np.zeros(n + 1)
     out[1:] = scale * _lag_sum(w[1:], d, n)

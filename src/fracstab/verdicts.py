@@ -1,10 +1,10 @@
 """The verdict policy the verifiers share, and the envelope it may sample.
 
-`_judge` applies one tolerance-and-refinement rule and builds the
-`IneqReport`; `make_report` is its entry for checks that compare an LHS
-with an RHS.  The inequality suites (`inequalities`) and all four Lyapunov
-certificates (`stability`, the exact ones at scale 0) judge through it;
-only nr4's identity residual keeps its own rounding-level rule.
+`_judge` applies one tolerance rule to arrays computed on one grid and
+builds the `IneqReport`; `make_report` is its entry for checks that compare
+an LHS with an RHS.  The inequality suites (`inequalities`) and all four
+Lyapunov certificates (`stability`, the exact ones at scale 0) judge
+through it; only nr4's identity residual keeps its own rounding-level rule.
 `EnvelopeSpec` is a monotone multiplier phi(t), checked for its declared
 shape on the grid it is sampled on.
 """
@@ -12,7 +12,6 @@ shape on the grid it is sampled on.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -62,9 +61,11 @@ class IneqReport(Record):
     """Outcome of one inequality check.
 
     slack holds RHS - LHS per node (oriented so that >= 0 means the
-    inequality holds); the verdict applies the refinement rule: a violation
-    above tol passes only if halving the grid shrinks it by at least 1.5x
-    and brings it under the halved grid's own tolerance.
+    inequality holds); the verdict is max_violation <= tol.  The one
+    exception is the dissipation check, which refines: its violation above
+    tol passes if the re-solve at half the step shrinks it at least 1.5x and
+    passes its own check; refinement_ratio is that shrink factor, NaN where
+    no re-solve ran.
     """
 
     _fields = ("name", "slack", "lhs", "rhs", "max_violation", "tol", "refinement_ratio", "verdict")
@@ -91,36 +92,21 @@ class IneqReport(Record):
 
 
 def _judge(
-    name: str, grid: TimeGrid, measure: Callable, refinable: bool, skip_nodes: int = 0
+    name: str, grid: TimeGrid, lhs: np.ndarray, rhs: np.ndarray, slack: np.ndarray, scale: float,
+    skip_nodes: int = 0,
 ) -> IneqReport:
-    """The tolerance-and-refinement policy of every verifier; builds its report.
+    """The tolerance policy of every verifier; builds its report on grid.
 
-    measure(grid) -> (lhs, rhs, slack, scale).  The violation is the worst
-    negative slack, max(0, -min(slack)), over the nodes from skip_nodes on
-    (the slack series still reports the skipped ones).  It passes if it is
-    within tol = 10 * h * scale (so scale 0 makes the check exact); above
-    tol it passes only if the grid is refinable and halving it shrinks the
-    violation by at least 1.5x and brings it under the halved grid's own
-    tolerance.  The report holds the data of `grid`; its ratio is NaN unless
-    the grid was halved.  The tolerance is first order in h for every order
-    alpha in (0, 1].
+    The violation is the worst negative slack, max(0, -min(slack)), over the
+    nodes from skip_nodes on (the slack series still reports the skipped
+    ones).  It passes if it is within tol = 10 * h * scale, so scale 0 makes
+    the check exact.  The ratio is NaN: only the dissipation check
+    (`stability`) refines.  The tolerance is first order in h for every
+    order alpha in (0, 1].
     """
-
-    def violation(slack: np.ndarray) -> float:
-        judged = slack[skip_nodes:]
-        return max(0.0, -float(np.min(judged))) if judged.size else 0.0
-
-    lhs, rhs, slack, scale = measure(grid)
-    viol = violation(slack)
+    judged = slack[skip_nodes:]
+    viol = max(0.0, -float(np.min(judged))) if judged.size else 0.0
     tol = 10.0 * grid.h * scale
-    ratio = math.nan
-    verdict = viol <= tol
-    if not verdict and refinable:
-        half = grid.halved()
-        _, _, slack2, scale2 = measure(half)
-        viol2 = violation(slack2)
-        ratio = math.inf if viol2 == 0.0 else viol / viol2
-        verdict = ratio >= 1.5 and viol2 <= 10.0 * half.h * scale2
     return IneqReport(
         name=name,
         slack=SampleSeries(grid, slack),
@@ -128,31 +114,20 @@ def _judge(
         rhs=rhs,
         max_violation=viol,
         tol=tol,
-        refinement_ratio=ratio,
-        verdict=verdict,
+        refinement_ratio=math.nan,
+        verdict=viol <= tol,
     )
 
 
 def make_report(
-    name: str,
-    grid: TimeGrid,
-    compute: Callable[[TimeGrid], tuple[np.ndarray, np.ndarray]],
-    refinable: bool,
-    direction: int = 1,
-    skip_nodes: int = 0,
+    name: str, grid: TimeGrid, lhs: np.ndarray, rhs: np.ndarray, direction: int = 1, skip_nodes: int = 0
 ) -> IneqReport:
-    """Evaluate compute(grid) -> (lhs, rhs), apply the tolerance/refinement policy.
+    """Judge lhs against rhs on grid under the tolerance policy of `_judge`.
 
     direction +1 checks LHS <= RHS, -1 checks LHS >= RHS.  skip_nodes
     excludes leading nodes from the verdict (the slack series still reports
     them); used where the operator's node-0 convention makes the comparison
-    vacuous.  The tolerance scale is the largest |RHS|; the tolerance
-    10 * h * scale is the same for every order.
+    vacuous.  The tolerance scale is the largest |RHS|.
     """
-
-    def measure(g: TimeGrid):
-        lhs, rhs = compute(g)
-        scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
-        return lhs, rhs, direction * (rhs - lhs), scale
-
-    return _judge(name, grid, measure, refinable, skip_nodes)
+    scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
+    return _judge(name, grid, lhs, rhs, direction * (rhs - lhs), scale, skip_nodes)

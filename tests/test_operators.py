@@ -61,8 +61,6 @@ def test_sampleseries_validation():
     s = SampleSeries(g, [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ValueError):
         s.values[0] = 9.0  # frozen buffer
-    with pytest.raises(ShapeError):
-        s.resampled(g.halved())  # no source attached
 
 
 def test_fracorder_validation():
@@ -151,19 +149,32 @@ def test_caputo_linear_function():
 
 
 def test_caputo_alpha_one_quadratic():
-    g, f = grid_series(lambda t: t * t)
-    out = caputo_l1(f, FracOrder(1.0))
-    t = g.nodes()
-    assert np.max(np.abs(out.values[1:-1] - 2.0 * t[1:-1])) < 1e-8
-    # second-order one-sided ends are exact for quadratics up to rounding
-    assert abs(out.values[0]) < 1e-10
-    assert abs(out.values[-1] - 2.0 * t[-1]) < 1e-9
+    # L1 at alpha = 1 is its own limit: (f_k - f_{k-1}) / h, node 0 defined as 0;
+    # for t^2 that is t_k + t_{k-1}
+    for n in (2, 1000, 1500):  # 1500 steps sum by FFT
+        g, f = grid_series(lambda t: t * t, n=n)
+        out = caputo_l1(f, FracOrder(1.0)).values
+        t = g.nodes()
+        backward = np.diff(f.values) / g.h
+        assert out[0] == 0.0
+        assert np.max(np.abs(out[1:] - backward)) <= 8 * np.spacing(np.max(np.abs(backward)))
+        assert np.max(np.abs(out[1:] - (t[1:] + t[:-1]))) < 1e-9
+    # a non-polynomial function takes the same backward difference
+    g, f = grid_series(lambda t: np.sin(3 * t) + t * t, n=1500)
+    backward = np.diff(f.values) / g.h
+    out = caputo_l1(f, FracOrder(1.0)).values
+    assert np.max(np.abs(out[1:] - backward)) <= 8 * np.spacing(np.max(np.abs(backward)))
+    # continuous in alpha: on the grid of the near-one test below
+    g = TimeGrid(0.0, 1e-3, 2000)
+    f = SampleSeries.from_function(g, lambda t: np.sin(t) + 0.5 * t**2)
+    near = caputo_l1(f, FracOrder(1.0 - 1e-6)).values
+    assert np.max(np.abs(near - caputo_l1(f, FracOrder(1.0)).values)) < 1e-5
 
 
 def test_caputo_alpha_one_on_a_one_step_grid():
-    # no interior node: both ends take the one forward difference
+    # one step: node 0 is 0 and node 1 takes the one backward difference
     f = SampleSeries(TimeGrid(0.0, 0.5, 1), np.array([1.0, 2.0]))
-    assert caputo_l1(f, FracOrder(1.0)).values.tolist() == [2.0, 2.0]
+    assert caputo_l1(f, FracOrder(1.0)).values.tolist() == [0.0, 2.0]
 
 
 def test_caputo_convergence_order():
@@ -219,8 +230,8 @@ def test_caputo_alpha_near_one_consistency():
     f = SampleSeries.from_function(g, lambda t: np.sin(t) + 0.5 * t**2)
     near = caputo_l1(f, FracOrder(1.0 - 1e-6)).values
     exact = caputo_l1(f, FracOrder(1.0)).values
-    # the L1 limit is a backward difference (agreement is O(h|f''|));
-    # node 0 differs by convention (0 vs the one-sided derivative)
+    # both are L1 sums, whose limit at alpha = 1 is the backward difference;
+    # node 0 is 0 in both
     assert np.max(np.abs(near[1:] - exact[1:])) < 1e-3
 
 
@@ -273,6 +284,13 @@ def test_weight_accessors():
     a0, body = rl_weights(1.0, 10)
     assert a0[1] == 1.0
     assert np.all(body[1:] == 2.0)
+
+
+def test_l1_weights_at_alpha_one_are_their_limit():
+    # m^0 - (m-1)^0 with 0^0 taken as the limit 0 of 0^p, p -> 0+
+    w = l1_weights(1.0, 4)
+    assert w.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
+    assert np.max(np.abs(w - l1_weights(1.0 - 1e-9, 4))) < 1e-6
 
 
 def _rl_weights_by_index(mu, n_steps):

@@ -44,8 +44,8 @@ RECORDS = {
     Call: (Call("sin", (Var("t"),)), [("name", _NO_DEFAULT), ("args", _NO_DEFAULT)], ("name", "args")),
     TimeGrid: (_GRID, [("t0", _NO_DEFAULT), ("h", _NO_DEFAULT), ("n_steps", _NO_DEFAULT)], ("t0", "h", "n_steps")),
     SampleSeries: (
-        SampleSeries(_GRID, [4.0, 3.0, 2.0, 1.0, 0.0], source=np.flip),
-        [("grid", _NO_DEFAULT), ("values", _NO_DEFAULT), ("source", None)],
+        SampleSeries(_GRID, [4.0, 3.0, 2.0, 1.0, 0.0]),
+        [("grid", _NO_DEFAULT), ("values", _NO_DEFAULT)],
         ("grid", "values"),
     ),
     FracOrder: (FracOrder(0.5), [("alpha", _NO_DEFAULT)], ("alpha",)),

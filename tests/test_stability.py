@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+
+from fracstab import stability
 
 from fracstab.errors import DomainError, EvalError, RangeError
 from fracstab.expressions import parse
@@ -9,9 +12,11 @@ from fracstab.operators import SampleSeries, TimeGrid, caputo_l1
 from fracstab.presets import get_preset, run_preset
 from fracstab.reporting import stability_summary_text
 from fracstab.solver import SystemDef, Trajectory, solve
+from fracstab.verdicts import make_report
 from fracstab.stability import (
     LyapunovCandidate,
     StabilityReport,
+    _refined,
     check_dissipation,
     check_local_ball,
     check_ml_envelope,
@@ -177,6 +182,65 @@ def test_dissipation_example2_all_orders(alpha):
     v = LyapunovCandidate("x1^6 + exp(-t/2)*x1^6", dissipation_rate="12*r^8")
     rep = check_dissipation(v, traj)
     assert rep.verdict, (alpha, rep.max_violation, rep.tol)
+
+
+@pytest.mark.parametrize(
+    "rate, verdict, solves, ratio",
+    [
+        ("4*r^2", True, [], None),  # within tol: no re-solve
+        ("6*r^2", False, [0.005], 0.9611483228714589),  # fails after one re-solve
+    ],
+)
+def test_dissipation_resolves_at_half_the_step(rate, verdict, solves, ratio):
+    # example 1's system and candidate on [0, 5] at h = 0.01
+    preset = get_preset("example1")
+    traj = solve(preset.system, TimeGrid.between(0.0, 5.0, 0.01))
+    V = LyapunovCandidate(preset.candidate.expression, dissipation_rate=rate)
+    steps = []
+
+    def counted_solve(system, grid):
+        steps.append(grid.h)
+        return solve(system, grid)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stability, "solve", counted_solve)
+        rep = check_dissipation(V, traj)
+    assert rep.verdict is verdict
+    assert steps == solves
+    assert rep.slack.grid == traj.grid  # the report holds the own grid's data
+    if ratio is None:
+        assert rep.max_violation <= rep.tol and math.isnan(rep.refinement_ratio)
+    else:
+        assert rep.max_violation > rep.tol and rep.refinement_ratio == ratio
+
+
+def _synthetic(grid, violation, scale):
+    """make_report on rhs = scale everywhere and lhs above it by violation at the last node."""
+    rhs = np.full(grid.n_nodes, scale)
+    lhs = rhs.copy()
+    lhs[-1] += violation
+    return make_report("synthetic", grid, lhs, rhs)
+
+
+# on h = 0.01 the tolerance is 10 * h * scale = 0.1 at scale 1, so a
+# violation of 0.12 or 0.2 fails there; the halved grid's is 0.05 * scale
+@pytest.mark.parametrize(
+    "violation, half_violation, half_scale, verdict, ratio",
+    [
+        (0.2, 0.025, 1.0, True, 8.0),  # shrinks 8x to 0.025 <= tol2 = 0.05
+        (0.2, 0.0, 1.0, True, math.inf),  # vanishes on the halved grid
+        (0.12, 0.1, 4.0, False, 1.2),  # shrinks only 1.2x although 0.1 <= tol2 = 0.2
+        (0.2, 0.1, 1.0, False, 2.0),  # shrinks 2x but stays above tol2 = 0.05
+    ],
+)
+def test_refinement_rule(violation, half_violation, half_scale, verdict, ratio):
+    grid = TimeGrid(0.0, 0.01, 500)
+    report = _synthetic(grid, violation, 1.0)
+    assert not report.verdict
+    r = _refined(report, _synthetic(grid.halved(), half_violation, half_scale))
+    assert r.verdict is verdict
+    assert r.refinement_ratio == pytest.approx(ratio, rel=1e-9)
+    assert (r.name, r.slack, r.max_violation, r.tol) == (report.name, report.slack, report.max_violation, report.tol)
 
 
 def test_composite_derivative_consistency(example1_run):
