@@ -174,10 +174,12 @@ def main(argv=None) -> int:
         if args.command == "plotscript":
             return cmd_plotscript(args.csv, args.out)
         config = load_config(Path(args.config))
-        if args.command == "simulate":
-            return cmd_simulate(config, args.out)
         if args.command == "check":
             return cmd_check(config, args.out)
+        if config.system is None:  # only `check` runs a config that names no system key
+            raise ConfigError("missing key 'dim'")
+        if args.command == "simulate":
+            return cmd_simulate(config, args.out)
         if args.command == "convergence":
             return cmd_convergence(config, args.out)
     except (OSError, UnicodeDecodeError) as exc:  # the latter: an input file that is not text

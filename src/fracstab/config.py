@@ -3,13 +3,14 @@
 Lists are bracketed and comma-separated, expressions are quoted strings,
 `#` starts a comment.  A `preset` line starts from the keys of one of the
 built-in examples (`presets.PRESET_KEYS`); explicit keys then override
-them.  Sizes are bounded before anything is allocated by them: see
-MAX_NODES and MAX_INSTANCES.
+them.  A config that names no system key (preset, order, dim, x0, rhs<i>,
+t0, t_end, h) resolves to no system and no grid: `check` runs it,
+`simulate` and `convergence` refuse it.  Sizes are bounded before anything is allocated
+by them: see MAX_NODES and MAX_INSTANCES.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .solver import SystemDef, finest_steps
 
 __all__ = ["RunConfig", "parse_config", "load_config", "MAX_NODES", "MAX_INSTANCES"]
 
+_SYSTEM_KEYS = {"preset", "order", "dim", "x0", "t0", "t_end", "h"}
 _SCALAR_KEYS = {"preset", "order", "dim", "t0", "t_end", "h", "output", "seed"}
 _LIST_KEYS = {"x0", "checks", "h_list"}
 _DEFAULT_CHECK_COUNT = 100
@@ -44,14 +46,14 @@ def __getattr__(name: str):
 
 
 class RunConfig(Record):
-    """Fully resolved run request."""
+    """Fully resolved run request; system and grid are None if it names no system key."""
 
     _fields = ("system", "grid", "checks", "output", "seed", "h_list")
 
     def __init__(
         self,
-        system: SystemDef,
-        grid: TimeGrid,
+        system: SystemDef | None,
+        grid: TimeGrid | None,
         checks: tuple[tuple[str, int], ...] = (),
         output: str | None = None,
         seed: int = 0,
@@ -114,9 +116,52 @@ def _at_line(lines: dict[str, int], key: str | None = None):
         raise ConfigError(str(exc), lines.get(key or str(exc).split()[0])) from exc
 
 
-def _real(settings: dict, key: str, lines: dict[str, int]) -> float:
-    with _at_line(lines, key):
-        return real(settings[key], key)
+def _system_and_grid(values: dict, rhs_lines: dict[int, str], lines: dict[str, int]):
+    """The SystemDef and run TimeGrid of a config that names a system key."""
+    preset_name = values.get("preset")
+    if preset_name is not None:
+        if preset_name not in PRESET_NAMES:
+            raise ConfigError(f"unknown preset {preset_name!r}", lines["preset"])
+        settings = dict(PRESET_KEYS[preset_name])
+    else:
+        for key in ("dim", "order", "x0", "t_end", "h"):
+            if key not in values:
+                raise ConfigError(f"missing key {key!r}")
+        settings = {"t0": 0.0, "rhs": ()}
+    settings.update(values)
+
+    with _at_line(lines, "dim"):
+        dim = count(settings["dim"], "dim", 1)
+    with _at_line(lines, "order"):
+        order = FracOrder(settings["order"])
+    with _at_line(lines):  # real's messages begin with the key
+        t0, t_end, h = (real(settings[key], key) for key in ("t0", "t_end", "h"))
+    x0 = settings["x0"]
+
+    if not isinstance(x0, list) or any(isinstance(v, list) for v in x0):
+        raise ConfigError("x0 must be a bracketed list of numbers", lines.get("x0"))
+    if len(x0) != dim:
+        raise ConfigError(f"dimension mismatch: dim = {dim} but x0 has {len(x0)} entries")
+    for idx in rhs_lines:
+        if idx > dim:
+            raise ConfigError(f"dimension mismatch: rhs{idx} present with dim = {dim}")
+    rhs_texts = dict(enumerate(settings["rhs"], start=1)) | rhs_lines
+    rhs = []
+    for i in range(1, dim + 1):
+        if i not in rhs_texts:
+            raise ConfigError(f"missing key 'rhs{i}'")
+        with _at_line(lines, f"rhs{i}"):
+            rhs.append(parse(rhs_texts[i]))
+
+    try:
+        grid = TimeGrid.between(t0, t_end, h)
+    except DomainError as exc:  # h's own bound names h's line; t_end against t0 and h names none
+        raise ConfigError(str(exc), lines.get("h") if h <= 0 else None) from None
+    if grid.n_nodes > MAX_NODES:
+        raise ConfigError(f"grid has {grid.n_nodes} nodes; the limit is {MAX_NODES}")
+
+    with _at_line(lines):  # SystemDef's messages begin with x0 or rhs<i>
+        return SystemDef(dim, order, tuple(rhs), x0), grid
 
 
 def parse_config(text: str) -> RunConfig:
@@ -156,57 +201,8 @@ def parse_config(text: str) -> RunConfig:
         values[key] = value
         lines[key] = lineno
 
-    preset_name = values.get("preset")
-    if preset_name is not None:
-        if preset_name not in PRESET_NAMES:
-            raise ConfigError(f"unknown preset {preset_name!r}", lines["preset"])
-        settings = dict(PRESET_KEYS[preset_name])
-    else:
-        for key in ("dim", "order", "x0", "t_end", "h"):
-            if key not in values:
-                raise ConfigError(f"missing key {key!r}")
-        settings = {"t0": 0.0, "rhs": ()}
-    settings.update(values)
-
-    with _at_line(lines, "dim"):
-        dim = count(settings["dim"], "dim", 1)
-    with _at_line(lines, "order"):
-        order = FracOrder(settings["order"])
-    t0, t_end, h = (_real(settings, key, lines) for key in ("t0", "t_end", "h"))
-    x0 = settings["x0"]
-
-    if not isinstance(x0, list) or any(isinstance(v, list) for v in x0):
-        raise ConfigError("x0 must be a bracketed list of numbers", lines.get("x0"))
-    if len(x0) != dim:
-        raise ConfigError(f"dimension mismatch: dim = {dim} but x0 has {len(x0)} entries")
-    for idx in rhs_lines:
-        if idx > dim:
-            raise ConfigError(f"dimension mismatch: rhs{idx} present with dim = {dim}")
-    rhs_texts = dict(enumerate(settings["rhs"], start=1)) | rhs_lines
-    rhs = []
-    for i in range(1, dim + 1):
-        if i not in rhs_texts:
-            raise ConfigError(f"missing key 'rhs{i}'")
-        with _at_line(lines, f"rhs{i}"):
-            rhs.append(parse(rhs_texts[i]))
-
-    if h <= 0:
-        raise ConfigError(f"h must be > 0, got {h}", lines.get("h"))
-    if t_end <= t0:
-        raise ConfigError(f"t_end must exceed t0, got t_end={t_end}, t0={t0}")
-    steps = (t_end - t0) / h
-    if not math.isfinite(steps):
-        raise ConfigError(f"(t_end - t0) / h is not finite: {t_end - t0} / {h}")
-    n_steps = round(steps)
-    if n_steps + 1 > MAX_NODES:
-        raise ConfigError(f"grid has {n_steps + 1} nodes; the limit is {MAX_NODES}")
-    try:
-        grid = TimeGrid.between(t0, t_end, h)
-    except DomainError as exc:  # between t0, t_end and h: no one line to name
-        raise ConfigError(str(exc)) from None
-
-    with _at_line(lines):  # SystemDef's messages begin with x0 or rhs<i>
-        system = SystemDef(dim, order, tuple(rhs), x0)
+    names_system = rhs_lines or values.keys() & _SYSTEM_KEYS
+    system, grid = _system_and_grid(values, rhs_lines, lines) if names_system else (None, None)
 
     checks_raw = values.get("checks", [])
     if not isinstance(checks_raw, list):
@@ -235,9 +231,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("h_list must be a bracketed list", lines["h_list"])
     with _at_line(lines, "h_list"):
         h_list = tuple(real(v, "h_list") for v in h_list)
-    if h_list:
-        if not all(h > 0 for h in h_list):
-            raise ConfigError(f"h_list steps must be > 0, got {list(h_list)}", lines["h_list"])
+    if h_list and not all(h > 0 for h in h_list):
+        raise ConfigError(f"h_list steps must be > 0, got {list(h_list)}", lines["h_list"])
+    if h_list and grid is not None:  # without a grid the study has no span; `convergence` refuses it
         nodes = finest_steps(grid.t_end - grid.t0, h_list) + 1
         if nodes > MAX_NODES:
             raise ConfigError(

@@ -1,16 +1,14 @@
 """Built-in example systems with their Lyapunov candidates and run defaults.
 
 Three nonautonomous systems are bundled: a linear 2-D system with a 1/(1+t)
-coupling (order 0.9, started at (-10, 10)), a scalar cubic equation with an
-exponentially growing damping term (order 0.8, started at 0.1), and a 2-D
-system with trigonometric quadratic terms analysed locally inside the unit
-ball (order 0.85, started at (-0.2, 0.3)).  Horizons and steps are frozen
-here; they are chosen so the decay is visible and a run stays under a
-second.
+coupling, a scalar cubic equation with an exponentially growing damping
+term, and a 2-D system with trigonometric quadratic terms analysed locally
+inside the unit ball.  Horizons and steps are chosen so the decay is
+visible and a run stays under a second.
 
-Each example's system and grid are written once, as config keys in
-`PRESET_KEYS`; both a `preset = NAME` config line and `get_preset` start
-from them.
+Each example is written once, as data in `PRESET_KEYS`: its system and grid
+as config keys, which a `preset = NAME` config line and `get_preset` both
+start from, and its certificate, which `get_preset` builds.
 """
 
 from __future__ import annotations
@@ -30,23 +28,29 @@ if TYPE_CHECKING:
 # that builds candidates and runs checks, so a config that only names a
 # preset (`PRESET_KEYS`) does not load them.
 
-__all__ = ["ExamplePreset", "get_preset", "run_preset", "PRESET_KEYS", "PRESET_NAMES", "DEFAULT_EX3_PHI"]
+__all__ = ["ExamplePreset", "get_preset", "run_preset", "PRESET_KEYS", "PRESET_NAMES"]
 
-DEFAULT_EX3_PHI = "exp(-t)"
-
-# name -> the config keys of its system and run grid; rhs holds rhs1, rhs2, ...
+# name -> the config keys of its system and run grid (rhs holds rhs1, rhs2,
+# ...), then its certificate: V (a template over {phi} where it takes a
+# plug-in envelope, whose default is phi), any class-K bounds gamma1 <= V <=
+# gamma2, rate gamma3, and the numbers of its Mittag-Leffler envelope or ball check
 PRESET_KEYS = {
     "example1": {
         "order": 0.9, "dim": 2, "x0": [-10.0, 10.0], "t0": 0.0, "t_end": 50.0, "h": 0.01,
         "rhs": ("-x1 - x2/(1+t)", "x1 - x2"),
+        "V": "x1^2 + x2^2 + x2^2/(1+t)", "gamma1": "r^2", "gamma2": "2*r^2", "gamma3": "r^2",
+        "ml_rate": 0.5, "ml_amplification": 2.0,
     },
     "example2": {
         "order": 0.8, "dim": 1, "x0": [0.1], "t0": 0.0, "t_end": 20.0, "h": 0.01,
         "rhs": ("-x1^3 - exp(t/2)*x1^3",),
+        "V": "x1^6 + exp(-t/2)*x1^6", "gamma1": "r^6", "gamma2": "2*r^6", "gamma3": "12*r^8",
     },
     "example3": {
         "order": 0.85, "dim": 2, "x0": [-0.2, 0.3], "t0": 0.0, "t_end": 40.0, "h": 0.01,
         "rhs": ("-x1 - x2 + sin(t)*(x1^2 + x2^2)", "x1 - x2 + cos(t)*(x1^2 + x2^2)"),
+        # V works for any non-negative decreasing bounded phi, at rate (1 - ball_radius) r^2
+        "V": "(1 + ({phi}))*(x1^2 + x2^2)/2", "phi": "exp(-t)", "gamma3": "0.5*r^2", "ball_radius": 0.5,
     },
 }
 PRESET_NAMES = tuple(PRESET_KEYS)
@@ -64,48 +68,28 @@ class ExamplePreset:
 
 
 def get_preset(name: str, phi_text: str | None = None) -> ExamplePreset:
-    """Look up a preset; example3 accepts a plug-in envelope expression.
+    """The example `name` built from its `PRESET_KEYS`.
 
-    A phi_text given to any other example is a DomainError: only example3's
-    candidate reads it.
+    phi_text replaces the default plug-in envelope of an example whose V
+    takes one (example3), after a check that it is non-negative and
+    decreasing on the grid; given to any other example it is a
+    DomainError.
     """
-    from . import stability
+    from . import stability, verdicts
 
     if name not in PRESET_NAMES:
         raise DomainError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
     keys = PRESET_KEYS[name]
     system = SystemDef.from_strings(keys["dim"], keys["order"], keys["rhs"], keys["x0"])
     grid = TimeGrid.between(keys["t0"], keys["t_end"], keys["h"])
-    if phi_text is not None and name != "example3":
-        raise DomainError(f"phi is a plug-in envelope of example3 only, not of {name}")
-    if name == "example1":
-        candidate = stability.LyapunovCandidate(
-            expression=parse("x1^2 + x2^2 + x2^2/(1+t)"),
-            class_k_lower=parse("r^2"),
-            class_k_upper=parse("2*r^2"),
-            dissipation_rate=parse("r^2"),
-        )
-        return ExamplePreset(name, system, grid, candidate, ml_rate=0.5, ml_amplification=2.0)
-    if name == "example2":
-        candidate = stability.LyapunovCandidate(
-            expression=parse("x1^6 + exp(-t/2)*x1^6"),
-            class_k_lower=parse("r^6"),
-            class_k_upper=parse("2*r^6"),
-            dissipation_rate=parse("12*r^8"),
-        )
-        return ExamplePreset(name, system, grid, candidate)
-    from . import verdicts
-
-    phi_text = phi_text or DEFAULT_EX3_PHI
-    # the candidate works for any non-negative decreasing bounded phi; the
-    # envelope check below rejects a bad plug-in early
-    verdicts.EnvelopeSpec("nonneg_decreasing", parse(phi_text)).sample(grid)
-    ball_radius = 0.5
-    candidate = stability.LyapunovCandidate(
-        expression=parse(f"(1 + ({phi_text}))*(x1^2 + x2^2)/2"),
-        dissipation_rate=parse(f"{1.0 - ball_radius}*r^2"),
-    )
-    return ExamplePreset(name, system, grid, candidate, ball_radius=ball_radius)
+    if "phi" in keys:
+        phi_text = phi_text or keys["phi"]
+        verdicts.EnvelopeSpec("nonneg_decreasing", parse(phi_text)).sample(grid)
+    elif phi_text is not None:
+        takers = ", ".join(n for n in PRESET_NAMES if "phi" in PRESET_KEYS[n])
+        raise DomainError(f"phi is a plug-in envelope of {takers} only, not of {name}")
+    V = stability.LyapunovCandidate(keys["V"].format(phi=phi_text), *map(keys.get, ("gamma1", "gamma2", "gamma3")))
+    return ExamplePreset(name, system, grid, V, *map(keys.get, ("ml_rate", "ml_amplification", "ball_radius")))
 
 
 def run_preset(preset: ExamplePreset) -> tuple[Trajectory, StabilityReport]:

@@ -124,20 +124,32 @@ def evaluate_candidate(V: LyapunovCandidate, traj: Trajectory) -> SampleSeries:
     return SampleSeries(traj.grid, _candidate_values(V, traj))
 
 
-def _exact_report(name: str, traj: Trajectory, sides: Callable) -> IneqReport:
-    """sides(norms) -> (lhs, rhs, slack) on the trajectory's grid, judged at
-    scale 0 (tol 0) and not refined; norms holds |x| at each node.  RangeError,
-    not a numpy warning, names the first node where the norm, a side or the
-    slack leaves the double range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = traj.norms()
-        finite = np.isfinite(norms)
-        if finite.all():
-            lhs, rhs, slack = sides(norms)
-            finite = np.isfinite(lhs) & np.isfinite(rhs) & np.isfinite(slack)
+def _in_range(name: str, traj: Trajectory, *arrays: np.ndarray) -> None:
+    """RangeError naming the first node where one of the arrays is not finite."""
+    finite = np.logical_and.reduce([np.isfinite(a) for a in arrays])
     if not finite.all():
         j = int(np.argmin(finite))
         raise RangeError(f"{name} check leaves the double range at node {j} (t={traj.grid.nodes()[j]:.17g})")
+
+
+def _norms(name: str, traj: Trajectory) -> np.ndarray:
+    """|x| at each node, the one norm guard of all four checks: RangeError,
+    not a numpy warning, names the first node where it leaves the double range."""
+    with np.errstate(over="ignore"):
+        norms = traj.norms()
+    _in_range(name, traj, norms)
+    return norms
+
+
+def _exact_report(name: str, traj: Trajectory, sides: Callable) -> IneqReport:
+    """sides(norms) -> (lhs, rhs, slack) on the trajectory's grid, judged at
+    scale 0 (tol 0) and not refined.  RangeError, not a numpy warning, names
+    the first node where the norm (`_norms`), a side or the slack leaves the
+    double range."""
+    norms = _norms(name, traj)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs, rhs, slack = sides(norms)
+    _in_range(name, traj, lhs, rhs, slack)
     return _judge(name, traj.grid, lhs, rhs, slack, 0.0)
 
 
@@ -158,7 +170,7 @@ def check_sandwich(V: LyapunovCandidate, traj: Trajectory) -> IneqReport:
 
 def _dissipation_report(V: LyapunovCandidate, traj: Trajectory) -> IneqReport:
     lhs = caputo_l1(evaluate_candidate(V, traj), traj.system.order).values
-    norms = traj.norms()
+    norms = _norms("dissipation", traj)
     rhs = -sample_on(V.dissipation_rate, norms, r=norms)
     # node 0 is excluded: the discrete operator defines D[0] = 0 while the
     # exact derivative at t0+ lives in the singular t^alpha layer, so the

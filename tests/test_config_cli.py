@@ -236,16 +236,19 @@ def _cli_runs(draw):
 @example(("convergence", SMALL_SYSTEM + "h_list = [0.1, 0.05]\n"))
 @example(("convergence", "preset = example1\nt_end = 1\nh_list = [0.01, 0.0031]\n"))
 @example(("check", SMALL_SYSTEM + "checks = [nr1:2, two]\n"))
+@example(("check", "seed = 2\nchecks = [nr1:2]\n"))
+@example(("convergence", "h_list = [0.1, 0.05]\n"))
 def test_main_exits_0_to_4_without_traceback(tmp_path, capsys, run):
     command, text = run
     try:
         cfg = parse_config(text)
     except ConfigError:
         pass
-    else:  # keep the runs small
-        assume(cfg.grid.n_nodes <= _SMALL_RUN_NODES)
-        if cfg.h_list:
-            assume(finest_steps(cfg.grid.t_end - cfg.grid.t0, cfg.h_list) < _SMALL_RUN_NODES)
+    else:  # keep the runs small; a config that names no system has no grid to bound
+        if cfg.grid is not None:
+            assume(cfg.grid.n_nodes <= _SMALL_RUN_NODES)
+            if cfg.h_list:
+                assume(finest_steps(cfg.grid.t_end - cfg.grid.t0, cfg.h_list) < _SMALL_RUN_NODES)
         assume(all(count <= 3 for _, count in cfg.checks))
     path = tmp_path / "run.cfg"
     path.write_bytes(text.encode("utf-8", "surrogatepass"))
@@ -412,6 +415,56 @@ def test_check_command(tmp_path):
     assert summary[0] == "name,instances,passes,max_violation"
     assert summary[1].startswith("nr1,4,4,")
     assert (out / "nr1" / "instance_0000.csv").exists()
+
+
+CHECKS_ONLY = "seed = 3\nchecks = [nr1:4, nr4_identity:2, nr6:2]\n"
+
+
+def test_a_config_that_names_no_system_has_no_system_or_grid():
+    cfg = parse_config(CHECKS_ONLY)
+    assert (cfg.system, cfg.grid, cfg.seed) == (None, None, 3)
+    assert cfg.checks == (("nr1", 4), ("nr4_identity", 2), ("nr6", 2))
+    # h_list is still checked on its own; only its span needs a system
+    with pytest.raises(ConfigError, match="h_list steps must be > 0") as exc:
+        parse_config("h_list = [0.1, -0.05]\n")
+    assert exc.value.line == 1
+
+
+def test_check_runs_a_config_that_names_no_system(tmp_path):
+    # the suites draw on their own grid, so the files are those of the same
+    # config with a preset's system added
+    bare, with_preset = tmp_path / "bare", tmp_path / "preset"
+    preset_cfg = _write(tmp_path, "preset.cfg", "preset = example1\n" + CHECKS_ONLY)
+    assert main(["check", _write(tmp_path, "bare.cfg", CHECKS_ONLY), "--out", str(bare)]) == 0
+    assert main(["check", preset_cfg, "--out", str(with_preset)]) == 0
+    files = sorted(p.relative_to(bare) for p in bare.rglob("*"))
+    assert len(files) > 3
+    assert files == sorted(p.relative_to(with_preset) for p in with_preset.rglob("*"))
+    for name in files:
+        if (bare / name).is_file():
+            assert (bare / name).read_bytes() == (with_preset / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "convergence"])
+def test_simulate_and_convergence_refuse_a_config_that_names_no_system(tmp_path, capsys, command):
+    cfg = _write(tmp_path, "bare.cfg", CHECKS_ONLY + "h_list = [0.1, 0.05]\n")
+    assert main([command, cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "config error: missing key 'dim'\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [("t_end = 0\n", "t_end must exceed t0, got t_end=0.0, t0=0.0"),
+     ("t_end = 1e300\nh = 1e-300\n", "(t_end - t0) / h is not finite: 1e+300 / 1e-300")],
+)
+def test_a_span_error_names_no_line(tmp_path, capsys, lines, message):
+    text = "preset = example1\n" + lines
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.line is None
+    assert main(["simulate", _write(tmp_path, "span.cfg", text), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_check_unknown_name_exit_code(tmp_path):

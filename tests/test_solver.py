@@ -197,6 +197,11 @@ def test_convergence_study_refuses_steps_that_do_not_divide_the_span(h_list):
         convergence_study(linear_decay(0.5), 1.0, h_list)
 
 
+def test_convergence_study_refuses_a_span_that_ends_before_it_starts():
+    with pytest.raises(DomainError, match=r"^t_end must exceed t0, got t_end=0\.0, t0=1\.0$"):
+        convergence_study(linear_decay(0.5), 0.0, [0.1, 0.05], t0=1.0)
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
 def test_fitted_order_matches_the_order_against_the_mittag_leffler_oracle(alpha):
     # D^alpha x = -x, x(0) = 1 is E_alpha(-t^alpha); the oracle's order is

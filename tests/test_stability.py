@@ -145,6 +145,16 @@ def test_sandwich_on_an_overflowing_norm_raises_without_warning():
             check_sandwich(LyapunovCandidate("0*x1", "r^2", "r^2"), traj)
 
 
+def test_dissipation_on_an_overflowing_norm_raises_without_warning():
+    # the dissipation check reads |x| through the same guard as the other
+    # three: |x| = 1e200 at node 0 is named there, not as a BindError on t
+    traj = hand_trajectory([1e200, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match=r"dissipation check leaves the double range at node 0 \(t=0\)"):
+            check_dissipation(LyapunovCandidate("0*x1", dissipation_rate="r^2"), traj)
+
+
 def test_sandwich_needs_bounds(example2_run):
     traj, _ = example2_run
     with pytest.raises(DomainError):
@@ -361,6 +371,27 @@ def test_ball_radius_validation(example3_run):
 
 
 # --- preset plumbing ---------------------------------------------------------------------------
+
+
+# each example's certificate written out by hand, not read from PRESET_KEYS:
+# candidate, ml_rate, ml_amplification, ball_radius
+EXAMPLE_CERTIFICATES = {
+    "example1": (LyapunovCandidate("x1^2 + x2^2 + x2^2/(1+t)", "r^2", "2*r^2", "r^2"), 0.5, 2.0, None),
+    "example2": (LyapunovCandidate("x1^6 + exp(-t/2)*x1^6", "r^6", "2*r^6", "12*r^8"), None, None, None),
+    "example3": (LyapunovCandidate("(1 + exp(-t))*(x1^2 + x2^2)/2", dissipation_rate="0.5*r^2"), None, None, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_CERTIFICATES))
+def test_each_preset_carries_its_examples_certificate(name):
+    preset = get_preset(name)
+    assert (preset.candidate, preset.ml_rate, preset.ml_amplification, preset.ball_radius) == EXAMPLE_CERTIFICATES[name]
+
+
+def test_example3_candidate_takes_the_plug_in_envelope():
+    preset = get_preset("example3", phi_text="1/(1+t)")
+    assert preset.candidate == LyapunovCandidate("(1 + 1/(1+t))*(x1^2 + x2^2)/2", dissipation_rate="0.5*r^2")
+    assert (preset.ml_rate, preset.ml_amplification, preset.ball_radius) == (None, None, 0.5)
 
 
 def test_example3_custom_phi():
