@@ -2,7 +2,8 @@
 
 Evaluates the two scalar special functions the rest of the toolkit is built
 on and prints a small table of decay profiles E_alpha(-t^alpha), the shape
-that governs solutions of linear fractional systems.
+that governs solutions of linear fractional systems, then two values at
+large beta far down the negative axis.
 """
 
 import math
@@ -33,3 +34,7 @@ for t in ts:
 
 print("\nAt large t the fractional profiles decay algebraically (~t^-alpha),")
 print("which is why fractional systems lose energy much slower than classical ones.")
+
+print("\nLarge beta on the negative axis, by the upward recurrence in beta:")
+for alpha, beta, z in ((0.5, 20.0, -30.0), (1.0, 40.0, -1e10)):
+    print(f"  E_{{{alpha:g},{beta:g}}}({z:g}) = {mittag_leffler(MLParams(alpha, beta), z):.12g}")

@@ -64,16 +64,18 @@ class TimeGrid(Record):
     def between(cls, t0: float, t_end: float, h: float, name: str = "h") -> "TimeGrid":
         """The grid from t0 to t_end > t0 at step h, which must divide t_end - t0.
 
-        It has round((t_end - t0) / h) steps, a finite number that must be at
-        least one and land on t_end to within 1e-9 max(1, |t_end|); otherwise
-        DomainError, which calls the step `name`.
+        It has round((t_end - t0) / h) steps, a number that must be at least
+        one and at most _MAX_STEPS and land on t_end to within
+        1e-9 max(1, |t_end|); otherwise DomainError, which calls the step
+        `name`.
         """
         t0, t_end, h = real(t0, "t0"), real(t_end, "t_end"), _positive_order(h, name)
         if t_end <= t0:
             raise DomainError(f"t_end must exceed t0, got t_end={t_end}, t0={t0}")
         steps = (t_end - t0) / h
-        if not math.isfinite(steps):
-            raise DomainError(f"(t_end - t0) / {name} is not finite: {t_end - t0} / {h}")
+        if not steps <= _MAX_STEPS:
+            size = "is not finite" if math.isinf(steps) else f"exceeds {_MAX_STEPS} steps"
+            raise DomainError(f"(t_end - t0) / {name} {size}: {t_end - t0} / {h}")
         n_steps = round(steps)
         if n_steps < 1 or abs(t0 + n_steps * h - t_end) > 1e-9 * max(1.0, abs(t_end)):
             raise DomainError(f"(t_end - t0) must be a multiple of {name}, got {t_end - t0} / {h}")

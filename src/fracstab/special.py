@@ -2,12 +2,12 @@
 
 Mittag-Leffler evaluation is one chain of branches, tried in order for
 every argument until one certifies its result: the power series, which
-tracks its own cancellation budget; closed forms at alpha = 1 with integer
-beta; on the negative axis an inverse-Laplace quadrature on Garrappa's
-optimal parabolic contour that certifies its own error bound; and last a
-slow high-precision evaluation (mpmath).  On the negative axis the series
-stops as soon as a bound on the function proves that its cancellation test
-will fail.  mittag_leffler_many shares the work that depends on
+tracks its own cancellation budget; on the negative axis the upward
+recurrence in beta and an inverse-Laplace quadrature on Garrappa's optimal
+parabolic contour, each with its own error bound; and last a slow
+high-precision evaluation (mpmath).  On the negative axis the series stops
+as soon as a bound on the function proves that its cancellation test will
+fail.  mittag_leffler_many shares the work that depends on
 (alpha, beta) only among the points of one call; nothing is cached across
 calls, so a cold process pays the same per call as a warm one.
 """
@@ -40,6 +40,7 @@ ML_Z_MAX = 5.0
 _BRANCH_TARGET = 1e-10
 
 _EPS = 2.220446049250313e-16
+_TINY = 2.2250738585072014e-308  # smallest normal double
 _LOG_EPS = math.log(_EPS)
 _LOG_BRANCH_TARGET = math.log(_BRANCH_TARGET)
 
@@ -54,6 +55,9 @@ _LOG_BRANCH_TARGET = math.log(_BRANCH_TARGET)
 _LOG_CONTOUR_TARGET = math.log(1e-15)
 _CONTOUR_MAX_NODES = 200
 _CONTOUR_DISC_FACTOR = 100.0
+
+# Most steps of the recurrence in beta: b0 > 2 to b ~ 171 for alpha >= 0.0425
+_CLIMB_MAX_STEPS = 4000
 
 
 def _sinpi(x: float) -> float:
@@ -275,46 +279,11 @@ def _ml_bigfloat(alpha: float, beta: float, z: float) -> float:
         return float(total)
 
 
-def _ml_alpha_one(beta: float, z: float):
-    """Closed forms at alpha = 1 for integer beta.
-
-    Returns (value, estimated_relative_error), or None if beta is not an
-    integer, or the head needs a factorial past the double range (beta > 172),
-    or the form leaves the double range.
-    """
-    if beta != math.floor(beta) or beta > 172.0:
-        return None
-    m = int(beta)
-    if m == 1:
-        return math.exp(z), _EPS
-    # E_{1,m}(z) = (e^z - sum_{k<m-1} z^k/k!) / z^{m-1} cancels where the
-    # head nearly equals e^z (moderate |z|, large m); as for the series, the
-    # estimate weighs the rounding of every term, sum|terms|, against the
-    # difference left
-    exp_z = math.exp(z)
-    head = 0.0
-    abs_sum = exp_z
-    zk = 1.0
-    for k in range(m - 1):
-        term = zk / math.factorial(k)
-        head += term
-        abs_sum += abs(term)
-        zk *= z
-    diff = exp_z - head
-    if diff == 0.0 or not math.isfinite(abs_sum):
-        return None
-    try:
-        value = diff / z ** (m - 1)
-    except (OverflowError, ZeroDivisionError):
-        return None
-    return value, (0.5 * (m - 1) + 10.0) * _EPS * abs_sum / abs(diff)
-
-
 class _MLTable:
     """The z-independent work of E_{alpha,beta} for one call.
 
     Holds 1/Gamma(alpha k + beta) for the series, extended on demand, and
-    the double-precision contour's node factors, built on first use.  A
+    the recurrence's and the contour's tables, built on first use.  A
     table lives for one mittag_leffler / mittag_leffler_many call and is
     dropped when it returns: nothing is cached across calls.  Every value
     is computed by the same operations in the same order as for a single
@@ -336,6 +305,7 @@ class _MLTable:
         self.nodes = None  # _contour_nodes, [] when no contour exists
         self.scale = 0.0  # h / (2 pi)
         self.err_scale = 0.0  # certificate's absolute error per sum|terms|
+        self.climb = None  # _climb(), () when there is no recurrence
 
     def series(self, z: float):
         """Compensated Taylor sum of z^k / Gamma(alpha k + beta).
@@ -420,28 +390,62 @@ class _MLTable:
             return None
         return value, self.err_scale * abs_total / abs(value)
 
+    def _climb(self):
+        """The recurrence's start z -> (value, error) and (1/Gamma(b), c eps) per step."""
+        alpha, beta = self.alpha, self.beta
+        from_exp = alpha == 1.0 and beta == math.floor(beta)
+        n = beta - 1.0 if from_exp else (beta - 3.0) / alpha
+        if not (from_exp or beta > 3.0) or not n <= _CLIMB_MAX_STEPS:
+            return None
+        n = math.ceil(n)
+        start = (lambda z: (math.exp(z), _EPS)) if from_exp else _MLTable(alpha, beta - n * alpha).certified
+        spread = 0.0 if alpha == 1.0 else beta * _EPS
+        steps = [(reciprocal_gamma(b), 5.5 * _EPS + spread * (1.0 + math.log(b))) for b in
+                 (beta - (n - k) * alpha for k in range(n))]
+        return (start, steps) if all(r >= _TINY for r, _ in steps) else None
+
+    def recurrence(self, z: float):
+        """E_{alpha,beta}(z), z < 0, by E_{a,b+a}(z) = (E_{a,b}(z) - 1/Gamma(b))/z
+        (Gorenflo, Kilbas, Mainardi and Rogosin 2014) from e^z = E_{1,1}(z) at
+        alpha = 1 with integer beta, else for beta > 3 from the certified value
+        at b0 = beta - ceil((beta - 3)/alpha) alpha in (3 - alpha, 3].  As
+        g = Gamma(b) E_{a,b}(z) lies in [0, 1] for b >= alpha (Schneider 1996),
+        so a step turns a relative error err into (err g + c eps)/(1 - g):
+        1/Gamma(b) brings 3.5 eps, the subtraction and the division one each,
+        and b = beta - j alpha, rounded by up to beta eps (not at alpha = 1),
+        |psi(b)| beta eps <= ln(b) beta eps, and the same beta eps it moves
+        the start value by.  Returns (value, bound), or None without a start
+        value or a normal 1/Gamma(b), or once a computed g leaves [0, 1)
+        (g = 0 where e^z underflows).
+        """
+        if self.climb is None:
+            self.climb = self._climb() or ()
+        if not self.climb or not (out := self.climb[0](z)):
+            return None
+        value, err = out
+        for r, step_err in self.climb[1]:
+            g = value / r
+            if not 0.0 <= g < 1.0:
+                return None
+            value = (value - r) / z
+            err = (err * g + step_err) / (1.0 - g)
+        return value, err
+
+    def certified(self, z: float):
+        """(value, bound) of the first double-precision branch certifying _BRANCH_TARGET, or None."""
+        for branch in (self.series, self.recurrence, self.contour) if z < 0.0 else (self.series,):
+            out = branch(z)
+            if out is not None and out[1] <= _BRANCH_TARGET:
+                return out
+        return None
+
     def value(self, z: float) -> float:
         """E_{alpha,beta}(z): the first branch that certifies serves it."""
         z = real(z, "mittag_leffler")
         if z > ML_Z_MAX:
             raise RangeError(f"mittag_leffler supports z <= {ML_Z_MAX}, got {z}")
-        alpha, beta = self.alpha, self.beta
-
-        out = self.series(z)
-        if out is not None and out[1] <= _BRANCH_TARGET:
-            return out[0]
-
-        if alpha == 1.0:
-            out = _ml_alpha_one(beta, z)
-            if out is not None and out[1] <= _BRANCH_TARGET:
-                return out[0]
-
-        if z < 0.0:
-            out = self.contour(z)
-            if out is not None and out[1] <= _BRANCH_TARGET:
-                return out[0]
-
-        return _ml_bigfloat(alpha, beta, z)
+        out = self.certified(z)
+        return out[0] if out is not None else _ml_bigfloat(self.alpha, self.beta, z)
 
 
 def mittag_leffler(params: MLParams, z: float) -> float:
@@ -453,29 +457,24 @@ def mittag_leffler(params: MLParams, z: float) -> float:
     range, or when the value exceeds the double range (possible for
     positive z at small alpha).
 
-    Two regions of [-50, 5] fall short of a value for every valid
-    (alpha, beta) today.  On the negative axis with beta above about 3 no
-    double-precision branch certifies: the mpmath fallback serves the call
-    at 25-50 ms, and raises RangeError at some points, for example
-    (alpha, beta, z) = (0.5, 100, -30), (0.5, 20, -30), (0.2, 20, -5),
-    (0.05, 30, -50) and (0.3, 40, -50).  On the positive axis the series
-    serves only while z^(1/alpha) stays below about 64-74; past that the
-    mpmath series serves (up to about 2 s a call), and where
-    z^(1/alpha) > 500 it raises RangeError although the value is finite,
-    as at (0.2, 1, 3.5), about 6.29e228.  Past beta of about 117 the contour
-    finds no parameters, so the fallback serves the negative axis or raises
-    RangeError, as at (0.5, 120, -30).
+    Two regions fall short of a value for every valid (alpha, beta) today.
+    On the positive axis the series serves only while z^(1/alpha) stays
+    below about 64-74; past that the mpmath series serves (up to about 2 s
+    a call), and where z^(1/alpha) > 500 it raises RangeError although the
+    value is finite, as at (0.2, 1, 3.5), about 6.29e228.  Past beta of
+    about 171, where 1/Gamma(beta) leaves the normal doubles, only the
+    fallback serves the negative axis, or raises RangeError, as at
+    (0.5, 175, -50).
 
-    Branches, first certified wins: the power series when its cancellation
-    estimate is at most 1e-10 relative (stopped early for z < 0 and
-    beta >= alpha once a bound on the function proves that test will
-    fail), the closed forms at
-    alpha = 1 with integer beta when their cancellation estimate is at most
-    1e-10 relative, for z < 0 the parabolic-contour quadrature
-    (Garrappa, SIAM J. Numer. Anal. 2015) when its error bound is at most
-    1e-10 relative, and the mpmath fallback.  Every z takes this one chain,
-    so near a zero of E_{alpha,beta} (possible for beta < alpha) the
-    fallback serves small |z| too.
+    Branches, first certified to 1e-10 relative wins: the power series by
+    its cancellation estimate (stopped early for z < 0 and beta >= alpha
+    once a bound on the function proves that test will fail); for z < 0
+    the upward recurrence E_{a,b+a}(z) = (E_{a,b}(z) - 1/Gamma(b)) / z from
+    e^z at alpha = 1 with integer beta, else from a start value at
+    beta <= 3, and the parabolic-contour quadrature (Garrappa, SIAM J.
+    Numer. Anal. 2015), each by its error bound; and the mpmath fallback.
+    Every z takes this one chain, so near a zero of E_{alpha,beta}
+    (possible for beta < alpha) the fallback serves small |z| too.
     """
     return _MLTable(params.alpha, params.beta).value(z)
 
@@ -483,13 +482,13 @@ def mittag_leffler(params: MLParams, z: float) -> float:
 def mittag_leffler_many(params: MLParams, zs) -> np.ndarray:
     """mittag_leffler(params, z) for every z in zs, as a float array of zs' shape.
 
-    The Gamma reciprocals and contour nodes, which depend on (alpha, beta)
-    only, are computed once per call and shared by all points; each value
-    is bit-identical to the scalar call.  Raises DomainError unless zs holds
-    real numbers only (not strings, bools or None, as in the scalar call),
-    RangeError for an int beyond the double range, else what the scalar call
-    raises at the first element (in C order) that fails, NaN and +-inf
-    included.
+    The Gamma reciprocals, recurrence steps and contour nodes, which depend
+    on (alpha, beta) only, are computed once per call and shared by all
+    points; each value is bit-identical to the scalar call.  Raises
+    DomainError unless zs holds real numbers only (not strings, bools or
+    None, as in the scalar call), RangeError for an int beyond the double
+    range, else what the scalar call raises at the first element (in C
+    order) that fails, NaN and +-inf included.
     """
     z_arr = _float_array(zs, "mittag_leffler_many")
     table = _MLTable(params.alpha, params.beta)

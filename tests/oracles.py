@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own evaluation paths:
 erfc comes from its Maclaurin series / Legendre continued fraction, the
 Mittag-Leffler reference from the spectral integral representation via
 scipy quadrature, from its power series in mpmath at a precision sized for
-the series' cancellation, and (at alpha = 1) from mpmath's confluent
+the series' cancellation, from its asymptotic expansion in mpmath (large
+|z| on the negative axis), and (at alpha = 1) from mpmath's confluent
 hypergeometric function; the classical integrator is a plain running-sum
 trapezoidal PECE, and closed forms use math.gamma.  Expressions are
 evaluated by a math-module transcription of their documented semantics, and
@@ -142,12 +143,54 @@ def ml_series_oracle(alpha: float, beta: float, z: float) -> float:
                 k += 1
                 power *= zz
 
-    digits = SERIES_DIGITS + int(extra) + 20
+    return _converged(series, SERIES_DIGITS + int(extra) + 20)
+
+
+def _converged(sum_at, digits: int) -> float:
+    """sum_at(p) at the first p, from digits on and doubling, where it
+    agrees with sum_at(p + 30) to SERIES_DIGITS."""
     while True:
-        value, finer = series(digits), series(digits + 30)
+        value, finer = sum_at(digits), sum_at(digits + 30)
         if abs(value - finer) <= mpmath.mpf(10) ** -SERIES_DIGITS * abs(finer):
             return float(finer)
         digits *= 2
+
+
+def ml_asymptotic_oracle(alpha: float, beta: float, z: float) -> float:
+    """E_{alpha,beta}(z) for z < 0 and 0 < alpha < 1 by its asymptotic
+    expansion -sum_{k>=1} z^-k / Gamma(beta - alpha k), in mpmath at
+    SERIES_DIGITS correct digits.
+
+    For alpha < 1 the negative axis carries no exponential term (Podlubny,
+    Fractional Differential Equations, 1999, Thm 1.4), so what a truncated
+    sum leaves out is of the order of its next terms.  The terms fall while
+    alpha k - beta < |z|^(1/alpha) and grow past it, the smallest being about
+    exp(-|z|^(1/alpha)); so this is the reference for large |z|^(1/alpha),
+    where the series oracle is slow.  The sum stops at the first two
+    consecutive terms below 10^-(SERIES_DIGITS + 10) of the total, and
+    raises OracleError if the terms start to grow before that.  The
+    precision doubles as in ml_series_oracle.
+    """
+    if not (z < 0.0 and 0.0 < alpha < 1.0):
+        raise OracleError(f"no asymptotic expansion at {(alpha, beta, z)}")
+    last = (beta + abs(z) ** (1.0 / alpha)) / alpha  # the terms grow past it
+
+    def expansion(digits: int):
+        with mpmath.workdps(digits):
+            a, b, zz = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
+            floor = mpmath.mpf(10) ** (-(SERIES_DIGITS + 10))
+            total, power, small, k = mpmath.mpf(0), mpmath.mpf(1), 0, 1
+            while k < last:
+                power /= zz
+                term = power * mpmath.rgamma(b - a * k)
+                total -= term
+                small = small + 1 if abs(term) <= floor * abs(total) else 0
+                if small == 2:
+                    return total
+                k += 1
+            raise OracleError(f"the asymptotic terms grow before they are negligible at {(alpha, beta, z)}")
+
+    return _converged(expansion, SERIES_DIGITS + 20)
 
 
 def ml_alpha_one_oracle(beta: float, z: float) -> float:

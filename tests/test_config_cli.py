@@ -456,7 +456,8 @@ def test_simulate_and_convergence_refuse_a_config_that_names_no_system(tmp_path,
 @pytest.mark.parametrize(
     "lines, message",
     [("t_end = 0\n", "t_end must exceed t0, got t_end=0.0, t0=0.0"),
-     ("t_end = 1e300\nh = 1e-300\n", "(t_end - t0) / h is not finite: 1e+300 / 1e-300")],
+     ("t_end = 1e300\nh = 1e-300\n", "(t_end - t0) / h is not finite: 1e+300 / 1e-300"),
+     ("t_end = 1e30\nh = 0.001\n", "(t_end - t0) / h exceeds 9223372036854775806 steps: 1e+30 / 0.001")],
 )
 def test_a_span_error_names_no_line(tmp_path, capsys, lines, message):
     text = "preset = example1\n" + lines

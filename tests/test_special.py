@@ -1,10 +1,14 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracstab.errors import DomainError, FracstabError, RangeError
@@ -17,9 +21,19 @@ from oracles import (
     erfc_oracle,
     erfcx_oracle,
     ml_alpha_one_oracle,
+    ml_asymptotic_oracle,
     ml_gll_oracle,
     ml_series_oracle,
 )
+
+
+def _ml_reference(alpha, beta, z):
+    """The series oracle where it is cheap, |z|^(1/alpha) <= 200; past that on
+    the negative axis the asymptotic oracle, whose terms there fall to below
+    exp(-200) before they grow."""
+    if z < 0.0 and alpha < 1.0 and abs(z) ** (1.0 / alpha) > 200.0:
+        return ml_asymptotic_oracle(alpha, beta, z)
+    return ml_series_oracle(alpha, beta, z)
 
 
 # --- gamma -------------------------------------------------------------------
@@ -238,14 +252,43 @@ def test_series_oracle_self_check():
     assert ml_series_oracle(1.0, 2.3, -30.0) == pytest.approx(ml_alpha_one_oracle(2.3, -30.0), rel=1e-14)
 
 
-@pytest.mark.parametrize("alpha, beta, z", [(0.5, 100.0, -10.0), (0.9, 100.0, -50.0)])
+def test_asymptotic_oracle_self_check():
+    # the asymptotic oracle against erfcx at alpha = 1/2 and against the
+    # series oracle where both are cheap; it refuses where its terms grow
+    # again before they are negligible, and off the negative axis
+    assert ml_asymptotic_oracle(0.5, 1.0, -30.0) == pytest.approx(erfcx_oracle(30.0), rel=1e-14)
+    for alpha, beta, z in ((0.5, 20.0, -12.0), (0.3, 5.0, -4.5), (0.5, 150.0, -12.25), (0.1, 150.0, -1.65)):
+        assert ml_asymptotic_oracle(alpha, beta, z) == pytest.approx(ml_series_oracle(alpha, beta, z), rel=1e-14)
+    for alpha, beta, z in ((0.5, 1.0, -3.0), (1.0, 5.0, -30.0), (0.5, 5.0, 2.0)):
+        with pytest.raises(OracleError):
+            ml_asymptotic_oracle(alpha, beta, z)
+
+
+_LARGE_BETA_VALUES = {
+    (0.5, 100.0, -10.0): 5.3508e-157,
+    (0.9, 100.0, -50.0): 5.9672e-157,
+    # no branch served these, and the fallback raised RangeError
+    (0.5, 100.0, -30.0): 2.6725e-157,
+    (0.5, 100.0, -50.0): 1.7809e-157,
+    (0.5, 20.0, -30.0): 1.0504e-18,
+    (0.2, 20.0, -5.0): 2.1854e-18,
+    (0.2, 20.0, -10.0): 1.26e-18,
+    (0.05, 30.0, -50.0): 2.617e-33,
+    (0.3, 40.0, -50.0): 2.7836e-48,
+    (0.5, 120.0, -30.0): 4.7891e-198,
+}
+
+
+@pytest.mark.parametrize("alpha, beta, z", list(_LARGE_BETA_VALUES))
 def test_ml_large_beta_fallback_against_series_oracle(alpha, beta, z):
-    # |E| is about 1/Gamma(100) ~ 1e-156 here, below the fallback's old
-    # absolute stopping floor, so the series stopped at k = 4 and returned
-    # 1.0636e-156 and 7.723e-157 (true values 5.3508e-157 and 5.9672e-157)
-    ref = ml_series_oracle(alpha, beta, z)
+    # |E| is about 1/Gamma(100) ~ 1e-156 at the first two points, below the
+    # fallback's old absolute stopping floor, so the series stopped at k = 4
+    # and returned 1.0636e-156 and 7.723e-157; the recurrence in beta now
+    # serves them all.  Past |z|^(1/alpha) = 200 the asymptotic oracle is the
+    # reference (the series oracle did not finish (0.5, 100, -50) in 3 min).
+    ref = _ml_reference(alpha, beta, z)
     assert abs(mittag_leffler(MLParams(alpha, beta), z) - ref) <= 1e-9 * abs(ref)
-    assert ref == pytest.approx({-10.0: 5.3508e-157, -50.0: 5.9672e-157}[z], rel=1e-4)
+    assert ref == pytest.approx(_LARGE_BETA_VALUES[alpha, beta, z], rel=1e-4)
 
 
 @pytest.mark.parametrize(
@@ -313,8 +356,9 @@ def test_ml_one_param_positive_bounded(alpha, z):
 
 
 def test_alpha_one_integer_beta_vs_highprec_series():
-    # the closed forms at alpha = 1 cross-checked against the independent
-    # high-precision series, so the branch wiring cannot hide an error
+    # alpha = 1 with integer beta (the recurrence from e^z where the series
+    # fails) cross-checked against the high-precision series, so the branch
+    # wiring cannot hide an error
     from fracstab.special import _BRANCH_TARGET, _ml_bigfloat
 
     for beta in (1.0, 2.0, 3.0):
@@ -325,9 +369,10 @@ def test_alpha_one_integer_beta_vs_highprec_series():
 
 
 def test_alpha_one_integer_beta_sweep():
-    # the closed form (e^z - sum_{k<m-1} z^k/k!) / z^(m-1) cancels
-    # catastrophically for large m and moderate |z|; the 1e-9 contract must
-    # still hold across [-50, -0.25] and [0.25, 5]
+    # the closed form (e^z - sum_{k<m-1} z^k/k!) / z^(m-1), which served
+    # here before the recurrence, cancels catastrophically for large m and
+    # moderate |z|; the 1e-9 contract must hold across [-50, -0.25] and
+    # [0.25, 5]
     zs = np.concatenate([np.linspace(-50.0, -0.25, 100), np.linspace(0.25, 5.0, 40)])
     bad = []
     for m in range(2, 16):
@@ -339,14 +384,18 @@ def test_alpha_one_integer_beta_sweep():
     assert not bad, f"{len(bad)} of {14 * zs.size} points off by > 1e-9, first: {bad[:3]}"
 
 
-@pytest.mark.parametrize("beta, z", [(136.0, -50.0), (150.0, -30.0), (171.0, -0.5), (173.0, -1.0), (170.0, 0.0)])
+@pytest.mark.parametrize(
+    "beta, z", [(136.0, -50.0), (150.0, -30.0), (171.0, -0.5), (173.0, -1.0), (170.0, 0.0), (40.0, -1e10)]
+)
 def test_alpha_one_closed_form_at_large_beta_against_mpmath(beta, z):
-    # past the series' reach the closed form's head cancels below its own
-    # rounding: it gave -1.98e-225, -9.4e-225 and 1.66e35 at the first three
-    # points, factorial(171) overflowed at beta = 173, and at z = 0 it divided
-    # by z^(m-1); its estimate now sends such points on
+    # past the series' reach the deleted closed form's head cancelled below
+    # its own rounding: it gave -1.98e-225, -9.4e-225 and 1.66e35 at the
+    # first three points, factorial(171) overflowed at beta = 173, at z = 0
+    # it divided by z^(m-1), and at z = -1e10 nothing served the call
     ref = ml_alpha_one_oracle(beta, z)
     assert abs(mittag_leffler(MLParams(1.0, beta), z) - ref) <= 1e-9 * abs(ref)
+    if z == -1e10:  # against the closed form at 80 digits, too
+        assert ref == pytest.approx(1.9119631977748218e-55, rel=1e-15)
 
 
 # --- negative axis: the contour branch and its fallback -------------------------
@@ -414,10 +463,12 @@ def test_contour_keeps_accuracy_at_high_beta_small_z():
 
 def test_contour_rejects_exponentially_small_values():
     # E_{1,1}(-50) = e^-50 ~ 2e-22 sits far below the quadrature's absolute
-    # accuracy; the certificate must say so, and the closed form serves it
-    value, cert = _MLTable(1.0, 1.0).contour(-50.0)
-    assert cert > _BRANCH_TARGET
-    assert mittag_leffler(MLParams(1.0), -50.0) == pytest.approx(math.exp(-50.0), rel=1e-14)
+    # accuracy; the certificate must say so, and the recurrence's start e^z
+    # serves it (without it, the fallback returned 2.1e-33 at z = -700)
+    for z in (-50.0, -700.0):
+        out = _MLTable(1.0, 1.0).contour(z)
+        assert out is None or out[1] > _BRANCH_TARGET
+        assert mittag_leffler(MLParams(1.0), z) == pytest.approx(math.exp(z), rel=1e-14)
 
 
 @pytest.mark.parametrize("z", [-1.0, -10.0, -30.0])
@@ -425,12 +476,15 @@ def test_contour_rejects_exponentially_small_values():
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
 def test_ml_at_large_beta_is_a_value_or_a_package_error(alpha, beta, z):
     # the contour's amplification (sq_phibar / sq_mu)^-p overflowed a double
-    # from beta of about 117 on, and the call ended in an OverflowError
+    # from beta of about 117 on, and the call ended in an OverflowError; at
+    # alpha = 0.5, z = -30 the fallback raised RangeError before the
+    # recurrence in beta served it
     try:
         got = mittag_leffler(MLParams(alpha, beta), z)
     except FracstabError:
+        assert (alpha, z) != (0.5, -30.0)
         return
-    ref = ml_series_oracle(alpha, beta, z)
+    ref = _ml_reference(alpha, beta, z)
     assert abs(got - ref) <= 1e-9 * abs(ref)
 
 
@@ -454,6 +508,69 @@ def test_ml_near_a_zero_beyond_series_reach():
 @example(alpha=0.1, beta=1.0, z=-1.94)
 def test_ml_negative_axis_never_raises(alpha, beta, z):
     assert math.isfinite(mittag_leffler(MLParams(alpha, beta), z))
+
+
+# --- negative axis: the recurrence in beta ---------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(0.05, 1.0),
+    beta=st.floats(math.log(3.0), math.log(150.0), exclude_min=True).map(math.exp),
+    z=st.floats(-50.0, 0.0, exclude_max=True),
+)
+@example(alpha=0.5, beta=150.0, z=-10.0)  # the bound fails; the fallback serves
+@example(alpha=0.05, beta=30.0, z=-50.0)
+@example(alpha=0.2, beta=20.0, z=-5.0)
+def test_ml_large_beta_negative_axis_against_oracles(alpha, beta, z):
+    # Every value within 1e-9, and the recurrence's bound a bound wherever it
+    # certifies.  alpha = 1 points are left to the tests at alpha = 1, whose
+    # oracle is the confluent hypergeometric form.
+    assume(alpha < 1.0 and beta > 3.0)
+    ref = _ml_reference(alpha, beta, z)
+    assert abs(mittag_leffler(MLParams(alpha, beta), z) - ref) <= 1e-9 * abs(ref)
+    out = _MLTable(alpha, beta).recurrence(z)
+    if out is not None and out[1] <= _BRANCH_TARGET:
+        assert abs(out[0] - ref) <= out[1] * abs(ref)
+
+
+@pytest.mark.parametrize("alpha, beta, z, why", [(0.9, 150.0, -30.0, "g"), (0.5, 150.0, -10.0, "bound")])
+def test_ml_recurrence_falls_through_to_the_parents_value(alpha, beta, z, why):
+    # At (0.9, 150, -30) a computed g = Gamma(b) E leaves [0, 1) on the way
+    # up (1.012 at b = 110.4); at (0.5, 150, -10) each step above
+    # b^alpha = |z| amplifies the rounding, to a bound of 7e-7.  Both fall
+    # through to the fallback, which serves them as before.
+    out = _MLTable(alpha, beta).recurrence(z)
+    if why == "g":
+        assert out is None
+    else:
+        assert out is not None and out[1] > _BRANCH_TARGET
+    got = mittag_leffler(MLParams(alpha, beta), z)
+    assert got == _ml_bigfloat(alpha, beta, z)
+    ref = ml_series_oracle(alpha, beta, z)
+    assert abs(got - ref) <= 1e-9 * abs(ref)
+
+
+def test_large_beta_on_the_negative_axis_loads_no_mpmath():
+    # A fresh interpreter: the tests themselves import mpmath.  The fallback
+    # took 36-59 ms at these points; the recurrence about 0.1 ms.
+    points = ((0.5, 3.5, -50.0), (0.5, 5.0, -30.0), (0.9, 30.0, -50.0))
+    code = (
+        "import sys\n"
+        "from fracstab.special import MLParams, mittag_leffler\n"
+        f"for a, b, z in {points!r}:\n"
+        "    print(repr(mittag_leffler(MLParams(a, b), z)))\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *values, loaded = proc.stdout.split()
+    assert loaded == "False"
+    for (alpha, beta, z), value in zip(points, values, strict=True):
+        ref = _ml_reference(alpha, beta, z)
+        assert abs(float(value) - ref) <= 1e-9 * abs(ref), (alpha, beta, z)
 
 
 # --- the series' early stop ------------------------------------------------------
@@ -528,6 +645,7 @@ _BATCH_Z = st.one_of(
 _BATCH_PARAMS = st.one_of(
     st.tuples(st.floats(0.1, 1.0), st.floats(0.3, 3.0)),
     st.tuples(st.just(1.0), st.integers(1, 6).map(float)),
+    st.tuples(st.floats(0.5, 1.0), st.floats(3.0, 40.0, exclude_min=True)),
 )
 
 
