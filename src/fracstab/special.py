@@ -40,7 +40,6 @@ ML_Z_MAX = 5.0
 _BRANCH_TARGET = 1e-10
 
 _EPS = 2.220446049250313e-16
-_TINY = 2.2250738585072014e-308  # smallest normal double
 _LOG_EPS = math.log(_EPS)
 _LOG_BRANCH_TARGET = math.log(_BRANCH_TARGET)
 
@@ -395,14 +394,15 @@ class _MLTable:
         alpha, beta = self.alpha, self.beta
         from_exp = alpha == 1.0 and beta == math.floor(beta)
         n = beta - 1.0 if from_exp else (beta - 3.0) / alpha
-        if not (from_exp or beta > 3.0) or not n <= _CLIMB_MAX_STEPS:
+        if not (from_exp or beta > 3.0) or not n <= _CLIMB_MAX_STEPS or (  # 1/Gamma falls on b >= 1,
+                n > 0 and reciprocal_gamma(beta - alpha) < np.finfo(float).tiny):  # least at the last step
             return None
         n = math.ceil(n)
         start = (lambda z: (math.exp(z), _EPS)) if from_exp else _MLTable(alpha, beta - n * alpha).certified
         spread = 0.0 if alpha == 1.0 else beta * _EPS
         steps = [(reciprocal_gamma(b), 5.5 * _EPS + spread * (1.0 + math.log(b))) for b in
                  (beta - (n - k) * alpha for k in range(n))]
-        return (start, steps) if all(r >= _TINY for r, _ in steps) else None
+        return start, steps
 
     def recurrence(self, z: float):
         """E_{alpha,beta}(z), z < 0, by E_{a,b+a}(z) = (E_{a,b}(z) - 1/Gamma(b))/z
