@@ -6,7 +6,7 @@ built-in examples (`presets.PRESET_KEYS`); explicit keys then override
 them.  A config that names no system key (preset, order, dim, x0, rhs<i>,
 t0, t_end, h) resolves to no system and no grid: `check` runs it,
 `simulate` and `convergence` refuse it.  Sizes are bounded before anything is allocated
-by them: see MAX_NODES and MAX_INSTANCES.
+by them: see MAX_NODES and `inequalities.MAX_INSTANCES`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .operators import FracOrder, TimeGrid
 from .presets import PRESET_KEYS, PRESET_NAMES
 from .solver import SystemDef, finest_steps
 
-__all__ = ["RunConfig", "parse_config", "load_config", "MAX_NODES", "MAX_INSTANCES"]
+__all__ = ["RunConfig", "parse_config", "load_config", "MAX_NODES"]
 
 _SYSTEM_KEYS = {"preset", "order", "dim", "x0", "t0", "t_end", "h"}
 _SCALAR_KEYS = {"preset", "order", "dim", "t0", "t_end", "h", "output", "seed"}
@@ -32,17 +32,6 @@ _DEFAULT_CHECK_COUNT = 100
 # allocation (a few arrays of n floats per state component), not work: a
 # two-component solve at the limit takes about half a minute.
 MAX_NODES = 1_000_000
-
-
-def __getattr__(name: str):
-    # MAX_INSTANCES is run_suite's bound, defined in `inequalities`; that
-    # module is loaded only when a config lists checks, or when this name is
-    # read
-    if name == "MAX_INSTANCES":
-        from .inequalities import MAX_INSTANCES
-
-        return MAX_INSTANCES
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class RunConfig(Record):

@@ -234,48 +234,60 @@ def _ml_bigfloat(alpha: float, beta: float, z: float) -> float:
     negative axis past the series' reach (small alpha, large |z|), the
     parabolic contour at 40 digits, balanced for an accuracy of 1e-30,
     which leaves relative accuracy to spare near a zero of the function,
-    where the double-precision contour cannot certify.
+    where the double-precision contour cannot certify.  Each bounds its
+    error: the contour charges what `_MLTable.contour` charges, with the
+    40-digit round-off, and the series the rounding of its largest term,
+    retried once at twice the digits.  RangeError where that bound exceeds
+    _BRANCH_TARGET relative to the value.
     """
     import mpmath  # only this fallback needs it; keeps it off the import path
 
-    r = abs(z) ** (1.0 / alpha)  # ~log of the largest series term
-    dps = 25 + int(0.55 * r)
+    try:
+        r = abs(z) ** (1.0 / alpha)  # ~log of the largest series term
+    except OverflowError:  # tiny alpha: far past the series' reach
+        r = math.inf
+    dps = 25 + int(0.55 * min(r, 1e3))
     if dps > 300:
         contour = _contour_params(alpha, beta, math.log(1e-30), math.log(1e-40))
         if z > 0.0 or contour is None:
-            raise RangeError(
-                f"mittag_leffler high-precision fallback out of range (alpha={alpha}, z={z})"
-            )
-        mu, h, n, _ = contour
+            raise RangeError(f"mittag_leffler high-precision fallback out of range (alpha={alpha}, z={z})")
+        mu, h, n, log_target = contour
         with mpmath.workdps(40):
-            h = mpmath.mpf(h)
-            nodes = _contour_nodes(alpha, beta, mpmath.mpf(mu), h, n, mpmath.exp, mpmath.log)
-            total, _ = _contour_sums(nodes, z)
-            return float(h / (2 * mpmath.pi) * total)
-    with mpmath.workdps(dps):
-        mz = mpmath.mpf(z)
-        malpha = mpmath.mpf(alpha)  # keep the Gamma argument in full precision
-        total = mpmath.mpf(0)
-        term_floor = mpmath.mpf(10) ** (-(dps - 5))
-        largest = mpmath.mpf(0)
-        zk = mpmath.mpf(1)
-        k = 0
-        while True:
-            term = zk / mpmath.gamma(malpha * k + beta)
-            total += term
-            # |terms| rise to one peak and then fall; past it, stop once a
-            # term is negligible next to both the sum and the peak term (an
-            # absolute floor would stop early where |E| itself is below it)
-            size = abs(term)
-            if size >= largest:
-                largest = size
-            elif k >= 4 and size < term_floor * min(abs(total), largest):
+            scale = mpmath.mpf(h) / (2 * mpmath.pi)
+            nodes = _contour_nodes(alpha, beta, mpmath.mpf(mu), mpmath.mpf(h), n, mpmath.exp, mpmath.log)
+            total, abs_total = _contour_sums(nodes, z)
+            value, err = scale * total, (_CONTOUR_DISC_FACTOR * math.exp(log_target) + mpmath.eps) * scale * abs_total
+    else:
+        for dps in (dps, 2 * dps):  # one retry at twice the digits, as near a zero of E
+            with mpmath.workdps(dps):
+                mz = mpmath.mpf(z)
+                malpha = mpmath.mpf(alpha)  # keep the Gamma argument in full precision
+                value = mpmath.mpf(0)
+                term_floor = mpmath.mpf(10) ** (-(dps - 5))
+                largest = mpmath.mpf(0)
+                zk = mpmath.mpf(1)
+                k = 0
+                while True:
+                    term = zk / mpmath.gamma(malpha * k + beta)
+                    value += term
+                    # |terms| rise to one peak and then fall; past it, stop once a
+                    # term is negligible next to both the sum and the peak term (an
+                    # absolute floor would stop early where |E| itself is below it)
+                    size = abs(term)
+                    if size >= largest:
+                        largest = size
+                    elif k >= 4 and size < term_floor * min(abs(value), largest):
+                        break
+                    if k > 100_000:
+                        raise RangeError("mittag_leffler series failed to converge")
+                    k += 1
+                    zk *= mz
+                err = mpmath.eps * largest
+            if err <= _BRANCH_TARGET * abs(value):
                 break
-            if k > 100_000:
-                raise RangeError("mittag_leffler series failed to converge")
-            k += 1
-            zk *= mz
-        return float(total)
+    if not err <= _BRANCH_TARGET * abs(value):
+        raise RangeError(f"mittag_leffler high-precision fallback cannot certify (alpha={alpha}, beta={beta}, z={z})")
+    return float(value)
 
 
 class _MLTable:
@@ -454,8 +466,8 @@ def mittag_leffler(params: MLParams, z: float) -> float:
     Supports all z <= ML_Z_MAX (= 5); a returned value is within 1e-9
     relative on [-50, 5].  Raises DomainError for z that is not a finite
     real number, RangeError for z > ML_Z_MAX, for an int beyond the double
-    range, or when the value exceeds the double range (possible for
-    positive z at small alpha).
+    range, when the value exceeds the double range (possible for positive
+    z at small alpha), or where not even the fallback certifies a value.
 
     Two regions fall short of a value for every valid (alpha, beta) today.
     On the positive axis the series serves only while z^(1/alpha) stays

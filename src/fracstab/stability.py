@@ -1,28 +1,26 @@
 """Lyapunov-certificate checks along solved trajectories.
 
-Four certificate ingredients are checked, each into an `IneqReport` judged
-by `verdicts._judge`.  The class-K sandwich gamma1(|x|) <= V(t,x) <=
-gamma2(|x|), the local ball |x(t)| <= r and the Mittag-Leffler decay
-envelope |x(t)|^2 <= amp * E_alpha(-rate t^alpha) * |x(0)|^2 (with a fixed
-5% slack allowance) are exact: tol 0, no refinement.  The fractional
-dissipation D^alpha V(t, x(t)) <= -gamma3(|x|) is discretized with the L1
-operator under the step-size tolerance; it is the one check that refines,
-by re-solving at half the step (`_refined`).
+Four certificate ingredients are checked, each exact (tol 0, no refinement)
+into an `IneqReport` judged by `verdicts._judge`: the class-K sandwich
+gamma1(|x|) <= V(t,x) <= gamma2(|x|), the local ball |x(t)| <= r, the
+Mittag-Leffler decay envelope |x(t)|^2 <= amp * E_alpha(-rate t^alpha) *
+|x(0)|^2 (with a fixed 5% slack allowance), and the dissipation hypothesis
+of the paper's composite power rule, B(t, x) <= -gamma3(|x|) with B the
+bound it gives on D^alpha V along a solution (`check_dissipation`).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EvalError, RangeError, Record, _set, real
-from .expressions import Expr, _compile, evaluate, parse, sample_on, to_text, variables
-from .operators import SampleSeries, caputo_l1
-from .solver import Trajectory, solve
+from .errors import DomainError, EvalError, PreconditionError, RangeError, Record, _set, real
+from .expressions import BinOp, Expr, Num, Var, _compile, evaluate, parse, sample_on, to_text, variables
+from .operators import SampleSeries
+from .solver import Trajectory
 from .special import MLParams, mittag_leffler_many
-from .verdicts import IneqReport, _judge, make_report
+from .verdicts import EnvelopeSpec, IneqReport, _judge
 
 __all__ = [
     "LyapunovCandidate",
@@ -90,11 +88,8 @@ class StabilityReport(Record):
         envelope: IneqReport | None = None,
         ball: IneqReport | None = None,
     ):
-        _set(self, "label", label)
-        _set(self, "sandwich", sandwich)
-        _set(self, "dissipation", dissipation)
-        _set(self, "envelope", envelope)
-        _set(self, "ball", ball)
+        for name, value in zip(self._fields, (label, sandwich, dissipation, envelope, ball)):
+            _set(self, name, value)
 
     @property
     def all_passed(self) -> bool:
@@ -168,41 +163,53 @@ def check_sandwich(V: LyapunovCandidate, traj: Trajectory) -> IneqReport:
     return _exact_report("sandwich", traj, sides)
 
 
-def _dissipation_report(V: LyapunovCandidate, traj: Trajectory) -> IneqReport:
-    lhs = caputo_l1(evaluate_candidate(V, traj), traj.system.order).values
-    norms = _norms("dissipation", traj)
-    rhs = -sample_on(V.dissipation_rate, norms, r=norms)
-    # node 0 is excluded: the discrete operator defines D[0] = 0 while the
-    # exact derivative at t0+ lives in the singular t^alpha layer, so the
-    # node-0 comparison is vacuous for any nonzero initial state
-    return make_report("dissipation", traj.grid, lhs, rhs, skip_nodes=1)
-
-
-def _refined(report: IneqReport, half: IneqReport) -> IneqReport:
-    """report with the verdict of the refinement rule, half its check on the
-    halved grid: pass if the violation shrinks at least 1.5x and half passes."""
-    ratio = math.inf if half.max_violation == 0.0 else report.max_violation / half.max_violation
-    return IneqReport(
-        report.name, report.slack, report.lhs, report.rhs, report.max_violation, report.tol,
-        ratio, ratio >= 1.5 and half.verdict,
-    )
+def _power_terms(node: Expr) -> list[tuple[int, float, Expr]]:
+    """V = sum E(t) x_i^beta read off V's own tree as terms (i, beta, E):
+    sums distribute, and a factor or divisor in t alone joins E.
+    DomainError for any other V."""
+    if isinstance(node, BinOp) and node.op == "+":
+        return _power_terms(node.left) + _power_terms(node.right)
+    if isinstance(node, BinOp) and node.op in "*/" and variables(node.right) <= {"t"}:
+        return [(i, beta, BinOp(node.op, E, node.right)) for i, beta, E in _power_terms(node.left)]
+    if isinstance(node, BinOp) and node.op == "*" and variables(node.left) <= {"t"}:
+        return [(i, beta, BinOp("*", node.left, E)) for i, beta, E in _power_terms(node.right)]
+    power = isinstance(node, BinOp) and node.op == "^" and isinstance(node.right, Num)
+    base, beta = (node.left, node.right.value) if power else (node, 1.0)
+    if isinstance(base, Var) and base.index and beta >= 1.0:
+        return [(base.index, beta, Num(1.0))]
+    raise DomainError(f"dissipation check needs V = sum E(t) x_i^beta with beta >= 1, at '{to_text(node)}'")
 
 
 def check_dissipation(V: LyapunovCandidate, traj: Trajectory) -> IneqReport:
-    """D^alpha V(t, x(t)) <= -gamma3(|x(t)|) at the system's own order alpha.
+    """B(t, x(t)) <= -gamma3(|x(t)|) at every node, exact.
 
-    The composite V(t, x(t)) is discretized directly from trajectory samples
-    and judged at tol = 10 h max|gamma3|.  A violation above tol re-solves
-    the system at half the step, and passes only if the halved check shrinks
-    it at least 1.5x and passes on its own; the report holds the data of
-    the trajectory's own grid.
+    V must read as sum E(t) x_i^beta (`_power_terms`) with each E
+    non-negative and decreasing on the grid (else EnvelopeError), and beta
+    an even integer or x_i >= 0 along the trajectory (else
+    PreconditionError).  The composite power rule then bounds D^alpha V <=
+    B = sum E beta x_i^(beta-1) f_i(t, x) along a solution of
+    D^alpha x = f, whatever alpha, so no discrete D^alpha enters:
+    lhs = B, rhs = -gamma3(|x|), slack = rhs - lhs.
     """
     if V.dissipation_rate is None:
         raise DomainError("dissipation check needs the candidate's gamma3 rate")
-    report = _dissipation_report(V, traj)
-    if report.verdict:
-        return report
-    return _refined(report, _dissipation_report(V, solve(traj.system, traj.grid.halved())))
+    terms = _power_terms(V.expression)
+    ts, cols = traj.grid.nodes(), [s.values for s in traj.states]
+    if max(i for i, _, _ in terms) > len(cols):
+        raise DomainError(f"V uses a state beyond the system's dimension {len(cols)}")
+
+    def sides(norms):
+        f = [sample_on(e, ts, x=cols) for e in traj.system.rhs]
+        bound = np.zeros_like(ts)
+        for i, beta, E in terms:
+            x = cols[i - 1]
+            if beta % 2.0 != 0.0 and np.any(x < 0.0):
+                raise PreconditionError(f"x{i}^{beta:g} in V needs x{i} >= 0 along the trajectory")
+            bound += EnvelopeSpec("nonneg_decreasing", E).sample(traj.grid) * beta * x ** (beta - 1.0) * f[i - 1]
+        rhs = -sample_on(V.dissipation_rate, norms, r=norms)
+        return bound, rhs, rhs - bound
+
+    return _exact_report("dissipation", traj, sides)
 
 
 def check_ml_envelope(traj: Trajectory, rate: float, amplification: float) -> IneqReport:

@@ -3,10 +3,11 @@
 `_judge` applies one tolerance rule to arrays computed on one grid and
 builds the `IneqReport`; `make_report` is its entry for checks that compare
 an LHS with an RHS.  The inequality suites (`inequalities`) and all four
-Lyapunov certificates (`stability`, the exact ones at scale 0) judge
+Lyapunov certificates (`stability`, each at scale 0, so exactly) judge
 through it; only nr4's identity residual keeps its own rounding-level rule.
-`EnvelopeSpec` is a monotone multiplier phi(t), checked for its declared
-shape on the grid it is sampled on.
+No verifier refines.  `EnvelopeSpec` is a monotone multiplier phi(t),
+checked for its declared shape on the grid it is sampled on; the suites'
+envelopes and the E(t) of each dissipation term are sampled through it.
 """
 
 from __future__ import annotations
@@ -61,11 +62,9 @@ class IneqReport(Record):
     """Outcome of one inequality check.
 
     slack holds RHS - LHS per node (oriented so that >= 0 means the
-    inequality holds); the verdict is max_violation <= tol.  The one
-    exception is the dissipation check, which refines: its violation above
-    tol passes if the re-solve at half the step shrinks it at least 1.5x and
-    passes its own check; refinement_ratio is that shrink factor, NaN where
-    no re-solve ran.
+    inequality holds); the verdict is max_violation <= tol.  No verifier
+    refines, so refinement_ratio is NaN in every report; it stays as the
+    report CSV's column.
     """
 
     _fields = ("name", "slack", "lhs", "rhs", "max_violation", "tol", "refinement_ratio", "verdict")
@@ -92,20 +91,16 @@ class IneqReport(Record):
 
 
 def _judge(
-    name: str, grid: TimeGrid, lhs: np.ndarray, rhs: np.ndarray, slack: np.ndarray, scale: float,
-    skip_nodes: int = 0,
+    name: str, grid: TimeGrid, lhs: np.ndarray, rhs: np.ndarray, slack: np.ndarray, scale: float
 ) -> IneqReport:
     """The tolerance policy of every verifier; builds its report on grid.
 
-    The violation is the worst negative slack, max(0, -min(slack)), over the
-    nodes from skip_nodes on (the slack series still reports the skipped
-    ones).  It passes if it is within tol = 10 * h * scale, so scale 0 makes
-    the check exact.  The ratio is NaN: only the dissipation check
-    (`stability`) refines.  The tolerance is first order in h for every
-    order alpha in (0, 1].
+    The violation is the worst negative slack, max(0, -min(slack)).  It
+    passes if it is within tol = 10 * h * scale, so scale 0 makes the check
+    exact.  The tolerance is first order in h for every order alpha in
+    (0, 1].
     """
-    judged = slack[skip_nodes:]
-    viol = max(0.0, -float(np.min(judged))) if judged.size else 0.0
+    viol = max(0.0, -float(np.min(slack))) if slack.size else 0.0
     tol = 10.0 * grid.h * scale
     return IneqReport(
         name=name,
@@ -119,15 +114,11 @@ def _judge(
     )
 
 
-def make_report(
-    name: str, grid: TimeGrid, lhs: np.ndarray, rhs: np.ndarray, direction: int = 1, skip_nodes: int = 0
-) -> IneqReport:
+def make_report(name: str, grid: TimeGrid, lhs: np.ndarray, rhs: np.ndarray, direction: int = 1) -> IneqReport:
     """Judge lhs against rhs on grid under the tolerance policy of `_judge`.
 
-    direction +1 checks LHS <= RHS, -1 checks LHS >= RHS.  skip_nodes
-    excludes leading nodes from the verdict (the slack series still reports
-    them); used where the operator's node-0 convention makes the comparison
-    vacuous.  The tolerance scale is the largest |RHS|.
+    direction +1 checks LHS <= RHS, -1 checks LHS >= RHS.  The tolerance
+    scale is the largest |RHS|.
     """
     scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
-    return _judge(name, grid, lhs, rhs, direction * (rhs - lhs), scale, skip_nodes)
+    return _judge(name, grid, lhs, rhs, direction * (rhs - lhs), scale)

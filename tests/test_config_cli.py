@@ -9,8 +9,9 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracstab.cli import main
-from fracstab.config import MAX_INSTANCES, MAX_NODES, RunConfig, parse_config
+from fracstab.config import MAX_NODES, RunConfig, parse_config
 from fracstab.errors import ConfigError
+from fracstab.inequalities import MAX_INSTANCES
 from fracstab.reporting import read_trajectory_csv
 from fracstab.solver import finest_steps
 

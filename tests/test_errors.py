@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracstab.config import MAX_INSTANCES, parse_config
+from fracstab.config import parse_config
 from fracstab.errors import BindError, ConfigError, DomainError, FracstabError, RangeError, count, real, reals
 from fracstab.expressions import evaluate, parse, sample_on
 from fracstab.inequalities import (
+    MAX_INSTANCES,
     EnvelopeSpec,
     PowerTerm,
     run_suite,

@@ -421,12 +421,6 @@ def test_run_suite_accepts_numpy_integers():
     assert [r.max_violation for r in a.reports] == [r.max_violation for r in run_suite("nr1", 2, 5).reports]
 
 
-def test_max_instances_is_shared_with_config():
-    from fracstab import config
-
-    assert config.MAX_INSTANCES is MAX_INSTANCES
-
-
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_instance_trees_match_parsed_oracle_text(name):
     # The generators build the tree that parse gives for the text they once
@@ -556,15 +550,13 @@ def test_make_report_policy(violation, verdict):
     assert math.isnan(r.refinement_ratio)
 
 
-def test_make_report_skip_nodes_and_direction():
+def test_make_report_direction():
     rhs = np.ones(GRID.n_nodes)
     lhs = rhs.copy()
     lhs[0] = 5.0  # a violation at node 0 only
 
-    assert not make_report("s", GRID, lhs, rhs).verdict
-    r = make_report("s", GRID, lhs, rhs, skip_nodes=1)
-    assert r.verdict and r.max_violation == 0.0
-    assert r.slack.values[0] == -4.0  # skipped nodes are still reported
+    r = make_report("s", GRID, lhs, rhs)
+    assert not r.verdict and r.max_violation == 4.0 and r.slack.values[0] == -4.0
     # direction -1 checks lhs >= rhs: node 0 holds, every other node has slack 0
     r = make_report("s", GRID, lhs, rhs, direction=-1)
     assert r.verdict and r.slack.values[0] == 4.0
@@ -578,10 +570,10 @@ _SMALL = TimeGrid(0.0, 0.01, 100)
 def _lowering(node, amount):
     """make_report with its RHS lowered by amount at one node."""
 
-    def lowered_report(name, grid, lhs, rhs, direction=1, skip_nodes=0):
+    def lowered_report(name, grid, lhs, rhs, direction=1):
         rhs = rhs.copy()
         rhs[node] -= amount
-        return make_report(name, grid, lhs, rhs, direction, skip_nodes)
+        return make_report(name, grid, lhs, rhs, direction)
 
     return lowered_report
 

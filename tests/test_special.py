@@ -464,11 +464,34 @@ def test_contour_keeps_accuracy_at_high_beta_small_z():
 def test_contour_rejects_exponentially_small_values():
     # E_{1,1}(-50) = e^-50 ~ 2e-22 sits far below the quadrature's absolute
     # accuracy; the certificate must say so, and the recurrence's start e^z
-    # serves it (without it, the fallback returned 2.1e-33 at z = -700)
+    # serves it (the fallback refuses it: see below)
     for z in (-50.0, -700.0):
         value, cert = _MLTable(1.0, 1.0).contour(z)
         assert cert > _BRANCH_TARGET
         assert mittag_leffler(MLParams(1.0), z) == pytest.approx(math.exp(z), rel=1e-14)
+
+
+@pytest.mark.parametrize("z", [-100.0, -400.0, -700.0])
+def test_fallback_certifies_its_value_or_raises(z):
+    # e^z is exponentially small next to the series' largest term (-100,
+    # -400) and to the 40-digit contour's integrand (-700); uncertified, the
+    # fallback returned 2.9e-39, 7.1e-74 and 2.1e-33 here
+    try:
+        value = _ml_bigfloat(1.0, 1.0, z)
+    except RangeError:
+        return
+    assert abs(value - math.exp(z)) <= 1e-9 * math.exp(z)
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-200])
+def test_fallback_at_tiny_alpha_ends_in_a_value_or_range_error(alpha):
+    # |z|^(1/alpha) overflowed in the fallback; as alpha -> 0 the Laplace
+    # transform gives E_{alpha,beta}(z) -> 1 / (Gamma(beta) (1 - z)) = 1/18
+    try:
+        value = mittag_leffler(MLParams(alpha, 4.0), -2.0)
+    except RangeError:
+        return
+    assert value == pytest.approx(1.0 / 18.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("z", [-1.0, -10.0, -30.0])

@@ -4,19 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from fracstab import stability
-
-from fracstab.errors import DomainError, EvalError, RangeError
+from fracstab.errors import DomainError, EnvelopeError, EvalError, PreconditionError, RangeError
 from fracstab.expressions import parse
 from fracstab.operators import SampleSeries, TimeGrid, caputo_l1
 from fracstab.presets import get_preset, run_preset
 from fracstab.reporting import stability_summary_text
 from fracstab.solver import SystemDef, Trajectory, solve
-from fracstab.verdicts import make_report
 from fracstab.stability import (
     LyapunovCandidate,
     StabilityReport,
-    _refined,
     check_dissipation,
     check_local_ball,
     check_ml_envelope,
@@ -194,63 +190,93 @@ def test_dissipation_example2_all_orders(alpha):
     assert rep.verdict, (alpha, rep.max_violation, rep.tol)
 
 
+# B = sum E beta x_i^(beta-1) f_i worked out by hand from each example's V and
+# system, as a function of (t, x1, x2)
+HAND_BOUNDS = {
+    # V = x1^2 + x2^2 + x2^2/(1+t), f = (-x1 - x2/(1+t), x1 - x2)
+    "example1": lambda t, x1, x2: -2 * x1**2 + 2 * x1 * x2 - 2 * x2**2 - 2 * x2**2 / (1 + t),
+    # V = x1^6 + exp(-t/2) x1^6, f = -x1^3 - exp(t/2) x1^3
+    "example2": lambda t, x1, x2: -6 * x1**8 * (2 + np.exp(t / 2) + np.exp(-t / 2)),
+    # V = (1 + exp(-t)) (x1^2 + x2^2)/2: B = (1 + exp(-t)) (x . f)
+    "example3": lambda t, x1, x2: (1 + np.exp(-t)) * (
+        x1 * (-x1 - x2 + np.sin(t) * (x1**2 + x2**2)) + x2 * (x1 - x2 + np.cos(t) * (x1**2 + x2**2))
+    ),
+}
+
+
+# gamma3 = c r^p as each example states it
+STATED_RATES = {"example1": (1.0, 2), "example2": (12.0, 8), "example3": (0.5, 2)}
+
+
+def hand_bound(name, traj):
+    x1 = traj.states[0].values
+    x2 = traj.states[1].values if len(traj.states) > 1 else None
+    return HAND_BOUNDS[name](traj.grid.nodes(), x1, x2)
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BOUNDS))
+def test_dissipation_is_the_hand_derived_bound_at_the_stated_rate(name, request):
+    traj, rep = request.getfixturevalue(f"{name}_run")
+    d = rep.dissipation
+    B = hand_bound(name, traj)
+    assert np.allclose(d.lhs, B, rtol=1e-12, atol=1e-12 * np.max(np.abs(B)))
+    c, p = STATED_RATES[name]
+    assert np.allclose(d.rhs, -c * traj.norms() ** p, rtol=1e-15, atol=0.0)
+    assert d.verdict and d.max_violation == 0.0 and d.tol == 0.0 and math.isnan(d.refinement_ratio)
+    assert summary_line(rep, "dissipation:") == "dissipation: pass max_violation=0 tol=0"
+
+
 @pytest.mark.parametrize(
-    "rate, verdict, solves, ratio",
-    [
-        ("4*r^2", True, [], None),  # within tol: no re-solve
-        ("6*r^2", False, [0.005], 0.9611483228714589),  # fails after one re-solve
-    ],
+    "name, rate, c, p",
+    [("example1", "1.5*r^2", 1.5, 2), ("example2", "25*r^8", 25.0, 8), ("example2", "50*r^8", 50.0, 8),
+     ("example3", "2*r^2", 2.0, 2)],
 )
-def test_dissipation_resolves_at_half_the_step(rate, verdict, solves, ratio):
-    # example 1's system and candidate on [0, 5] at h = 0.01
-    preset = get_preset("example1")
-    traj = solve(preset.system, TimeGrid.between(0.0, 5.0, 0.01))
-    V = LyapunovCandidate(preset.candidate.expression, dissipation_rate=rate)
-    steps = []
-
-    def counted_solve(system, grid):
-        steps.append(grid.h)
-        return solve(system, grid)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(stability, "solve", counted_solve)
-        rep = check_dissipation(V, traj)
-    assert rep.verdict is verdict
-    assert steps == solves
-    assert rep.slack.grid == traj.grid  # the report holds the own grid's data
-    if ratio is None:
-        assert rep.max_violation <= rep.tol and math.isnan(rep.refinement_ratio)
-    else:
-        assert rep.max_violation > rep.tol and rep.refinement_ratio == ratio
+def test_dissipation_fails_at_an_overstated_rate(name, rate, c, p, request):
+    # the slack against the hand-derived B, -c |x|^p - B, goes negative on
+    # the example's own trajectory; the check must fail by that much
+    traj, _ = request.getfixturevalue(f"{name}_run")
+    V = LyapunovCandidate(get_preset(name).candidate.expression, dissipation_rate=rate)
+    rep = check_dissipation(V, traj)
+    hand_slack = -c * traj.norms() ** p - hand_bound(name, traj)
+    assert np.min(hand_slack) < 0.0
+    assert not rep.verdict and rep.tol == 0.0
+    assert rep.max_violation == pytest.approx(-np.min(hand_slack), rel=1e-9)
 
 
-def _synthetic(grid, violation, scale):
-    """make_report on rhs = scale everywhere and lhs above it by violation at the last node."""
-    rhs = np.full(grid.n_nodes, scale)
-    lhs = rhs.copy()
-    lhs[-1] += violation
-    return make_report("synthetic", grid, lhs, rhs)
-
-
-# on h = 0.01 the tolerance is 10 * h * scale = 0.1 at scale 1, so a
-# violation of 0.12 or 0.2 fails there; the halved grid's is 0.05 * scale
 @pytest.mark.parametrize(
-    "violation, half_violation, half_scale, verdict, ratio",
-    [
-        (0.2, 0.025, 1.0, True, 8.0),  # shrinks 8x to 0.025 <= tol2 = 0.05
-        (0.2, 0.0, 1.0, True, math.inf),  # vanishes on the halved grid
-        (0.12, 0.1, 4.0, False, 1.2),  # shrinks only 1.2x although 0.1 <= tol2 = 0.2
-        (0.2, 0.1, 1.0, False, 2.0),  # shrinks 2x but stays above tol2 = 0.05
-    ],
+    "V", ["x1*x2", "x1^2 - x2^2", "-x1^2", "sin(x1)", "(x1 + x2)^2", "x1^0.5", "x1^t", "t + x1^2", "x1^2*x2",
+          "x1^2/x2", "2", "t^2", "x3^2"],
 )
-def test_refinement_rule(violation, half_violation, half_scale, verdict, ratio):
-    grid = TimeGrid(0.0, 0.01, 500)
-    report = _synthetic(grid, violation, 1.0)
-    assert not report.verdict
-    r = _refined(report, _synthetic(grid.halved(), half_violation, half_scale))
-    assert r.verdict is verdict
-    assert r.refinement_ratio == pytest.approx(ratio, rel=1e-9)
-    assert (r.name, r.slack, r.max_violation, r.tol) == (report.name, report.slack, report.max_violation, report.tol)
+def test_dissipation_refuses_a_v_outside_the_power_form(V):
+    traj = hand_trajectory([0.5, 0.25, 0.125], [0.5, 0.25, 0.125])
+    with pytest.raises(DomainError):
+        check_dissipation(LyapunovCandidate(V, dissipation_rate="r^2"), traj)
+
+
+@pytest.mark.parametrize("V", ["(1 + t)*x1^2", "x1^2/(2 - t)", "(exp(-t) - 0.9)*x1^2"])
+def test_dissipation_needs_each_envelope_non_negative_and_decreasing(V):
+    traj = hand_trajectory([0.5, 0.25, 0.125])
+    with pytest.raises(EnvelopeError):
+        check_dissipation(LyapunovCandidate(V, dissipation_rate="r^2"), traj)
+
+
+def test_dissipation_needs_an_odd_power_on_a_non_negative_state():
+    V = LyapunovCandidate("x1^3", dissipation_rate="r^2")
+    with pytest.raises(PreconditionError, match="x1 >= 0"):
+        check_dissipation(V, hand_trajectory([0.5, -0.25, 0.125]))
+    # on x1 >= 0 the same V is checked: f = 0, so B = 0 <= -|x|^2 fails where x1 != 0
+    rep = check_dissipation(V, hand_trajectory([0.5, 0.0, 0.125]))
+    assert np.array_equal(rep.lhs, np.zeros(3)) and not rep.verdict and rep.max_violation == 0.25
+
+
+def test_dissipation_reads_factors_and_divisors_in_t_into_the_envelope():
+    # f = -x1 on x1 = 1, 0.5, 0.25: B = 2 E x1 (-x1) with E = exp(-t)/2*3, plus
+    # 1 * (-x1) from the beta = 1 term
+    x1 = np.array([1.0, 0.5, 0.25])
+    grid = TimeGrid(0.0, 0.1, 2)
+    traj = Trajectory(grid, (SampleSeries(grid, x1),), SystemDef.from_strings(1, 0.5, ["-x1"], [1.0]))
+    rep = check_dissipation(LyapunovCandidate("exp(-t)*x1^2/2*3 + x1", dissipation_rate="r^2"), traj)
+    assert np.allclose(rep.lhs, -3 * np.exp(-grid.nodes()) * x1**2 - x1, rtol=1e-15, atol=0.0)
 
 
 def test_composite_derivative_consistency(example1_run):
