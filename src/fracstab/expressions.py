@@ -20,6 +20,7 @@ subexpression.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from types import SimpleNamespace
@@ -249,6 +250,12 @@ def parse(text: str) -> Expr:
 # sin and cos are numpy ufuncs in both modes, so their values agree; pow is
 # the one primitive whose value can differ between the modes, since numpy's
 # vectorized pow and the C library's behind Python's `**` may round apart.
+#
+# The closures serve arrays and one-off scalar calls.  A caller that
+# evaluates the same trees at many points (the solver) compiles them once
+# with `_compile_system` below into generated code, which is checked against
+# the scalar closures bit for bit; a compile() costs about 80-200 us per
+# tree, more than a sampled tree is ever evaluated.
 
 # np.exp cannot overflow at or below this argument, so a scalar call skips
 # np.errstate there (about 1.4 us per use, ten times the call itself); above
@@ -312,6 +319,14 @@ def _compile(node: Expr, scalar: bool):
     raise TypeError(f"not an Expr node: {node!r}")
 
 
+def _r_unbound() -> BindError:
+    return BindError("variable 'r' is not bound in this context")
+
+
+def _x_unbound(i: int, x) -> BindError:
+    return BindError(f"variable x{i + 1} exceeds the bound dimension {len(x)}")
+
+
 def _compile_var(node: Var):
     if node.name == "t":
         return lambda t, x, r: t
@@ -319,7 +334,7 @@ def _compile_var(node: Var):
 
         def var_r(t, x, r):
             if r is None:
-                raise BindError("variable 'r' is not bound in this context")
+                raise _r_unbound()
             return r
 
         return var_r
@@ -329,7 +344,7 @@ def _compile_var(node: Var):
         try:
             return x[i]
         except IndexError:
-            raise BindError(f"variable x{i + 1} exceeds the bound dimension {len(x)}") from None
+            raise _x_unbound(i, x) from None
 
     return var_x
 
@@ -403,6 +418,123 @@ def _compile_call(node: Call, arg, mode: SimpleNamespace):
         raise _non_finite(node)
 
     return call
+
+
+# --- generated scalar code -----------------------------------------------------
+#
+# `_compile_system` writes a tuple of trees as one straight-line function
+# f(t, x) -> list[float], for a caller that evaluates the same trees at many
+# points (the solver, twice per step).  Each operator node is one statement,
+# emitted in the scalar closures' order (children left to right, then the
+# node) with their primitives and checks written out, so every value and
+# every fault (class, message, node) is the closures' own, with r unbound.
+# Constants, state indices, ufuncs and the nodes a fault names are bound in
+# the function's namespace, so the source holds generated names only and no
+# text from a tree reaches compile().  The walk keeps its own stack, so a deep
+# tree does not meet the recursion limit.
+
+# an operator is written by lookup, not copied from its node
+_SOURCE_ARITH = {"+": "+", "-": "-", "*": "*", "/": "/"}
+
+
+def _children(node: Expr) -> tuple[Expr, ...]:
+    if isinstance(node, (Num, Var)):
+        return ()
+    if isinstance(node, Neg):
+        return (node.operand,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return (node.args[0],)
+    raise TypeError(f"not an Expr node: {node!r}")
+
+
+def _system_source(trees) -> tuple[str, dict]:
+    """Source of `_compile_system`'s function f, and the namespace it runs in."""
+    namespace = {
+        "isfinite": math.isfinite, "isinf": math.isinf, "sqrt": math.sqrt, "EvalError": EvalError,
+        "to_text": to_text, "_non_finite": _non_finite, "_r_unbound": _r_unbound, "_x_unbound": _x_unbound,
+        "_float_ufunc": _float_ufunc, "_EXP_NO_OVERFLOW": _EXP_NO_OVERFLOW,
+    }
+    lines = ["def f(t, x):"]
+    ids = itertools.count()
+
+    def bind(prefix: str, value) -> str:
+        name = f"{prefix}{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    def emit(node: Expr, args: list[str]) -> str:
+        """The name of node's value, after appending node's statement to lines."""
+        if isinstance(node, Num):
+            return bind("c", float(node.value))
+        if isinstance(node, Var) and node.name == "t":
+            return "t"
+        v = f"v{next(ids)}"
+        if isinstance(node, Var) and node.name == "r":
+            lines.append("    raise _r_unbound()")
+        elif isinstance(node, Var):
+            i = bind("c", node.index - 1)
+            lines.append(f"    try:\n        {v} = x[{i}]\n"
+                         f"    except IndexError:\n        raise _x_unbound({i}, x) from None")
+        elif isinstance(node, Neg):
+            lines.append(f"    {v} = -{args[0]}")
+        elif isinstance(node, Call) and node.name == "abs":
+            lines.append(f"    {v} = abs({args[0]})")
+        else:
+            emit_checked(node, args, v, bind("n", node))
+        return v
+
+    def emit_checked(node: Expr, args: list[str], v: str, n: str) -> None:
+        def fault(message: str) -> str:
+            return f"raise EvalError({message!r}, to_text({n}))"
+
+        a = args[0]
+        if isinstance(node, Call) and node.name == "sqrt":
+            lines.append(f"    if {a} < 0: {fault('sqrt of negative value')}\n    {v} = sqrt({a})")
+            return
+        if isinstance(node, BinOp) and node.op in "+-*/":
+            b = args[1]
+            if node.op == "/":
+                lines.append(f"    if {b} == 0: {fault('division by zero')}")
+            lines.append(f"    {v} = {a} {_SOURCE_ARITH[node.op]} {b}")
+        elif isinstance(node, BinOp):
+            b = args[1]
+            if not _integer_constant(node.right):
+                check = f"{a} < 0.0 and not ({b}.is_integer() or isinf({b}))"
+                lines.append(f"    if {check}: {fault('negative base with non-integer exponent')}")
+            lines.append(f"    try:\n        {v} = {a} ** {b}\n    except (OverflowError, ZeroDivisionError) as exc:\n"
+                         f"        raise EvalError(str(exc), to_text({n})) from None")
+        else:
+            u = bind("c", getattr(np, node.name))
+            lines.append(f"    {v} = _float_ufunc({u}, {a}) if {a} > _EXP_NO_OVERFLOW else float({u}({a}))")
+        lines.append(f"    if not isfinite({v}): raise _non_finite({n})")
+
+    results = []
+    for tree in trees:
+        values, stack = [], [(tree, False)]
+        while stack:
+            node, ready = stack.pop()
+            if isinstance(node, Call) and node.name == "pow":
+                node = BinOp("^", node.args[0], node.args[1])  # as `_compile` evaluates it
+            children = _children(node)
+            if children and not ready:
+                stack.append((node, True))
+                stack.extend((child, False) for child in reversed(children))
+                continue
+            split = len(values) - len(children)
+            values[split:] = [emit(node, values[split:])]
+        results += values
+    lines.append(f"    return [{', '.join(results)}]")
+    return "\n".join(lines) + "\n", namespace
+
+
+def _compile_system(trees):
+    """f(t, x) -> [each tree's value at t, x], as the scalar closures compute
+    it with r unbound; see the comment above."""
+    source, namespace = _system_source(trees)
+    exec(compile(source, "<fracstab system>", "exec"), namespace)
+    return namespace["f"]
 
 
 def _inputs(caller: str, t, x, r, scalar: bool):

@@ -6,7 +6,8 @@ product-trapezoidal correction per step.  Each step's history sums take the
 recent rows directly and the older rows from accumulators filled by FFT
 convolutions (`operators._lag_sum`) of completed blocks, so a solve of n
 steps costs O(n log^2 n), and O(n^2) below 1024 steps, where it sums
-directly.  The right-hand sides are compiled once per solve.
+directly.  The right-hand sides are compiled once per solve into one
+generated function (`expressions._compile_system`).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DivergenceError, DomainError, EvalError, Record, ShapeError, _set, count, real, reals
-from .expressions import Expr, _compile, max_state_index, parse, to_text, variables
+from .expressions import Expr, _compile, _compile_system, max_state_index, parse, to_text, variables
 from .operators import (
     _FFT_MIN_TERMS,
     FracOrder,
@@ -90,14 +91,20 @@ class Trajectory(Record):
 
 
 def _rhs_at(system: SystemDef, rhs, t: float, x: list[float]) -> list[float]:
-    """f(t, x), all components; rhs holds the compiled system.rhs."""
-    out = []
-    for i, f in enumerate(rhs):
-        try:
-            out.append(f(t, x, None))
-        except EvalError as exc:
-            raise EvalError(f"rhs{i + 1} failed at t={t:.17g}: {exc}", to_text(system.rhs[i])) from exc
-    return out
+    """f(t, x), all components; rhs is `_compile_system(system.rhs)`.
+
+    An EvalError names its component: the components are evaluated again one
+    by one through the scalar closures, which fault at the same node.
+    """
+    try:
+        return rhs(t, x)
+    except EvalError:
+        for i, e in enumerate(system.rhs):
+            try:
+                _compile(e, scalar=True)(t, x, None)
+            except EvalError as exc:
+                raise EvalError(f"rhs{i + 1} failed at t={t:.17g}: {exc}", to_text(e)) from exc
+        raise
 
 
 def _fold(far: np.ndarray, weights: np.ndarray, block: np.ndarray, m: int, count: int) -> None:
@@ -129,7 +136,11 @@ def solve(system: SystemDef, grid: TimeGrid) -> Trajectory:
     rows are stacked, so one batched product per step returns the predictor
     and corrector sums together: numpy sums a negative-stride view in lag
     order, the same sequential sum as a dot product, and the zeroed row
-    only adds +0.  The rest of a step is arithmetic on Python floats.
+    only adds +0.  The rest of a step is arithmetic on Python floats: the
+    time nodes and a0 come from lists, the folded sums are added inside the
+    predictor and corrector expressions (adding a zero would turn a -0.0
+    sum into +0.0), and each RHS evaluation is one call of the system's
+    generated function through `_rhs_at`.
 
     History sums (Hairer, Lubich and Schlichte's nested blocks, B =
     `_FFT_MIN_TERMS` = 1024): the rows of the current length-B block are
@@ -144,8 +155,8 @@ def solve(system: SystemDef, grid: TimeGrid) -> Trajectory:
     alpha = system.order.alpha
     h = grid.h
     n = grid.n_steps
-    ts = grid.nodes()
-    rhs = tuple(_compile(e, scalar=True) for e in system.rhs)
+    ts = grid.nodes().tolist()
+    rhs = _compile_system(system.rhs)
 
     a0, body = rl_weights(alpha, n)
     weights = np.zeros((2, 1, n + 1))  # [rect; body] by lag; corrector lag n weighs 0
@@ -153,30 +164,34 @@ def solve(system: SystemDef, grid: TimeGrid) -> Trajectory:
     weights[1, 0, :n] = body
     scale_p = h**alpha / gamma(alpha + 1.0)
     scale_c = h**alpha / gamma(alpha + 2.0)
+    a0 = a0.tolist()
 
     x0 = system.x0.tolist()
     states = np.empty((n + 1, system.dim))
     hist = np.zeros((2, n + 1, system.dim))  # f at each row; row 0 only in copy 0
     far = np.zeros((2, n + 1, system.dim))  # each step's two sums over the folded rows
     states[0] = x0
-    f0 = _rhs_at(system, rhs, ts.item(0), x0)
+    f0 = _rhs_at(system, rhs, ts[0], x0)
     hist[0, 0] = f0
     lagged = hist[:, ::-1]  # row j at n - j
 
     for k in range(n):
-        t = ts.item(k + 1)
+        t = ts[k + 1]
         s = (k + 1) // _FFT_MIN_TERMS * _FFT_MIN_TERMS  # first row summed directly
         (sum_p,), (sum_c,) = (weights[:, :, 1 : k + 2 - s] @ lagged[:, n - k : n + 1 - s]).tolist()
         if s:
             far_p, far_c = far[:, k + 1].tolist()
-            sum_p = [a + b for a, b in zip(sum_p, far_p)]
-            sum_c = [a + b for a, b in zip(sum_c, far_c)]
-        xs = [x + scale_p * v for x, v in zip(x0, sum_p)]
+            xs = [x + scale_p * (v + w) for x, v, w in zip(x0, sum_p, far_p)]
+        else:
+            xs = [x + scale_p * v for x, v in zip(x0, sum_p)]
         if not all(map(math.isfinite, xs)):
             raise DivergenceError(f"predictor left the finite range at step {k + 1}", last_step=k)
         f_pred = _rhs_at(system, rhs, t, xs)
-        a0k = a0.item(k + 1)
-        xs = [x + scale_c * (fp + a0k * f + v) for x, fp, f, v in zip(x0, f_pred, f0, sum_c)]
+        a0k = a0[k + 1]
+        if s:
+            xs = [x + scale_c * (fp + a0k * f + (v + w)) for x, fp, f, v, w in zip(x0, f_pred, f0, sum_c, far_c)]
+        else:
+            xs = [x + scale_c * (fp + a0k * f + v) for x, fp, f, v in zip(x0, f_pred, f0, sum_c)]
         if not all(abs(v) <= OVERFLOW_LIMIT for v in xs):
             raise DivergenceError(
                 f"state exceeded {OVERFLOW_LIMIT:g} at step {k + 1} "
@@ -237,7 +252,9 @@ def convergence_study(system: SystemDef, t_end: float, h_list, t0: float = 0.0) 
     slope of log error against log h.  When the error expansion in powers of
     h holds (Diethelm, Ford and Freed 2004), the distance to the halving is
     (1 - 2^-p) times the error of x_h, so it has the same slope p; for
-    smooth fields p is about min(2, 1 + alpha).
+    smooth fields p is about min(2, 1 + alpha).  The order is NaN when some
+    error is at most 1e-14 times the largest |x_h| it compares: such a solve
+    is exact to rounding and has no measurable order.
 
     A halving that is the next entry's grid (h_list = [h, h/2, h/4, ...])
     is solved once and reused, so such a list solves each of its grids and
@@ -253,16 +270,19 @@ def convergence_study(system: SystemDef, t_end: float, h_list, t0: float = 0.0) 
     start = t0 + 0.1 * (t_end - t0)
 
     entries = []
+    sizes = []  # max |x_h| over the compared nodes
     half = None
     for grid in grids:
         traj = half if half is not None and half.grid == grid else _solve_at(system, grid)
         half = _solve_at(system, grid.halved())
         keep = grid.nodes() >= start
-        diff = traj.matrix()[keep] - half.matrix()[::2][keep]
+        x_h = traj.matrix()[keep]
+        diff = x_h - half.matrix()[::2][keep]
         entries.append((grid.h, float(np.max(np.abs(diff)))))
+        sizes.append(float(np.max(np.abs(x_h))))
 
     errs = np.array([e for _, e in entries])
-    if np.any(errs <= 1e-14):
+    if np.any(errs <= 1e-14 * np.array(sizes)):
         order = math.nan  # exact to rounding; no measurable order
     else:
         order = float(np.polyfit(np.log(h_list), np.log(errs), 1)[0])

@@ -1,5 +1,9 @@
+import io
 import math
 import re
+import struct
+import sys
+import tokenize
 
 import numpy as np
 import pytest
@@ -13,6 +17,9 @@ from fracstab.expressions import (
     Neg,
     Num,
     Var,
+    _compile,
+    _compile_system,
+    _system_source,
     evaluate,
     max_state_index,
     parse,
@@ -337,6 +344,13 @@ def _unbound_variants(node):
         yield node, max_state_index(node) - 1
 
 
+def _random_cases():
+    """500 (tree, ts, xs): a random tree and 8 points (t, x1..x3) to evaluate it at."""
+    rng = np.random.default_rng(77)
+    for _ in range(500):
+        yield _random_expr(rng, depth=4), rng.uniform(0.0, 5.0, 8), rng.uniform(-3.0, 3.0, (3, 8))
+
+
 def test_evaluation_matches_oracle_on_500_random_expressions():
     # Scalar evaluate agrees with the math-module transcription to 4 ulps,
     # counting the library functions' ulps carried to the result (the
@@ -347,12 +361,8 @@ def test_evaluation_matches_oracle_on_500_random_expressions():
     # unbound (one state component too few, or r) a point that evaluates
     # raises BindError, at a scalar point and over the array.  Only
     # ExpressionError subclasses escape.
-    rng = np.random.default_rng(77)
     faults = compared = 0
-    for _ in range(500):
-        e = _random_expr(rng, depth=4)
-        ts = rng.uniform(0.0, 5.0, 8)
-        xs = rng.uniform(-3.0, 3.0, (3, 8))
+    for e, ts, xs in _random_cases():
         scalar = []
         for j in range(8):
             t, x = float(ts[j]), tuple(float(v) for v in xs[:, j])
@@ -393,3 +403,137 @@ def test_evaluation_matches_oracle_on_500_random_expressions():
             else:
                 assert arr[j] == got, (to_text(e), j, arr[j], got)
     assert faults > 0 and compared > 1000
+
+
+# --- generated system code ------------------------------------------------------
+#
+# `_compile_system` must reproduce the scalar closures exactly: the same bits
+# for every value, and for every fault the same class and message (which names
+# the faulting node).
+
+
+def _outcome(evaluate_all):
+    try:
+        values = evaluate_all()
+    except Exception as exc:  # numpy's RuntimeWarning counts, raised as an error under pytest
+        return type(exc), str(exc)
+    return [struct.pack("<d", v) for v in values]
+
+
+def _assert_generated_matches_closures(trees, t, x):
+    closures = [_compile(e, scalar=True) for e in trees]
+    want = _outcome(lambda: [f(t, x, None) for f in closures])
+    got = _outcome(lambda: _compile_system(trees)(t, x))
+    assert got == want, ([to_text(e) for e in trees], t, x)
+
+
+def test_generated_system_matches_the_closures_on_500_random_expressions():
+    cases = list(_random_cases())
+    for e, ts, xs in cases:
+        for j in range(8):
+            t, x = float(ts[j]), xs[:, j].tolist()
+            _assert_generated_matches_closures((e,), t, x)
+            for unbound, x_dim in _unbound_variants(e):
+                _assert_generated_matches_closures((unbound,), t, x[:x_dim])
+    # one function for several trees returns each value, or the first fault in tree order
+    for i in range(0, len(cases), 5):
+        _, ts, xs = cases[i]
+        _assert_generated_matches_closures(tuple(e for e, _, _ in cases[i : i + 5]), float(ts[0]), xs[:, 0].tolist())
+
+
+def _flat_sum(terms):
+    e = terms[0]
+    for term in terms[1:]:
+        e = BinOp("+", e, term)
+    return e
+
+
+def _neg_chain(e, depth):
+    for _ in range(depth):
+        e = Neg(e)
+    return e
+
+
+_X1, _X2 = Var("x1", 1), Var("x2", 2)
+_SUM_TERMS = [_X1, Var("t"), Num(0.125), Neg(_X2)] * 1250  # 5000 terms
+
+_UNPARSEABLE = {
+    "inf": Num(math.inf),
+    "nan": Num(math.nan),
+    "minus_zero": Num(-0.0),
+    "inf_plus_x1": BinOp("+", _X1, Num(math.inf)),
+    "nan_times_zero": BinOp("*", Num(math.nan), Num(0.0)),
+    "x1_over_minus_zero": BinOp("/", _X1, Num(-0.0)),
+    "neg_minus_zero": Neg(Num(-0.0)),
+    "minus_zero_to_minus_one": BinOp("^", Num(-0.0), Num(-1.0)),
+    "negative_base_nan_exponent": Call("pow", (Num(-8.0), Num(math.nan))),
+    "inf_to_zero": BinOp("^", Num(math.inf), Num(0.0)),
+    "sqrt_nan": Call("sqrt", (Num(math.nan),)),
+    "sqrt_minus_zero": Call("sqrt", (Num(-0.0),)),
+    "abs_minus_zero": Call("abs", (Num(-0.0),)),
+    "exp_inf": Call("exp", (Num(math.inf),)),
+    "cos_minus_inf": Call("cos", (Num(-math.inf),)),
+    "neg_chain_256_minus_zero": _neg_chain(Num(-0.0), 256),
+    "neg_chain_255_x1": _neg_chain(_X1, 255),
+    "sum_5000": _flat_sum(_SUM_TERMS),
+    "sum_5000_dividing_by_zero_last": _flat_sum(_SUM_TERMS[:-1] + [BinOp("/", _X2, Num(0.0))]),
+    "sum_5000_overflowing_midway": _flat_sum(_SUM_TERMS[:2500] + [Num(1e308), Num(1e308)] + _SUM_TERMS[2502:]),
+}
+
+
+@pytest.fixture
+def deep_recursion():
+    # the closures, and to_text of a faulting node, recurse once per level of a 5000-term sum
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 30_000))
+    yield
+    sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("name", list(_UNPARSEABLE))
+def test_generated_system_matches_the_closures_on_trees_the_parser_cannot_produce(name, deep_recursion):
+    e = _UNPARSEABLE[name]
+    _assert_generated_matches_closures((e,), 0.5, [1.5, -2.0])
+    _assert_generated_matches_closures((_X2, e, Var("t")), 0.5, [1.5, -2.0])
+
+
+def test_a_5000_term_sum_compiles_within_the_default_recursion_limit():
+    f = _compile_system((_UNPARSEABLE["sum_5000"],))
+    assert f(0.5, [1.5, -2.0]) == [1250 * (1.5 + 0.5 + 0.125 + 2.0)]
+
+
+_RELABELED_CALLS = {"sin": "cos", "cos": "exp", "exp": "sin"}
+
+
+def _relabel(node):
+    """A tree of node's shape with other literals, state indices and ufuncs."""
+    if isinstance(node, Num):
+        return Num(node.value + 1024.0)  # keeps an integer exponent integral
+    if isinstance(node, Var):
+        return Var(f"x{node.index % 3 + 1}", node.index % 3 + 1) if node.index else node
+    if isinstance(node, Neg):
+        return Neg(_relabel(node.operand))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _relabel(node.left), _relabel(node.right))
+    return Call(_RELABELED_CALLS.get(node.name, node.name), tuple(_relabel(a) for a in node.args))
+
+
+def _literals(node):
+    if isinstance(node, Num):
+        return {repr(node.value)}
+    if isinstance(node, Var):
+        return set()
+    children = (node.operand,) if isinstance(node, Neg) else (node.left, node.right) if isinstance(node, BinOp) else node.args
+    return set().union(*map(_literals, children))
+
+
+def test_generated_source_holds_no_text_from_the_tree():
+    trees = [e for e, _, _ in _random_cases()]
+    trees += [e for name, e in _UNPARSEABLE.items() if not name.startswith("sum_5000")]
+    for e in trees:
+        source, relabeled = _system_source((e,))[0], _relabel(e)
+        assert source == _system_source((relabeled,))[0], to_text(e)
+        # relabeled literals are 1024 and up, numbers the generator never writes itself
+        tokens = {tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)}
+        assert not tokens & _literals(relabeled), to_text(e)
+        assert not any(re.fullmatch(r"x\d+", tok) for tok in tokens), to_text(e)

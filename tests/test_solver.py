@@ -116,11 +116,35 @@ def test_predictor_leaving_the_finite_range_is_a_divergence():
     assert exc.value.last_step == 0
 
 
+@pytest.mark.parametrize("n_steps", [1, 7, 1100])
+def test_each_solve_evaluates_the_rhs_through_rhs_at_2n_plus_1_times(monkeypatch, n_steps):
+    # the benchmark's tracer counts solver.rhs_evals by rebinding _rhs_at
+    calls = []
+    rhs_at = fracstab.solver._rhs_at
+
+    def counting_rhs_at(*args):
+        calls.append(args)
+        return rhs_at(*args)
+
+    monkeypatch.setattr(fracstab.solver, "_rhs_at", counting_rhs_at)
+    solve(example1_system(0.9), TimeGrid(0.0, 0.01, n_steps))
+    assert len(calls) == 2 * n_steps + 1
+
+
 def test_rhs_eval_error_carries_context():
     system = SystemDef.from_strings(1, 0.5, ["x1/(t - 0.05)"], [1.0])
     with pytest.raises(EvalError) as exc:
         solve(system, TimeGrid(0.0, 0.05, 10))
     assert "t=" in str(exc.value)
+
+
+def test_rhs_eval_error_names_the_component_that_faults():
+    system = SystemDef.from_strings(2, 0.5, ["-x1", "sqrt(x1 - 0.99) + x2"], [1.0, 1.0])
+    with pytest.raises(EvalError) as exc:
+        solve(system, TimeGrid(0.0, 0.01, 10))
+    assert str(exc.value) == (
+        "rhs2 failed at t=0.01: sqrt of negative value in 'sqrt(x1 - 0.99)' in 'sqrt(x1 - 0.99) + x2'"
+    )
 
 
 # --- refinement behaviour --------------------------------------------------------
@@ -146,6 +170,16 @@ def test_convergence_study_zero_field():
     study = convergence_study(system, 1.0, (1e-2, 5e-3))
     assert all(err == 0.0 for _, err in study.entries)
     assert math.isnan(study.fitted_order)
+
+
+def test_convergence_study_order_does_not_depend_on_the_scale_of_a_linear_problem():
+    # from x0 = 1e-20 every error is below 1e-25, far under any absolute rounding threshold
+    orders = [
+        convergence_study(SystemDef.from_strings(1, 0.8, ["-x1"], [x0]), 1.0, (0.01, 0.005, 0.0025)).fitted_order
+        for x0 in (1.0, 1e-20)
+    ]
+    assert 1.7 <= orders[0] <= 1.8
+    assert orders[1] == pytest.approx(orders[0], abs=1e-9)
 
 
 def test_convergence_study_validates_h_list():
