@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -240,82 +239,52 @@ def parse(text: str) -> Expr:
 # --- evaluation ------------------------------------------------------------
 #
 # `_compile` turns a tree into nested closures f(t, x, r), built once per
-# expression and called once per point (or once per array of points).  There
-# is one closure per operator; it binds its mode's primitives when it is
-# built, `math` functions and builtins on plain Python floats (`_SCALAR`) or
-# numpy's on arrays (`_ARRAY`, whose caller `_on_arrays` turns numpy's
-# floating-point warnings off around the whole call, since every node checks
-# its own result).  Both modes raise the same exception class at the same
-# node, named by to_text of that node (built only when it is raised).  exp,
-# sin and cos are numpy ufuncs in both modes, so their values agree; pow is
-# the one primitive whose value can differ between the modes, since numpy's
-# vectorized pow and the C library's behind Python's `**` may round apart.
+# expression and called once per point or once per array of points.  There
+# is one closure per operator and one mode: each calls numpy's primitives,
+# which take plain floats at a point and float arrays alike, and `_run` turns
+# numpy's floating-point warnings off around the whole call, since every node
+# checks its own result.  A fault raises EvalError at its node, named by
+# to_text of that node (built only when it is raised).  `^` is the one
+# primitive whose value depends on the arguments' shape: at a point it is
+# Python's `**`, as in the generated code below, and over arrays numpy's
+# vectorized pow, and the two may round apart in the last bit.
 #
-# The closures serve arrays and one-off scalar calls.  A caller that
-# evaluates the same trees at many points (the solver) compiles them once
-# with `_compile_system` below into generated code, which is checked against
-# the scalar closures bit for bit; a compile() costs about 80-200 us per
-# tree, more than a sampled tree is ever evaluated.
+# A caller that evaluates the same trees at many points (the solver) compiles
+# them once with `_compile_system` below into generated code, which is checked
+# against `evaluate` at a point bit for bit; a compile() costs about 80-200 us
+# per tree, more than a sampled tree is ever evaluated.
 
-# np.exp cannot overflow at or below this argument, so a scalar call skips
-# np.errstate there (about 1.4 us per use, ten times the call itself); above
-# it the call runs with overflow warnings off and finiteness is checked.
-_EXP_NO_OVERFLOW = 709.0
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+def _pow(a, b):
+    # two 0-d operands (a point) take Python's float pow, as the generated code does
+    if np.ndim(a) or np.ndim(b):
+        return np.asarray(a, dtype=float) ** b
+    return float(a) ** float(b)
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": _pow}
 
 
 def _non_finite(node: Expr) -> EvalError:
     return EvalError("non-finite result", to_text(node))
 
 
-def _float_ufunc(ufunc, a: float) -> float:
-    if a > _EXP_NO_OVERFLOW:
-        with np.errstate(over="ignore"):
-            return float(ufunc(a))
-    return float(ufunc(a))
-
-
-def _array_pow(a, b):
-    # two 0-d operands take Python's float pow, as in scalar mode
-    if np.ndim(a) or np.ndim(b):
-        return np.asarray(a, dtype=float) ** b
-    return float(a) ** float(b)
-
-
-# A negative base needs an integer exponent, b == floor(b) (inf counts, nan
-# does not); over arrays it is judged point by point.
-_SCALAR = SimpleNamespace(
-    finite=math.isfinite, any_true=bool, pow=operator.pow, sqrt=math.sqrt, abs=abs, call=_float_ufunc,
-    negative_base=lambda a, b: a < 0.0 and not (b.is_integer() or math.isinf(b)),
-)
-_ARRAY = SimpleNamespace(
-    finite=lambda v: np.isfinite(v).all(), any_true=np.any, pow=_array_pow, sqrt=np.sqrt, abs=np.abs,
-    call=lambda ufunc, a: ufunc(a),
-    negative_base=lambda a, b: np.any((np.asarray(a) < 0) & (np.asarray(b) != np.floor(b))),
-)
-
-
-def _compile(node: Expr, scalar: bool):
+def _compile(node: Expr):
     """Closure f(t, x, r) evaluating the tree; see the comment above."""
     if isinstance(node, Num):
-        value = float(node.value) if scalar else node.value
+        value = float(node.value)
         return lambda t, x, r: value
     if isinstance(node, Var):
         return _compile_var(node)
     if isinstance(node, Neg):
-        operand = _compile(node.operand, scalar)
+        operand = _compile(node.operand)
         return lambda t, x, r: -operand(t, x, r)
-    mode = _SCALAR if scalar else _ARRAY
     if isinstance(node, BinOp):
-        left, right = _compile(node.left, scalar), _compile(node.right, scalar)
-        if node.op in "+-*/":
-            return _compile_arith(node, left, right, mode)
-        return _compile_power(node, left, right, mode)
+        return _compile_binop(node, _compile(node.left), _compile(node.right))
     if isinstance(node, Call):
         if node.name == "pow":
-            return _compile(BinOp("^", node.args[0], node.args[1]), scalar)
-        return _compile_call(node, _compile(node.args[0], scalar), mode)
+            return _compile(BinOp("^", node.args[0], node.args[1]))
+        return _compile_call(node, _compile(node.args[0]))
     raise TypeError(f"not an Expr node: {node!r}")
 
 
@@ -349,24 +318,6 @@ def _compile_var(node: Var):
     return var_x
 
 
-def _compile_arith(node: BinOp, left, right, mode: SimpleNamespace):
-    op = _ARITH[node.op]
-    divide = node.op == "/"
-    finite, any_true = mode.finite, mode.any_true
-
-    def arith(t, x, r):
-        a = left(t, x, r)
-        b = right(t, x, r)
-        if divide and any_true(b == 0):
-            raise EvalError("division by zero", to_text(node))
-        out = op(a, b)
-        if finite(out):
-            return out
-        raise _non_finite(node)
-
-    return arith
-
-
 def _integer_constant(node: Expr) -> bool:
     """Whether node is a Num, or Neg of one, whose value is an integer."""
     if isinstance(node, Neg):
@@ -374,64 +325,79 @@ def _integer_constant(node: Expr) -> bool:
     return isinstance(node, Num) and isinstance(node.value, float) and node.value.is_integer()
 
 
-def _compile_power(node: BinOp, left, right, mode: SimpleNamespace):
-    finite, negative_base, pow_ = mode.finite, mode.negative_base, mode.pow
-    # any base may meet an integer exponent: a constant one is judged here, once
-    checked = not _integer_constant(node.right)
+def _compile_binop(node: BinOp, left, right):
+    op = _BINARY[node.op]
+    divide = node.op == "/"
+    # A negative base needs an integer exponent, b == floor(b) (inf counts,
+    # nan does not), judged point by point over arrays.  Any base may meet
+    # an integer exponent: a constant one is judged here, once.
+    checked = node.op == "^" and not _integer_constant(node.right)
 
-    def power(t, x, r):
+    def binop(t, x, r):
         a = left(t, x, r)
         b = right(t, x, r)
-        if checked and negative_base(a, b):
+        if divide and np.any(b == 0):
+            raise EvalError("division by zero", to_text(node))
+        if checked and np.any((np.asarray(a) < 0) & (np.asarray(b) != np.floor(b))):
             raise EvalError("negative base with non-integer exponent", to_text(node))
         try:
-            out = pow_(a, b)
-        except (OverflowError, ZeroDivisionError) as exc:
+            out = op(a, b)
+        except (OverflowError, ZeroDivisionError) as exc:  # Python's float pow
             raise EvalError(str(exc), to_text(node)) from None
-        if finite(out):
+        if np.isfinite(out).all():
             return out
         raise _non_finite(node)
 
-    return power
+    return binop
 
 
-def _compile_call(node: Call, arg, mode: SimpleNamespace):
+def _compile_call(node: Call, arg):
     if node.name == "sqrt":
-        any_true, root = mode.any_true, mode.sqrt
 
         def sqrt(t, x, r):
             a = arg(t, x, r)
-            if any_true(a < 0):
+            if np.any(a < 0):
                 raise EvalError("sqrt of negative value", to_text(node))
-            return root(a)
+            return np.sqrt(a)
 
         return sqrt
     if node.name == "abs":
-        absolute = mode.abs
-        return lambda t, x, r: absolute(arg(t, x, r))
-    finite, apply, ufunc = mode.finite, mode.call, getattr(np, node.name)
+        return lambda t, x, r: np.abs(arg(t, x, r))
+    ufunc = getattr(np, node.name)
 
     def call(t, x, r):
-        out = apply(ufunc, arg(t, x, r))
-        if finite(out):
+        out = ufunc(arg(t, x, r))
+        if np.isfinite(out).all():
             return out
         raise _non_finite(node)
 
     return call
 
 
-# --- generated scalar code -----------------------------------------------------
+# --- generated point code -----------------------------------------------------
 #
 # `_compile_system` writes a tuple of trees as one straight-line function
 # f(t, x) -> list[float], for a caller that evaluates the same trees at many
 # points (the solver, twice per step).  Each operator node is one statement,
-# emitted in the scalar closures' order (children left to right, then the
-# node) with their primitives and checks written out, so every value and
-# every fault (class, message, node) is the closures' own, with r unbound.
+# emitted in the closures' order (children left to right, then the node) with
+# their checks written out on plain floats, so every value and every fault
+# (class, message, node) is `evaluate`'s at that point, with r unbound.
 # Constants, state indices, ufuncs and the nodes a fault names are bound in
 # the function's namespace, so the source holds generated names only and no
 # text from a tree reaches compile().  The walk keeps its own stack, so a deep
 # tree does not meet the recursion limit.
+
+# np.exp cannot overflow for an argument of at most this magnitude, so the
+# generated code calls exp, sin and cos there without np.errstate (about
+# 1.4 us per use, ten times the call itself); any other argument, inf and nan
+# included, goes through `_float_ufunc`, and finiteness is checked after.
+_EXP_NO_OVERFLOW = 709.0
+
+
+def _float_ufunc(ufunc, a: float) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(ufunc(a))
+
 
 # an operator is written by lookup, not copied from its node
 _SOURCE_ARITH = {"+": "+", "-": "-", "*": "*", "/": "/"}
@@ -507,7 +473,7 @@ def _system_source(trees) -> tuple[str, dict]:
                          f"        raise EvalError(str(exc), to_text({n})) from None")
         else:
             u = bind("c", getattr(np, node.name))
-            lines.append(f"    {v} = _float_ufunc({u}, {a}) if {a} > _EXP_NO_OVERFLOW else float({u}({a}))")
+            lines.append(f"    {v} = float({u}({a})) if abs({a}) <= _EXP_NO_OVERFLOW else _float_ufunc({u}, {a})")
         lines.append(f"    if not isfinite({v}): raise _non_finite({n})")
 
     results = []
@@ -530,8 +496,8 @@ def _system_source(trees) -> tuple[str, dict]:
 
 
 def _compile_system(trees):
-    """f(t, x) -> [each tree's value at t, x], as the scalar closures compute
-    it with r unbound; see the comment above."""
+    """f(t, x) -> [each tree's value at t, x], as `evaluate` computes it with
+    r unbound; see the comment above."""
     source, namespace = _system_source(trees)
     exec(compile(source, "<fracstab system>", "exec"), namespace)
     return namespace["f"]
@@ -550,6 +516,14 @@ def _inputs(caller: str, t, x, r, scalar: bool):
         raise BindError(f"{caller} needs finite real t, x and r: {exc}") from None
 
 
+def _run(node: Expr, t, x, r):
+    """The tree's closure at t, x and r, with numpy's floating-point warnings
+    off: every node checks its own result."""
+    f = _compile(node)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return f(t, x, r)
+
+
 def _on_arrays(caller: str, node: Expr, t, x, r, within_t: bool = False) -> np.ndarray:
     """The tree at t, x and r as float arrays, as a new float array of their
     broadcast shape (with within_t, t's own); BindError unless they hold
@@ -563,10 +537,7 @@ def _on_arrays(caller: str, node: Expr, t, x, r, within_t: bool = False) -> np.n
     if shape is None or (within_t and shape != t.shape):
         target = "to the shape of ts" if within_t else "together"
         raise BindError(f"{caller} needs t, x and r that broadcast {target}, got shapes {shapes}")
-    f = _compile(node, scalar=False)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = f(t, x, r)
-    return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
+    return np.broadcast_to(np.asarray(_run(node, t, x, r), dtype=float), shape).copy()
 
 
 def evaluate(node: Expr, t=0.0, x=(), r=None) -> float:
@@ -584,7 +555,7 @@ def evaluate(node: Expr, t=0.0, x=(), r=None) -> float:
     if not scalar:
         return _on_arrays("evaluate", node, t, x, r)
     t, x, r = _inputs("evaluate", t, x, r, scalar=True)
-    return _compile(node, scalar=True)(t, x, r)
+    return float(_run(node, t, x, r))
 
 
 def sample_on(node: Expr, ts: np.ndarray, x=(), r=None) -> np.ndarray:

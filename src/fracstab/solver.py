@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DivergenceError, DomainError, EvalError, Record, ShapeError, _set, count, real, reals
-from .expressions import Expr, _compile, _compile_system, max_state_index, parse, to_text, variables
+from .expressions import Expr, _compile_system, evaluate, max_state_index, parse, to_text, variables
 from .operators import (
     _FFT_MIN_TERMS,
     FracOrder,
@@ -94,14 +94,14 @@ def _rhs_at(system: SystemDef, rhs, t: float, x: list[float]) -> list[float]:
     """f(t, x), all components; rhs is `_compile_system(system.rhs)`.
 
     An EvalError names its component: the components are evaluated again one
-    by one through the scalar closures, which fault at the same node.
+    by one through `evaluate`, whose closures fault at the same node as rhs.
     """
     try:
         return rhs(t, x)
     except EvalError:
         for i, e in enumerate(system.rhs):
             try:
-                _compile(e, scalar=True)(t, x, None)
+                evaluate(e, t=t, x=x)
             except EvalError as exc:
                 raise EvalError(f"rhs{i + 1} failed at t={t:.17g}: {exc}", to_text(e)) from exc
         raise

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EvalError, PreconditionError, RangeError, Record, _set, real
-from .expressions import BinOp, Expr, Num, Var, _compile, evaluate, parse, sample_on, to_text, variables
+from .expressions import BinOp, Expr, Num, Var, evaluate, parse, sample_on, to_text, variables
 from .operators import SampleSeries
 from .solver import Trajectory
 from .special import MLParams, mittag_leffler_many
@@ -105,10 +105,9 @@ def _candidate_values(V: LyapunovCandidate, traj: Trajectory) -> np.ndarray:
         return sample_on(V.expression, ts, x=cols)
     except EvalError:
         # locate the offending node for the error message
-        at_point = _compile(V.expression, scalar=True)
         for j, t in enumerate(ts):
             try:
-                at_point(float(t), [float(c[j]) for c in cols], None)
+                evaluate(V.expression, t=t, x=[c[j] for c in cols])
             except EvalError as exc:
                 raise EvalError(f"candidate failed at node {j} (t={t:.17g}): {exc}") from exc
         raise

@@ -328,16 +328,19 @@ def pece_direct(system, grid) -> np.ndarray:
     A plain transcription of the solver's O(n^2) loop: every step sums its
     whole history with one dot product per sum.  The weights, the Gamma
     scale, the RHS evaluation and the divergence rule are the package's, so
-    only the history sums differ from `solve`.
+    only the history sums differ from `solve`.  The RHS is the solver's own
+    generated function, called on plain floats as the solver calls it.
     """
     from fracstab.errors import DivergenceError
-    from fracstab.expressions import evaluate
+    from fracstab.expressions import _compile_system
     from fracstab.operators import rect_weights, rl_weights
     from fracstab.solver import OVERFLOW_LIMIT
     from fracstab.special import gamma
 
+    f = _compile_system(system.rhs)
+
     def rhs(t, x):
-        return np.array([evaluate(e, t=t, x=tuple(x)) for e in system.rhs])
+        return np.array(f(float(t), x.tolist()))
 
     alpha = system.order.alpha
     h = grid.h

@@ -17,7 +17,6 @@ from fracstab.expressions import (
     Neg,
     Num,
     Var,
-    _compile,
     _compile_system,
     _system_source,
     evaluate,
@@ -131,7 +130,7 @@ def test_negative_base_is_judged_per_point_over_arrays():
 )
 def test_integer_constant_exponent_is_the_modes_own_pow(text, exponent):
     # the negative-base test is settled when the closure is built; each value
-    # is still the scalar mode's Python pow and the array mode's numpy pow
+    # is still Python's pow at a point and numpy's pow over an array
     bases = np.concatenate([np.random.default_rng(7).standard_normal(200) * 3.0, [-2.0, -0.5, 0.5, 2.0]])
     node = parse(text)
     scalar = np.array([evaluate(node, x=(b,)) for b in bases.tolist()])
@@ -163,7 +162,7 @@ def test_overflow_is_an_error():
 @pytest.mark.parametrize("text, node", [("10^400", "10.0^400.0"), ("0^-1", "0.0^-1.0")])
 def test_power_of_two_constants_over_arrays_is_an_eval_error(text, node):
     # two 0-d operands take Python's float pow, whose OverflowError and
-    # ZeroDivisionError become the EvalError scalar evaluation raises
+    # ZeroDivisionError become the EvalError evaluation at a point raises
     for call in (lambda: sample_on(parse(text), np.linspace(0.0, 1.0, 3)), lambda: evaluate(parse(text))):
         with pytest.raises(EvalError, match=re.escape(f"in '{node}'")):
             call()
@@ -407,7 +406,7 @@ def test_evaluation_matches_oracle_on_500_random_expressions():
 
 # --- generated system code ------------------------------------------------------
 #
-# `_compile_system` must reproduce the scalar closures exactly: the same bits
+# `_compile_system` must reproduce `evaluate` at a point exactly: the same bits
 # for every value, and for every fault the same class and message (which names
 # the faulting node).
 
@@ -420,9 +419,8 @@ def _outcome(evaluate_all):
     return [struct.pack("<d", v) for v in values]
 
 
-def _assert_generated_matches_closures(trees, t, x):
-    closures = [_compile(e, scalar=True) for e in trees]
-    want = _outcome(lambda: [f(t, x, None) for f in closures])
+def _matches_evaluate(trees, t, x):
+    want = _outcome(lambda: [evaluate(e, t=t, x=x) for e in trees])
     got = _outcome(lambda: _compile_system(trees)(t, x))
     assert got == want, ([to_text(e) for e in trees], t, x)
 
@@ -432,13 +430,13 @@ def test_generated_system_matches_the_closures_on_500_random_expressions():
     for e, ts, xs in cases:
         for j in range(8):
             t, x = float(ts[j]), xs[:, j].tolist()
-            _assert_generated_matches_closures((e,), t, x)
+            _matches_evaluate((e,), t, x)
             for unbound, x_dim in _unbound_variants(e):
-                _assert_generated_matches_closures((unbound,), t, x[:x_dim])
+                _matches_evaluate((unbound,), t, x[:x_dim])
     # one function for several trees returns each value, or the first fault in tree order
     for i in range(0, len(cases), 5):
         _, ts, xs = cases[i]
-        _assert_generated_matches_closures(tuple(e for e, _, _ in cases[i : i + 5]), float(ts[0]), xs[:, 0].tolist())
+        _matches_evaluate(tuple(e for e, _, _ in cases[i : i + 5]), float(ts[0]), xs[:, 0].tolist())
 
 
 def _flat_sum(terms):
@@ -493,8 +491,8 @@ def deep_recursion():
 @pytest.mark.parametrize("name", list(_UNPARSEABLE))
 def test_generated_system_matches_the_closures_on_trees_the_parser_cannot_produce(name, deep_recursion):
     e = _UNPARSEABLE[name]
-    _assert_generated_matches_closures((e,), 0.5, [1.5, -2.0])
-    _assert_generated_matches_closures((_X2, e, Var("t")), 0.5, [1.5, -2.0])
+    _matches_evaluate((e,), 0.5, [1.5, -2.0])
+    _matches_evaluate((_X2, e, Var("t")), 0.5, [1.5, -2.0])
 
 
 def test_a_5000_term_sum_compiles_within_the_default_recursion_limit():
