@@ -57,8 +57,8 @@ def get_preset(name: str, phi_text: str | None = None) -> ExamplePreset:
 def cmd_simulate(config: RunConfig, out_flag: str | None = None) -> int:
     from . import reporting, solver
 
-    out = _outdir(config.output, out_flag)
     traj = solver.solve(config.system, config.grid)
+    out = _outdir(config.output, out_flag)
     reporting.write_trajectory_csv(out / "trajectory.csv", traj)
     print(f"wrote {out / 'trajectory.csv'} ({traj.grid.n_nodes} rows)")
     return EXIT_OK
@@ -108,8 +108,8 @@ def cmd_convergence(config: RunConfig, out_flag: str | None = None) -> int:
     if len(config.h_list) < 2:
         print("config needs h_list with at least 2 decreasing steps", file=sys.stderr)
         return EXIT_USAGE
-    out = _outdir(config.output, out_flag)
     study = solver.convergence_study(config.system, config.grid.t_end, config.h_list, t0=config.grid.t0)
+    out = _outdir(config.output, out_flag)
     reporting.write_convergence_csv(out / "convergence.csv", study)
     print(f"fitted order: {study.fitted_order:.3f}")
     return EXIT_OK

@@ -13,7 +13,10 @@ base, so `-x1^2` is -(x1^2) while `(-x1)^2` squares.  Known identifiers are
 the time variable `t`, state variables `x1`, `x2`, ..., the radius variable
 `r` (for class-K bounds), and the calls sin, cos, exp, sqrt, abs and the
 two-argument pow.  A NUMBER must be finite as a double: `1e999` is a
-ParseError at its offset, not inf.  Faults (division by zero, domain
+ParseError at its offset, not inf.  A tree is at most _MAX_DEPTH (256)
+levels tall: deeper input, such as a sum of more than 256 terms, is a
+ParseError, so every recursive walk of a parsed tree stays well within
+Python's recursion limit.  Faults (division by zero, domain
 errors, non-finite results) raise EvalError naming the offending
 subexpression.
 """
@@ -132,6 +135,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
+    # Each rule returns its tree and the tree's height (a leaf is 1 level).
+    # `depth` bounds the parser's own recursion, and `grow` the height of the
+    # trees it builds, which a `+ - * /` chain raises by one level per operator.
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
@@ -151,48 +158,60 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
+    def grow(self, node: Expr, offset: int, *heights: int) -> tuple[Expr, int]:
+        """node over operands of these heights; ParseError at offset if the
+        tree would be more than _MAX_DEPTH levels tall."""
+        height = max(heights) + 1
+        if height > _MAX_DEPTH:
+            raise ParseError("expression too deeply nested", offset)
+        return node, height
+
     def parse(self) -> Expr:
-        e = self.expr(0)
+        e, _ = self.expr(0)
         tok = self.peek()
         if tok[0] != "eof":
             raise ParseError(f"trailing input starting at {tok[1]!r}", tok[2])
         return e
 
-    def expr(self, depth: int) -> Expr:
+    def expr(self, depth: int) -> tuple[Expr, int]:
         if depth > _MAX_DEPTH:
             raise ParseError("expression too deeply nested", self.peek()[2])
-        e = self.term(depth + 1)
+        e, height = self.term(depth + 1)
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            e = BinOp(op, e, self.term(depth + 1))
-        return e
+            op, _, offset = self.take()
+            right, right_height = self.term(depth + 1)
+            e, height = self.grow(BinOp(op, e, right), offset, height, right_height)
+        return e, height
 
-    def term(self, depth: int) -> Expr:
-        e = self.factor(depth + 1)
+    def term(self, depth: int) -> tuple[Expr, int]:
+        e, height = self.factor(depth + 1)
         while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
-            e = BinOp(op, e, self.factor(depth + 1))
-        return e
+            op, _, offset = self.take()
+            right, right_height = self.factor(depth + 1)
+            e, height = self.grow(BinOp(op, e, right), offset, height, right_height)
+        return e, height
 
-    def factor(self, depth: int) -> Expr:
+    def factor(self, depth: int) -> tuple[Expr, int]:
         if depth > _MAX_DEPTH:
             raise ParseError("expression too deeply nested", self.peek()[2])
         if self.peek()[0] == "-":
-            self.take()
-            return Neg(self.factor(depth + 1))
+            offset = self.take()[2]
+            operand, height = self.factor(depth + 1)
+            return self.grow(Neg(operand), offset, height)
         return self.power(depth + 1)
 
-    def power(self, depth: int) -> Expr:
-        base = self.atom(depth + 1)
+    def power(self, depth: int) -> tuple[Expr, int]:
+        base, height = self.atom(depth + 1)
         if self.peek()[0] == "^":
-            self.take()
-            return BinOp("^", base, self.factor(depth + 1))
-        return base
+            offset = self.take()[2]
+            exponent, exponent_height = self.factor(depth + 1)
+            return self.grow(BinOp("^", base, exponent), offset, height, exponent_height)
+        return base, height
 
-    def atom(self, depth: int) -> Expr:
+    def atom(self, depth: int) -> tuple[Expr, int]:
         kind, value, offset = self.take()
         if kind == "num":
-            return Num(value)
+            return Num(value), 1
         if kind == "(":
             e = self.expr(depth + 1)
             self.expect(")")
@@ -200,10 +219,10 @@ class _Parser:
         if kind == "ident":
             if self.peek()[0] == "(":
                 return self.call(value, offset, depth + 1)
-            return self.variable(value, offset)
+            return self.variable(value, offset), 1
         raise ParseError(f"expected a value, found {value!r}", offset)
 
-    def call(self, name: str, offset: int, depth: int) -> Expr:
+    def call(self, name: str, offset: int, depth: int) -> tuple[Expr, int]:
         if name not in _FUNCTIONS:
             raise ParseError(f"unknown function '{name}'", offset)
         self.expect("(")
@@ -216,7 +235,7 @@ class _Parser:
             raise ParseError(
                 f"'{name}' takes {_FUNCTIONS[name]} argument(s), got {len(args)}", offset
             )
-        return Call(name, tuple(args))
+        return self.grow(Call(name, tuple(e for e, _ in args)), offset, *(h for _, h in args))
 
     def variable(self, name: str, offset: int) -> Expr:
         if name == "t" or name == "r":
@@ -238,16 +257,16 @@ def parse(text: str) -> Expr:
 
 # --- evaluation ------------------------------------------------------------
 #
-# `_compile` turns a tree into nested closures f(t, x, r), built once per
-# expression and called once per point or once per array of points.  There
-# is one closure per operator and one mode: each calls numpy's primitives,
-# which take plain floats at a point and float arrays alike, and `_run` turns
-# numpy's floating-point warnings off around the whole call, since every node
-# checks its own result.  A fault raises EvalError at its node, named by
-# to_text of that node (built only when it is raised).  `^` is the one
-# primitive whose value depends on the arguments' shape: at a point it is
-# Python's `**`, as in the generated code below, and over arrays numpy's
-# vectorized pow, and the two may round apart in the last bit.
+# `_eval` computes a tree's value at t, x and r in one walk: each node
+# evaluates its left operand, then its right, then runs its own checks, and
+# `_run` turns numpy's floating-point warnings off around the whole walk,
+# since every node checks its own result.  Each operator calls numpy's
+# primitives, which take plain floats at a point and float arrays alike.  A
+# fault raises EvalError at its node, named by to_text of that node (built
+# only when it is raised).  `^` is the one primitive whose value depends on
+# the arguments' shape: at a point it is Python's `**`, as in the generated
+# code below, and over arrays numpy's vectorized pow, and the two may round
+# apart in the last bit.
 #
 # A caller that evaluates the same trees at many points (the solver) compiles
 # them once with `_compile_system` below into generated code, which is checked
@@ -269,53 +288,12 @@ def _non_finite(node: Expr) -> EvalError:
     return EvalError("non-finite result", to_text(node))
 
 
-def _compile(node: Expr):
-    """Closure f(t, x, r) evaluating the tree; see the comment above."""
-    if isinstance(node, Num):
-        value = float(node.value)
-        return lambda t, x, r: value
-    if isinstance(node, Var):
-        return _compile_var(node)
-    if isinstance(node, Neg):
-        operand = _compile(node.operand)
-        return lambda t, x, r: -operand(t, x, r)
-    if isinstance(node, BinOp):
-        return _compile_binop(node, _compile(node.left), _compile(node.right))
-    if isinstance(node, Call):
-        if node.name == "pow":
-            return _compile(BinOp("^", node.args[0], node.args[1]))
-        return _compile_call(node, _compile(node.args[0]))
-    raise TypeError(f"not an Expr node: {node!r}")
-
-
 def _r_unbound() -> BindError:
     return BindError("variable 'r' is not bound in this context")
 
 
 def _x_unbound(i: int, x) -> BindError:
     return BindError(f"variable x{i + 1} exceeds the bound dimension {len(x)}")
-
-
-def _compile_var(node: Var):
-    if node.name == "t":
-        return lambda t, x, r: t
-    if node.name == "r":
-
-        def var_r(t, x, r):
-            if r is None:
-                raise _r_unbound()
-            return r
-
-        return var_r
-    i = node.index - 1
-
-    def var_x(t, x, r):
-        try:
-            return x[i]
-        except IndexError:
-            raise _x_unbound(i, x) from None
-
-    return var_x
 
 
 def _integer_constant(node: Expr) -> bool:
@@ -325,53 +303,55 @@ def _integer_constant(node: Expr) -> bool:
     return isinstance(node, Num) and isinstance(node.value, float) and node.value.is_integer()
 
 
-def _compile_binop(node: BinOp, left, right):
-    op = _BINARY[node.op]
-    divide = node.op == "/"
-    # A negative base needs an integer exponent, b == floor(b) (inf counts,
-    # nan does not), judged point by point over arrays.  Any base may meet
-    # an integer exponent: a constant one is judged here, once.
-    checked = node.op == "^" and not _integer_constant(node.right)
-
-    def binop(t, x, r):
-        a = left(t, x, r)
-        b = right(t, x, r)
-        if divide and np.any(b == 0):
+def _eval(node: Expr, t, x, r):
+    """The tree's value at t, x and r; see the comment above."""
+    if isinstance(node, BinOp):
+        a = _eval(node.left, t, x, r)
+        b = _eval(node.right, t, x, r)
+        if node.op == "/" and np.any(b == 0):
             raise EvalError("division by zero", to_text(node))
-        if checked and np.any((np.asarray(a) < 0) & (np.asarray(b) != np.floor(b))):
+        # A negative base needs an integer exponent, b == floor(b) (inf counts,
+        # nan does not), judged point by point over arrays.  Any base may meet
+        # an integer exponent: a constant one needs no test.
+        if (node.op == "^" and not _integer_constant(node.right)
+                and np.any((np.asarray(a) < 0) & (np.asarray(b) != np.floor(b)))):
             raise EvalError("negative base with non-integer exponent", to_text(node))
         try:
-            out = op(a, b)
+            out = _BINARY[node.op](a, b)
         except (OverflowError, ZeroDivisionError) as exc:  # Python's float pow
             raise EvalError(str(exc), to_text(node)) from None
-        if np.isfinite(out).all():
-            return out
-        raise _non_finite(node)
-
-    return binop
-
-
-def _compile_call(node: Call, arg):
-    if node.name == "sqrt":
-
-        def sqrt(t, x, r):
-            a = arg(t, x, r)
+    elif isinstance(node, Num):
+        return float(node.value)
+    elif isinstance(node, Var):
+        if node.name == "t":
+            return t
+        if node.name == "r":
+            if r is None:
+                raise _r_unbound()
+            return r
+        try:
+            return x[node.index - 1]
+        except IndexError:
+            raise _x_unbound(node.index - 1, x) from None
+    elif isinstance(node, Neg):
+        return -_eval(node.operand, t, x, r)
+    elif isinstance(node, Call) and node.name == "pow":
+        return _eval(BinOp("^", node.args[0], node.args[1]), t, x, r)
+    elif isinstance(node, Call):
+        a = _eval(node.args[0], t, x, r)
+        if node.name == "abs":
+            return np.abs(a)
+        if node.name == "sqrt":
             if np.any(a < 0):
                 raise EvalError("sqrt of negative value", to_text(node))
             return np.sqrt(a)
-
-        return sqrt
-    if node.name == "abs":
-        return lambda t, x, r: np.abs(arg(t, x, r))
-    ufunc = getattr(np, node.name)
-
-    def call(t, x, r):
-        out = ufunc(arg(t, x, r))
-        if np.isfinite(out).all():
-            return out
-        raise _non_finite(node)
-
-    return call
+        out = getattr(np, node.name)(a)
+    else:
+        raise TypeError(f"not an Expr node: {node!r}")
+    # a BinOp, or a call of exp, sin or cos
+    if np.isfinite(out).all():
+        return out
+    raise _non_finite(node)
 
 
 # --- generated point code -----------------------------------------------------
@@ -379,8 +359,8 @@ def _compile_call(node: Call, arg):
 # `_compile_system` writes a tuple of trees as one straight-line function
 # f(t, x) -> list[float], for a caller that evaluates the same trees at many
 # points (the solver, twice per step).  Each operator node is one statement,
-# emitted in the closures' order (children left to right, then the node) with
-# their checks written out on plain floats, so every value and every fault
+# emitted in `_eval`'s order (children left to right, then the node) with
+# its checks written out on plain floats, so every value and every fault
 # (class, message, node) is `evaluate`'s at that point, with r unbound.
 # Constants, state indices, ufuncs and the nodes a fault names are bound in
 # the function's namespace, so the source holds generated names only and no
@@ -482,7 +462,7 @@ def _system_source(trees) -> tuple[str, dict]:
         while stack:
             node, ready = stack.pop()
             if isinstance(node, Call) and node.name == "pow":
-                node = BinOp("^", node.args[0], node.args[1])  # as `_compile` evaluates it
+                node = BinOp("^", node.args[0], node.args[1])  # as `_eval` evaluates it
             children = _children(node)
             if children and not ready:
                 stack.append((node, True))
@@ -517,11 +497,10 @@ def _inputs(caller: str, t, x, r, scalar: bool):
 
 
 def _run(node: Expr, t, x, r):
-    """The tree's closure at t, x and r, with numpy's floating-point warnings
-    off: every node checks its own result."""
-    f = _compile(node)
+    """The tree's value at t, x and r in one walk (`_eval`), with numpy's
+    floating-point warnings off: every node checks its own result."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return f(t, x, r)
+        return _eval(node, t, x, r)
 
 
 def _on_arrays(caller: str, node: Expr, t, x, r, within_t: bool = False) -> np.ndarray:

@@ -94,7 +94,7 @@ def _rhs_at(system: SystemDef, rhs, t: float, x: list[float]) -> list[float]:
     """f(t, x), all components; rhs is `_compile_system(system.rhs)`.
 
     An EvalError names its component: the components are evaluated again one
-    by one through `evaluate`, whose closures fault at the same node as rhs.
+    by one through `evaluate`, whose tree walk faults at the same node as rhs.
     """
     try:
         return rhs(t, x)

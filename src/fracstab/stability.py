@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EvalError, PreconditionError, RangeError, Record, _set, real
-from .expressions import BinOp, Expr, Num, Var, evaluate, parse, sample_on, to_text, variables
+from .expressions import BinOp, Expr, Num, Var, _compile_system, evaluate, parse, sample_on, to_text, variables
 from .operators import SampleSeries
 from .solver import Trajectory
 from .special import MLParams, mittag_leffler_many
@@ -104,10 +104,12 @@ def _candidate_values(V: LyapunovCandidate, traj: Trajectory) -> np.ndarray:
     try:
         return sample_on(V.expression, ts, x=cols)
     except EvalError:
-        # locate the offending node for the error message
-        for j, t in enumerate(ts):
+        # locate the offending node for the error message: one generated
+        # function faults as `evaluate` does at a point, on Python floats
+        at = _compile_system((V.expression,))
+        for j, (t, x) in enumerate(zip(ts.tolist(), traj.matrix().tolist())):
             try:
-                evaluate(V.expression, t=t, x=[c[j] for c in cols])
+                at(t, x)
             except EvalError as exc:
                 raise EvalError(f"candidate failed at node {j} (t={t:.17g}): {exc}") from exc
         raise

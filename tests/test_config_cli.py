@@ -295,6 +295,27 @@ def test_convergence_divergence_exit_code(tmp_path):
     assert main(["convergence", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+RHS_FAULT = 'order = 0.9\ndim = 2\nx0 = [1, 1]\nrhs1 = "-x1"\nrhs2 = "sqrt(x1 - 0.99) + x2"\nt_end = 1\nh = 0.01\n'
+
+
+@pytest.mark.parametrize("command", ["simulate", "convergence"])
+def test_an_rhs_fault_exits_1_and_creates_no_output_directory(tmp_path, capsys, command):
+    cfg = _write(tmp_path, "fault.cfg", RHS_FAULT + "h_list = [0.01, 0.005]\n")
+    out = tmp_path / "o"
+    assert main([command, cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: rhs2 failed at t=")
+    assert not out.exists()
+
+
+def test_a_3000_term_rhs_is_a_config_error_at_its_line(tmp_path, capsys):
+    rhs = " + ".join(["x1"] * 3000)
+    cfg = _write(tmp_path, "deep.cfg", f'order = 0.9\ndim = 1\nx0 = [1]\nrhs1 = "{rhs}"\nt_end = 1\nh = 0.01\n')
+    assert main(["simulate", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line 4: expression too deeply nested")
+    assert "Traceback" not in err
+
+
 def test_simulate_io_error_exit_code(tmp_path):
     cfg = _write(tmp_path, "run.cfg", SMALL_SYSTEM)
     assert main(["simulate", cfg, "--out", "/dev/null/impossible"]) == 3

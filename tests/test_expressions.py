@@ -100,6 +100,29 @@ def test_depth_limit():
         parse(deep)
 
 
+def test_a_3000_term_sum_is_too_deeply_nested_at_the_plus_that_adds_term_257():
+    text = " + ".join(["x1"] * 3000)
+    with pytest.raises(ParseError, match="expression too deeply nested") as exc:
+        parse(text)
+    assert exc.value.offset == [i for i, c in enumerate(text) if c == "+"][255]
+
+
+def test_nested_short_chains_are_too_deeply_nested():
+    # each level adds 100 levels to the tree but only a few to the parser's depth
+    text = "x1"
+    for _ in range(40):
+        text = f"({text})" + " + x1" * 100
+    with pytest.raises(ParseError, match="expression too deeply nested"):
+        parse(text)
+
+
+def test_sums_of_up_to_256_terms_still_parse():
+    assert evaluate(parse("+".join(["1"] * 200))) == 200.0
+    assert evaluate(parse("+".join(["1"] * 256))) == 256.0
+    with pytest.raises(ParseError, match="expression too deeply nested"):
+        parse("+".join(["1"] * 257))
+
+
 # --- evaluation faults ------------------------------------------------------------
 
 
@@ -129,7 +152,7 @@ def test_negative_base_is_judged_per_point_over_arrays():
     "text, exponent", [("x1^2", 2.0), ("x1^3", 3.0), ("x1^-2", -2.0), ("x1^(-3)", -3.0), ("x1^0", 0.0), ("pow(x1, 5)", 5.0)]
 )
 def test_integer_constant_exponent_is_the_modes_own_pow(text, exponent):
-    # the negative-base test is settled when the closure is built; each value
+    # a constant integer exponent skips the negative-base test; each value
     # is still Python's pow at a point and numpy's pow over an array
     bases = np.concatenate([np.random.default_rng(7).standard_normal(200) * 3.0, [-2.0, -0.5, 0.5, 2.0]])
     node = parse(text)
@@ -190,7 +213,7 @@ def test_bind_errors():
 )
 def test_list_arguments_evaluate_like_arrays(text, want, v, kwargs):
     # A list for t, for an x entry or for r is the float array it holds
-    # (2*t and t + 1 raised TypeError from inside the closures, t^2 did not).
+    # (2*t and t + 1 once raised TypeError from inside the evaluator, t^2 did not).
     got = evaluate(parse(text.format(v=v)), **kwargs)
     assert isinstance(got, np.ndarray) and got.dtype == float
     np.testing.assert_array_equal(got, want)
@@ -481,7 +504,7 @@ _UNPARSEABLE = {
 
 @pytest.fixture
 def deep_recursion():
-    # the closures, and to_text of a faulting node, recurse once per level of a 5000-term sum
+    # the tree walk, and to_text of a faulting node, recurse once per level of a 5000-term sum
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 30_000))
     yield

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fracstab.errors import DomainError, EnvelopeError, EvalError, PreconditionError, RangeError
-from fracstab.expressions import parse
+from fracstab.expressions import evaluate, parse
 from fracstab.operators import SampleSeries, TimeGrid, caputo_l1
 from fracstab.presets import get_preset, run_preset
 from fracstab.reporting import stability_summary_text
@@ -81,6 +81,26 @@ def test_candidate_fault_names_its_node():
     with pytest.raises(EvalError) as exc:
         evaluate_candidate(V, traj)
     assert str(exc.value) == "candidate failed at node 50 (t=0.5): division by zero in '1.0/(t - 0.5)'"
+
+
+def test_candidate_fault_at_the_last_of_10001_nodes_names_it():
+    ts = np.linspace(0.0, 1.0, 10001)
+    traj = hand_trajectory(ts, 1.0 - ts)  # t = 0, 0.1, ..., 1000
+    with pytest.raises(EvalError) as exc:
+        evaluate_candidate(LyapunovCandidate("x1^2 + x2^2 + 1/(t - 1000)"), traj)
+    assert str(exc.value) == "candidate failed at node 10000 (t=1000): division by zero in '1.0/(t - 1000.0)'"
+
+
+def test_candidate_fault_is_the_one_evaluate_raises_at_that_node():
+    # Python's float pow overflows where numpy's pow of float64 gives inf
+    x1 = np.full(11, 2.0)
+    x1[-1] = 10.0
+    traj = hand_trajectory(x1, np.full(11, 400.0))
+    with pytest.raises(EvalError) as want:
+        evaluate(parse("x1^x2"), t=1.0, x=(10.0, 400.0))
+    with pytest.raises(EvalError) as exc:
+        evaluate_candidate(LyapunovCandidate("x1^x2"), traj)
+    assert str(exc.value) == f"candidate failed at node 10 (t=1): {want.value}"
 
 
 # --- sandwich ----------------------------------------------------------------------------
