@@ -364,8 +364,8 @@ def _eval(node: Expr, t, x, r):
 # (class, message, node) is `evaluate`'s at that point, with r unbound.
 # Constants, state indices, ufuncs and the nodes a fault names are bound in
 # the function's namespace, so the source holds generated names only and no
-# text from a tree reaches compile().  The walk keeps its own stack, so a deep
-# tree does not meet the recursion limit.
+# text from a tree reaches compile().  Like `_eval`, the walk recurses once
+# per level, at most 256 in a parsed tree.
 
 # np.exp cannot overflow for an argument of at most this magnitude, so the
 # generated code calls exp, sin and cos there without np.errstate (about
@@ -383,18 +383,6 @@ def _float_ufunc(ufunc, a: float) -> float:
 _SOURCE_ARITH = {"+": "+", "-": "-", "*": "*", "/": "/"}
 
 
-def _children(node: Expr) -> tuple[Expr, ...]:
-    if isinstance(node, (Num, Var)):
-        return ()
-    if isinstance(node, Neg):
-        return (node.operand,)
-    if isinstance(node, BinOp):
-        return (node.left, node.right)
-    if isinstance(node, Call):
-        return (node.args[0],)
-    raise TypeError(f"not an Expr node: {node!r}")
-
-
 def _system_source(trees) -> tuple[str, dict]:
     """Source of `_compile_system`'s function f, and the namespace it runs in."""
     namespace = {
@@ -410,12 +398,23 @@ def _system_source(trees) -> tuple[str, dict]:
         namespace[name] = value
         return name
 
-    def emit(node: Expr, args: list[str]) -> str:
-        """The name of node's value, after appending node's statement to lines."""
+    def emit(node: Expr) -> str:
+        """The name of node's value, after appending the statements of its
+        children, left to right, and then its own to lines."""
+        if isinstance(node, Call) and node.name == "pow":
+            node = BinOp("^", node.args[0], node.args[1])  # as `_eval` evaluates it
         if isinstance(node, Num):
             return bind("c", float(node.value))
         if isinstance(node, Var) and node.name == "t":
             return "t"
+        if isinstance(node, Neg):
+            args = [emit(node.operand)]
+        elif isinstance(node, BinOp):
+            args = [emit(node.left), emit(node.right)]
+        elif isinstance(node, Call):
+            args = [emit(node.args[0])]
+        elif not isinstance(node, Var):
+            raise TypeError(f"not an Expr node: {node!r}")
         v = f"v{next(ids)}"
         if isinstance(node, Var) and node.name == "r":
             lines.append("    raise _r_unbound()")
@@ -456,21 +455,7 @@ def _system_source(trees) -> tuple[str, dict]:
             lines.append(f"    {v} = float({u}({a})) if abs({a}) <= _EXP_NO_OVERFLOW else _float_ufunc({u}, {a})")
         lines.append(f"    if not isfinite({v}): raise _non_finite({n})")
 
-    results = []
-    for tree in trees:
-        values, stack = [], [(tree, False)]
-        while stack:
-            node, ready = stack.pop()
-            if isinstance(node, Call) and node.name == "pow":
-                node = BinOp("^", node.args[0], node.args[1])  # as `_eval` evaluates it
-            children = _children(node)
-            if children and not ready:
-                stack.append((node, True))
-                stack.extend((child, False) for child in reversed(children))
-                continue
-            split = len(values) - len(children)
-            values[split:] = [emit(node, values[split:])]
-        results += values
+    results = [emit(tree) for tree in trees]
     lines.append(f"    return [{', '.join(results)}]")
     return "\n".join(lines) + "\n", namespace
 

@@ -145,18 +145,22 @@ _FFT_MIN_TERMS = 1024
 def _lag_sum(w: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """First n terms of the causal convolution: out[k] = sum_{j<=k} w[j] v[k-j].
 
-    w and v need at least n entries; entries past n do not reach the result.
-    Below `_FFT_MIN_TERMS` this is np.convolve.  From there on it is one real
-    FFT product on a power-of-two length >= 2n - 1, so no term wraps around.
-    Its error is normwise: a few ulps of sum(|w|) * max(|v|) at every k, so
-    a term whose own history is far smaller than that (t^p near t = 0) keeps
-    its absolute accuracy but not its relative one.
+    w needs at least n entries; entries past n do not reach the result.
+    Below `_FFT_MIN_TERMS` this is np.convolve of 1-D w and v, which needs
+    at least n entries too.  From there on it is one real FFT product along
+    axis 0 on a power-of-two length >= 2n - 1, so no term wraps around; the
+    trailing axes of w and v broadcast, each lane a convolution of its own
+    (the solver folds both history copies and every component in one call),
+    and a v of fewer than n entries counts as zero-padded.  Its error is
+    normwise: a few ulps of sum(|w|) * max(|v|) at every k, so a term whose
+    own history is far smaller than that (t^p near t = 0) keeps its absolute
+    accuracy but not its relative one.
     """
     if n < _FFT_MIN_TERMS:
         return np.convolve(w, v)[:n]
     size = 1 << (2 * n - 2).bit_length()
-    spectrum = np.fft.rfft(w[:n], size) * np.fft.rfft(v[:n], size)
-    return np.fft.irfft(spectrum, size)[:n]
+    spectrum = np.fft.rfft(w[:n], size, axis=0) * np.fft.rfft(v[:n], size, axis=0)
+    return np.fft.irfft(spectrum, size, axis=0)[:n]
 
 
 def _positive_order(mu, name: str) -> float:

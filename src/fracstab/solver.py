@@ -3,11 +3,12 @@
 Solves D^alpha x = f(t, x), x(t0) = x0 with commensurate order
 alpha in (0, 1] in PECE form: fractional-rectangle prediction, one
 product-trapezoidal correction per step.  Each step's history sums take the
-recent rows directly and the older rows from accumulators filled by FFT
-convolutions (`operators._lag_sum`) of completed blocks, so a solve of n
-steps costs O(n log^2 n), and O(n^2) below 1024 steps, where it sums
-directly.  The right-hand sides are compiled once per solve into one
-generated function (`expressions._compile_system`).
+recent rows directly and the older rows from accumulators filled by one FFT
+convolution (`operators._lag_sum`) per completed block, over both history
+copies and every component, so a solve of n steps costs O(n log^2 n), and
+O(n^2) below 1024 steps, where it sums directly.  The right-hand sides are
+compiled once per solve into one generated function
+(`expressions._compile_system`).
 """
 
 from __future__ import annotations
@@ -107,21 +108,6 @@ def _rhs_at(system: SystemDef, rhs, t: float, x: list[float]) -> list[float]:
         raise
 
 
-def _fold(far: np.ndarray, weights: np.ndarray, block: np.ndarray, m: int, count: int) -> None:
-    """far[:, n] += sum_j weights[:, 0, n - j] block[:, j - (m - L)] for n = m .. m + count - 1.
-
-    block holds both copies of the L history rows j = m - L .. m - 1; the
-    lags n - j run from 1 to L - 1 + count, so this is one causal
-    convolution per copy and column.
-    """
-    size = block.shape[1]
-    n_out = size - 1 + count
-    v = np.zeros(n_out)
-    for c, d in np.ndindex(block.shape[0], block.shape[2]):
-        v[:size] = block[c, :, d]
-        far[c, m : m + count, d] += _lag_sum(weights[c, 0, 1 : n_out + 1], v, n_out)[size - 1 :]
-
-
 def solve(system: SystemDef, grid: TimeGrid) -> Trajectory:
     """Integrate the system over the grid with the PECE scheme.
 
@@ -147,10 +133,11 @@ def solve(system: SystemDef, grid: TimeGrid) -> Trajectory:
     summed directly; every older row was folded into per-step accumulators
     when its block completed.  Once rows 0 .. m - 1 are known (m a multiple
     of B), the last L of them (L = B times the largest power of two dividing
-    m / B) are convolved with the weights by `_lag_sum` into the sums of
-    steps m .. m + L - 1, so a solve costs O(n log^2 n).  Solves of fewer
-    than B steps fold nothing and sum the whole history directly in O(n^2);
-    the first B steps of any solve are the same arithmetic.
+    m / B) are convolved with the weights into the sums of steps
+    m .. m + L - 1 by one `_lag_sum` call, whose lanes are the two history
+    copies times the components, so a solve costs O(n log^2 n).  Solves of
+    fewer than B steps fold nothing and sum the whole history directly in
+    O(n^2); the first B steps of any solve are the same arithmetic.
     """
     alpha = system.order.alpha
     h = grid.h
@@ -174,6 +161,8 @@ def solve(system: SystemDef, grid: TimeGrid) -> Trajectory:
     f0 = _rhs_at(system, rhs, ts[0], x0)
     hist[0, 0] = f0
     lagged = hist[:, ::-1]  # row j at n - j
+    # the folds' views: one lane per history copy and component
+    by_lag, by_row, far_by_row = weights.transpose(2, 0, 1), hist.swapaxes(0, 1), far.swapaxes(0, 1)
 
     for k in range(n):
         t = ts[k + 1]
@@ -205,7 +194,10 @@ def solve(system: SystemDef, grid: TimeGrid) -> Trajectory:
         if m % _FFT_MIN_TERMS == 0 and m <= n:
             q = m // _FFT_MIN_TERMS
             size = _FFT_MIN_TERMS * (q & -q)
-            _fold(far, weights, hist[:, m - size : m], m, min(size, n + 1 - m))
+            rows = min(size, n + 1 - m)
+            # steps m .. m + rows - 1 from rows m - size .. m - 1: lags 1 .. size - 1 + rows
+            lanes = _lag_sum(by_lag[1 : size + rows], by_row[m - size : m], size - 1 + rows)
+            far_by_row[m : m + rows] += lanes[size - 1 :]
 
     series = tuple(SampleSeries(grid, states[:, i]) for i in range(system.dim))
     return Trajectory(grid, series, system)

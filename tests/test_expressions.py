@@ -26,8 +26,10 @@ from fracstab.expressions import (
     to_text,
     variables,
 )
+from fracstab.operators import FracOrder, TimeGrid
+from fracstab.solver import SystemDef, solve
 
-from oracles import ExpressionFault, expression_oracle
+from oracles import ExpressionFault, expression_oracle, pece_direct
 
 
 # --- parsing and precedence -----------------------------------------------------
@@ -504,7 +506,8 @@ _UNPARSEABLE = {
 
 @pytest.fixture
 def deep_recursion():
-    # the tree walk, and to_text of a faulting node, recurse once per level of a 5000-term sum
+    # the tree walk, the code generator and to_text of a faulting node
+    # recurse once per level of a 5000-term sum
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 30_000))
     yield
@@ -518,9 +521,27 @@ def test_generated_system_matches_the_closures_on_trees_the_parser_cannot_produc
     _matches_evaluate((_X2, e, Var("t")), 0.5, [1.5, -2.0])
 
 
-def test_a_5000_term_sum_compiles_within_the_default_recursion_limit():
-    f = _compile_system((_UNPARSEABLE["sum_5000"],))
-    assert f(0.5, [1.5, -2.0]) == [1250 * (1.5 + 0.5 + 0.125 + 2.0)]
+@pytest.fixture
+def default_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # Python's default
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def test_the_deepest_parsed_trees_compile_and_solve_within_the_default_recursion_limit(default_recursion_limit):
+    # trees reach the code generator through SystemDef, whose checks walk them
+    # recursively too; parse caps them at 256 levels
+    for text in (" - ".join(["t"] * 255 + ["x1"]), "-" * 250 + "x1"):
+        e = parse(text)
+        for t, x in ((0.5, [1.5]), (-2.0, [-0.0]), (3.0, [1e300])):
+            _matches_evaluate((e,), t, x)
+        system = SystemDef(1, FracOrder(0.9), (e,), [0.5])
+        grid = TimeGrid(0.0, 0.01, 50)
+        states = solve(system, grid).matrix()
+        assert np.all(np.isfinite(states)) and np.array_equal(states, pece_direct(system, grid))
+    with pytest.raises(ParseError, match="expression too deeply nested"):
+        parse(" - ".join(["t"] * 256 + ["x1"]))
 
 
 _RELABELED_CALLS = {"sin": "cos", "cos": "exp", "exp": "sin"}

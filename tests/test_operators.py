@@ -11,6 +11,7 @@ from fracstab.operators import (
     FracOrder,
     SampleSeries,
     TimeGrid,
+    _lag_sum,
     caputo_l1,
     caputo_power_oracle,
     l1_weights,
@@ -456,6 +457,21 @@ def test_history_sum_fft_matches_fsum(alpha, op, size):
         sizes = np.array([math.fsum(np.abs(t)) for t in terms])
         bound = 1e-13 * (np.max(sizes) if normwise else sizes)
         assert np.all(errs <= bound), (normwise, float(np.max(errs / bound)))
+
+
+@pytest.mark.parametrize("n", [_FFT_MIN_TERMS, 1500, 3000])
+def test_history_sum_fft_over_trailing_axes_matches_each_lane_bit_for_bit(n):
+    # the solver folds both history copies and every component in one call:
+    # w by (lag, copy, 1), v by (row, copy, component) with fewer rows than n
+    rng = np.random.default_rng(n)
+    w = rng.uniform(-1.0, 1.0, (n, 2, 1))
+    v = rng.uniform(-1.0, 1.0, (n // 2 + 1, 2, 3))
+    got = _lag_sum(w, v, n)
+    assert got.shape == (n, 2, 3)
+    lane = np.zeros(n)
+    for c, d in np.ndindex(2, 3):
+        lane[: len(v)] = v[:, c, d]
+        assert np.array_equal(got[:, c, d], _lag_sum(w[:, c, 0], lane, n)), (c, d)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])

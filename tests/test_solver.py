@@ -296,7 +296,7 @@ ZERO_CASES = [
     # -x1 from +0.0 keeps an all -0.0 RHS history; from -0.0 the history is +0.0
     pytest.param(SystemDef.from_strings(1, 0.7, ["-x1"], [x0]), n, id=f"-x1_from_{x0}_{n}")
     for x0 in (-0.0, 0.0)
-    for n in (300, 1100)
+    for n in (300, 1100, 2100)
 ] + [pytest.param(get_preset("example1").system, 1023, id="example1_1023")]
 
 
