@@ -29,7 +29,7 @@ import operator
 
 import numpy as np
 
-from .errors import BindError, EvalError, ParseError, Record, _set, real, reals
+from .errors import BindError, EvalError, ParseError, Record, _set, reals
 
 __all__ = ["Expr", "Num", "Var", "Neg", "BinOp", "Call", "parse", "evaluate", "variables", "to_text"]
 
@@ -259,9 +259,9 @@ def parse(text: str) -> Expr:
 #
 # `_eval` computes a tree's value at t, x and r in one walk: each node
 # evaluates its left operand, then its right, then runs its own checks, and
-# `_run` turns numpy's floating-point warnings off around the whole walk,
-# since every node checks its own result.  Each operator calls numpy's
-# primitives, which take plain floats at a point and float arrays alike.  A
+# `_on_arrays` turns numpy's floating-point warnings off around the whole
+# walk, since every node checks its own result.  Each operator calls numpy's
+# primitives, which take 0-d arrays (a point) and float arrays alike.  A
 # fault raises EvalError at its node, named by to_text of that node (built
 # only when it is raised).  `^` is the one primitive whose value depends on
 # the arguments' shape: at a point it is Python's `**`, as in the generated
@@ -468,32 +468,19 @@ def _compile_system(trees):
     return namespace["f"]
 
 
-def _inputs(caller: str, t, x, r, scalar: bool):
-    """t, each x and r (unless None) as floats (scalar) or float arrays.
-
-    BindError unless each is a finite real number, or an array of them.
+def _on_arrays(caller: str, node: Expr, t, x, r, within_t: bool = False) -> np.ndarray:
+    """The tree at t, each x and r (unless None), bound as float arrays
+    (`reals`), as a new float array of their broadcast shape (with within_t,
+    t's own).  BindError unless they hold finite real numbers only and
+    broadcast.  One walk (`_eval`) computes it, with numpy's floating-point
+    warnings off: every node checks its own result.
     """
-    as_real = real if scalar else reals
     try:
-        xs = [as_real(v, f"x{i}") for i, v in enumerate(x, start=1)]
-        return as_real(t, "t"), xs, None if r is None else as_real(r, "r")
+        xs = [reals(v, f"x{i}") for i, v in enumerate(x, start=1)]
+        t, r = reals(t, "t"), None if r is None else reals(r, "r")
     except (TypeError, ValueError) as exc:  # x not iterable; DomainError and RangeError are ValueErrors
         raise BindError(f"{caller} needs finite real t, x and r: {exc}") from None
-
-
-def _run(node: Expr, t, x, r):
-    """The tree's value at t, x and r in one walk (`_eval`), with numpy's
-    floating-point warnings off: every node checks its own result."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _eval(node, t, x, r)
-
-
-def _on_arrays(caller: str, node: Expr, t, x, r, within_t: bool = False) -> np.ndarray:
-    """The tree at t, x and r as float arrays, as a new float array of their
-    broadcast shape (with within_t, t's own); BindError unless they hold
-    finite real numbers only and broadcast."""
-    t, x, r = _inputs(caller, t, x, r, scalar=False)
-    shapes = [v.shape for v in (t, *x, *(() if r is None else (r,)))]
+    shapes = [v.shape for v in (t, *xs, *(() if r is None else (r,)))]
     try:
         shape = np.broadcast_shapes(*shapes)
     except ValueError:
@@ -501,29 +488,27 @@ def _on_arrays(caller: str, node: Expr, t, x, r, within_t: bool = False) -> np.n
     if shape is None or (within_t and shape != t.shape):
         target = "to the shape of ts" if within_t else "together"
         raise BindError(f"{caller} needs t, x and r that broadcast {target}, got shapes {shapes}")
-    return np.broadcast_to(np.asarray(_run(node, t, x, r), dtype=float), shape).copy()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = _eval(node, t, xs, r)
+    return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
 
 
-def evaluate(node: Expr, t=0.0, x=(), r=None) -> float:
-    """Evaluate at scalar or numpy-array arguments.
+def evaluate(node: Expr, t=0.0, x=(), r=None) -> float | np.ndarray:
+    """Evaluate at numbers or numpy arrays, each bound as a float array.
 
-    Scalar inputs return float; array inputs (numpy arrays or nested
-    sequences of numbers) return a new ndarray over their broadcast shape.
-    Faults raise EvalError/BindError, never silent NaN; so does input that
-    is not a finite real number, and arrays that do not broadcast.
+    When t, each x and r are numbers (0-d), the value is a float; otherwise
+    (numpy arrays or nested sequences of numbers) it is a new ndarray over
+    their broadcast shape.  Faults raise EvalError/BindError, never silent
+    NaN; so does input that is not a finite real number, and arrays that do
+    not broadcast.
     """
-    try:
-        scalar = np.ndim(t) == 0 and np.ndim(r) == 0 and all(np.ndim(v) == 0 for v in x)
-    except (TypeError, ValueError) as exc:  # x not iterable, or ragged nesting
-        raise BindError(f"evaluate needs finite real t, x and r: {exc}") from None
-    if not scalar:
-        return _on_arrays("evaluate", node, t, x, r)
-    t, x, r = _inputs("evaluate", t, x, r, scalar=True)
-    return float(_run(node, t, x, r))
+    out = _on_arrays("evaluate", node, t, x, r)
+    return float(out) if out.ndim == 0 else out
 
 
 def sample_on(node: Expr, ts: np.ndarray, x=(), r=None) -> np.ndarray:
-    """Evaluate over an array of times, broadcasting constants to ts.shape.
+    """`evaluate` over an array of times ts, as an array of ts.shape (a
+    constant tree's too).
 
     BindError unless ts, each x and r hold finite real numbers only and x
     and r broadcast to ts.shape.

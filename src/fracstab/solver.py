@@ -6,8 +6,10 @@ product-trapezoidal correction per step.  Each step's history sums take the
 recent rows directly and the older rows from accumulators filled by one FFT
 convolution (`operators._lag_sum`) per completed block, over both history
 copies and every component, so a solve of n steps costs O(n log^2 n), and
-O(n^2) below 1024 steps, where it sums directly.  The right-hand sides are
-compiled once per solve into one generated function
+O(n^2) below 1024 steps, where it sums directly.  Every step adds its
+accumulators; they hold +0.0 before the first fold, which leaves each
+stored state bit for bit that of the direct sums (see `solve`).  The
+right-hand sides are compiled once per solve into one generated function
 (`expressions._compile_system`).
 """
 
@@ -124,9 +126,14 @@ def solve(system: SystemDef, grid: TimeGrid) -> Trajectory:
     order, the same sequential sum as a dot product, and the zeroed row
     only adds +0.  The rest of a step is arithmetic on Python floats: the
     time nodes and a0 come from lists, the folded sums are added inside the
-    predictor and corrector expressions (adding a zero would turn a -0.0
-    sum into +0.0), and each RHS evaluation is one call of the system's
-    generated function through `_rhs_at`.
+    predictor and corrector expressions, and each RHS evaluation is one call
+    of the system's generated function through `_rhs_at`.
+
+    Before the first fold the folded sums are +0.0, and adding them is
+    exact: it changes no nonzero sum and can only turn the predictor's
+    -0.0 into +0.0.  No function of the grammar tells those two apart by a
+    nonzero value or a fault, and the corrector's sum already holds the
+    +0.0 of the zeroed row 0, so every stored state keeps its bits.
 
     History sums (Hairer, Lubich and Schlichte's nested blocks, B =
     `_FFT_MIN_TERMS` = 1024): the rows of the current length-B block are
@@ -168,19 +175,13 @@ def solve(system: SystemDef, grid: TimeGrid) -> Trajectory:
         t = ts[k + 1]
         s = (k + 1) // _FFT_MIN_TERMS * _FFT_MIN_TERMS  # first row summed directly
         (sum_p,), (sum_c,) = (weights[:, :, 1 : k + 2 - s] @ lagged[:, n - k : n + 1 - s]).tolist()
-        if s:
-            far_p, far_c = far[:, k + 1].tolist()
-            xs = [x + scale_p * (v + w) for x, v, w in zip(x0, sum_p, far_p)]
-        else:
-            xs = [x + scale_p * v for x, v in zip(x0, sum_p)]
+        far_p, far_c = far[:, k + 1].tolist()
+        xs = [x + scale_p * (v + w) for x, v, w in zip(x0, sum_p, far_p)]
         if not all(map(math.isfinite, xs)):
             raise DivergenceError(f"predictor left the finite range at step {k + 1}", last_step=k)
         f_pred = _rhs_at(system, rhs, t, xs)
         a0k = a0[k + 1]
-        if s:
-            xs = [x + scale_c * (fp + a0k * f + (v + w)) for x, fp, f, v, w in zip(x0, f_pred, f0, sum_c, far_c)]
-        else:
-            xs = [x + scale_c * (fp + a0k * f + v) for x, fp, f, v in zip(x0, f_pred, f0, sum_c)]
+        xs = [x + scale_c * (fp + a0k * f + (v + w)) for x, fp, f, v, w in zip(x0, f_pred, f0, sum_c, far_c)]
         if not all(abs(v) <= OVERFLOW_LIMIT for v in xs):
             raise DivergenceError(
                 f"state exceeded {OVERFLOW_LIMIT:g} at step {k + 1} "

@@ -544,6 +544,14 @@ def test_convergence_requires_h_list(tmp_path):
     assert main(["convergence", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+def test_convergence_with_one_step_is_the_study_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "conv.cfg", SMALL_SYSTEM + "h_list = [0.01]\n")
+    out = tmp_path / "o"
+    assert main(["convergence", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: h_list must be decreasing with at least 2 entries\n"
+    assert not out.exists()
+
+
 def test_plotscript(tmp_path):
     cfg = _write(tmp_path, "run.cfg", SMALL_SYSTEM)
     out = tmp_path / "sim"

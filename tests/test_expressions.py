@@ -201,6 +201,22 @@ def test_bind_errors():
     assert evaluate(parse("r^2"), r=3.0) == 9.0
 
 
+@pytest.mark.parametrize("v", [math.nan, "a", True, 10**400], ids=["nan", "str", "bool", "big_int"])
+def test_points_and_arrays_bind_alike(v):
+    # a point is bound as the 0-d array it is, with the same message
+    e = parse("t + x1")
+    with pytest.raises(BindError) as point:
+        evaluate(e, t=v, x=(1.0,))
+    with pytest.raises(BindError) as array:
+        evaluate(e, t=[v], x=([1.0],))
+    assert str(point.value) == str(array.value)
+
+
+def test_numpy_scalars_evaluate_to_a_float():
+    got = evaluate(parse("t*x1 + r"), t=np.float64(2.0), x=(np.int64(3),), r=np.float32(0.5))
+    assert type(got) is float and got == 6.5
+
+
 @pytest.mark.parametrize(
     "text, want", [("2*{v}", [0.0, 2.0, 6.0]), ("{v} + 1", [1.0, 2.0, 4.0]), ("{v}^2", [0.0, 1.0, 9.0])]
 )

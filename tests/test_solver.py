@@ -297,6 +297,11 @@ ZERO_CASES = [
     pytest.param(SystemDef.from_strings(1, 0.7, ["-x1"], [x0]), n, id=f"-x1_from_{x0}_{n}")
     for x0 in (-0.0, 0.0)
     for n in (300, 1100, 2100)
+] + [
+    # from -0.0 the history is all -0.0, so the predictor's direct sum and x0 both are
+    pytest.param(SystemDef.from_strings(1, 0.7, [rhs], [-0.0]), n, id=f"{rhs}_from_-0.0_{n}")
+    for rhs in ("x1", "sqrt(x1)")
+    for n in (300, 1100, 2100)
 ] + [pytest.param(get_preset("example1").system, 1023, id="example1_1023")]
 
 
